@@ -348,6 +348,9 @@ def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
       dispersion_matrices (one m x m PSD block per unit, or a single shared
       block). Anticipates the standardized quadratic form:
       c_i = w_i^2 ((pred_i - center)^T V^-1 (pred_i - center) + tr(V^-1 Disp_i)).
+      Predictions and blocks must be finite. The PSD check costs one
+      eigendecomposition for a shared block and one batched call for a stack,
+      not one call per unit.
     """
     if model_kind == "lognormal":
         w = np.asarray(aux["weights"], dtype=float)
@@ -380,20 +383,21 @@ def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
             raise InvalidInput("inconsistent shapes among weights, predictions, center, v")
         v_inv = spd_inverse(v)
         blocks = np.asarray(aux["dispersion_matrices"], dtype=float)
-        if blocks.shape == (m, m):
-            blocks = np.broadcast_to(blocks, (n, m, m))
-        if blocks.shape != (n, m, m):
+        if blocks.shape not in ((m, m), (n, m, m)):
             raise InvalidInput(
                 f"dispersion_matrices must be ({n}, {m}, {m}) or ({m}, {m}), "
                 f"got {blocks.shape}"
             )
-        for i in range(n):
-            block = 0.5 * (blocks[i] + blocks[i].T)
-            min_eig = float(np.linalg.eigvalsh(block)[0])
-            if min_eig < -DEFAULT.psd_tol * max(np.linalg.norm(block, "fro"), 1.0):
-                raise NotPSD(
-                    f"dispersion block {i} has min eigenvalue {min_eig:.3e}"
-                )
+        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(pred))):
+            raise InvalidInput("dispersion_matrices and predictions must be finite")
+        sym = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
+        min_eig = np.atleast_1d(np.linalg.eigvalsh(sym)[..., 0])
+        floor = -DEFAULT.psd_tol * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)
+        bad = np.flatnonzero(min_eig < floor)
+        if bad.size:
+            i = int(bad[0])
+            raise NotPSD(f"dispersion block {i} has min eigenvalue {min_eig[i]:.3e}")
+        blocks = np.broadcast_to(blocks, (n, m, m))
         resid = pred - center
         quad = np.sum((resid @ v_inv) * resid, axis=1)
         traces = np.einsum("ij,nji->n", v_inv, blocks)

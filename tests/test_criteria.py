@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subdesign.config import DEFAULT
 from subdesign.covariance import DispersionKind, GradientSet, gamma, gradients_at
 from subdesign.criteria import (
     CoefficientSet,
@@ -27,6 +28,7 @@ from subdesign.errors import (
     NotPSD,
     SingularMatrix,
 )
+from subdesign.linalg import as_symmetric, spd_inverse
 from subdesign.models import fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, validate_scheme
 
@@ -443,6 +445,103 @@ class TestAnticipated:
                 v=np.eye(2),
                 dispersion_matrices=np.diag([1.0, -1.0])[None, :, :],
             )
+
+    @staticmethod
+    def finpop_aux(rng, n, m, blocks):
+        return dict(
+            weights=rng.uniform(0.5, 1.5, n),
+            predictions=rng.standard_normal((n, m)),
+            center=rng.standard_normal(m),
+            v=random_spd(rng, m),
+            dispersion_matrices=blocks,
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finpop_rejects_non_finite_block(self, bad):
+        aux = self.finpop_aux(np.random.default_rng(20), 4, 2, np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInput):
+            anticipated_coefficients("finpop", **aux)
+        stacked = np.tile(np.eye(2), (4, 1, 1))
+        stacked[2, 1, 0] = bad
+        aux["dispersion_matrices"] = stacked
+        with pytest.raises(InvalidInput):
+            anticipated_coefficients("finpop", **aux)
+
+    def test_finpop_rejects_non_finite_predictions(self):
+        aux = self.finpop_aux(np.random.default_rng(21), 4, 2, np.eye(2))
+        aux["predictions"][1, 0] = np.nan
+        with pytest.raises(InvalidInput):
+            anticipated_coefficients("finpop", **aux)
+
+    @staticmethod
+    def finpop_reference(weights, predictions, center, v, dispersion_matrices):
+        # The per-unit check loop the batched check replaced, with the same arithmetic.
+        n, m = predictions.shape
+        blocks = np.broadcast_to(np.asarray(dispersion_matrices, dtype=float), (n, m, m))
+        for i in range(n):
+            block = 0.5 * (blocks[i] + blocks[i].T)
+            min_eig = float(np.linalg.eigvalsh(block)[0])
+            if min_eig < -DEFAULT.psd_tol * max(np.linalg.norm(block, "fro"), 1.0):
+                raise NotPSD(f"dispersion block {i} has min eigenvalue {min_eig:.3e}")
+        v_inv = spd_inverse(as_symmetric(v))
+        resid = predictions - center
+        quad = np.sum((resid @ v_inv) * resid, axis=1)
+        traces = np.einsum("ij,nji->n", v_inv, blocks)
+        return weights**2 * (quad + traces)
+
+    def test_finpop_stacked_blocks_match_per_unit_reference(self):
+        rng = np.random.default_rng(22)
+        for n, m in [(30, 3), (200, 2), (7, 5)]:
+            blocks = np.stack([random_spd(rng, m, floor=0.0) for _ in range(n)])
+            blocks[0] = 0.0
+            aux = self.finpop_aux(rng, n, m, blocks)
+            cs = anticipated_coefficients("finpop", **aux)
+            assert np.array_equal(cs.c, self.finpop_reference(**aux))
+
+    def test_finpop_shared_block_equals_stacked_copies(self):
+        rng = np.random.default_rng(23)
+        n, m = 12, 2
+        block = random_spd(rng, m)
+        aux = self.finpop_aux(rng, n, m, block)
+        shared = anticipated_coefficients("finpop", **aux)
+        aux["dispersion_matrices"] = np.tile(block, (n, 1, 1))
+        stacked = anticipated_coefficients("finpop", **aux)
+        assert np.array_equal(shared.c, stacked.c)
+
+    def test_finpop_names_first_bad_stacked_block(self):
+        rng = np.random.default_rng(24)
+        blocks = np.tile(np.eye(2), (5, 1, 1))
+        blocks[3] = np.diag([1.0, -1.0])
+        blocks[4] = np.diag([-2.0, 1.0])
+        aux = self.finpop_aux(rng, 5, 2, blocks)
+        with pytest.raises(NotPSD, match=r"dispersion block 3 has min eigenvalue -1\.000e\+00"):
+            anticipated_coefficients("finpop", **aux)
+
+    def test_finpop_rejects_bad_shared_block(self):
+        aux = self.finpop_aux(np.random.default_rng(25), 5, 2, np.diag([1.0, -1.0]))
+        with pytest.raises(NotPSD, match=r"dispersion block 0 has min eigenvalue"):
+            anticipated_coefficients("finpop", **aux)
+
+    def test_finpop_tolerance_scales_with_block_norm(self):
+        # -1e-7 is inside psd_tol * ||B||_F for a block of norm ~1e3, outside for norm 1.
+        aux = self.finpop_aux(np.random.default_rng(26), 3, 2, np.diag([1e3, -1e-7]))
+        anticipated_coefficients("finpop", **aux)
+        aux["dispersion_matrices"] = np.diag([1.0, -1e-7])
+        with pytest.raises(NotPSD):
+            anticipated_coefficients("finpop", **aux)
+
+    def test_finpop_shared_block_is_decomposed_once(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        aux = self.finpop_aux(np.random.default_rng(27), 2_000, 2, np.diag([0.3, 0.6]))
+        anticipated_coefficients("finpop", **aux)
+        assert len(calls) <= 1
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
