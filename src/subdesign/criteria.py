@@ -31,7 +31,7 @@ from .errors import (
     NotPSD,
     SingularMatrix,
 )
-from .linalg import as_symmetric, psd_factor, spd_inverse, sym_eigen
+from .linalg import as_symmetric, logistic, psd_factor, spd_inverse, sym_eigen
 from .sampling import SamplingScheme
 
 LINEAR_KINDS = frozenset({"A", "C", "L", "V", "Distance"})
@@ -319,13 +319,7 @@ def leverage(X, theta, clamp: float = 1e-12) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     if x.ndim != 2 or th.shape != (x.shape[1],):
         raise InvalidInput("X must be N x p and theta length p")
-    t = x @ th
-    pr = np.empty_like(t)
-    pos = t >= 0
-    pr[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    pr[~pos] = et / (1.0 + et)
-    pr = np.clip(pr, clamp, 1.0 - clamp)
+    pr = np.clip(logistic(x @ th), clamp, 1.0 - clamp)
     w = pr * (1.0 - pr)
     h_inv = spd_inverse((x * w[:, None]).T @ x)
     return w * np.sum((x @ h_inv) * x, axis=1)

@@ -112,6 +112,12 @@ def load_problem(path: str, kind: str) -> LoadedData:
 
     require("id")
     ids = tuple(row[header.index("id")] for row in rows)
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for unit_id in ids:
+            if unit_id in seen:
+                raise InvalidData(f"{path} has duplicate id {unit_id!r}")
+            seen.add(unit_id)
 
     if kind == "finpop":
         require("w")

@@ -76,12 +76,22 @@ class Unsupported(SubdesignError):
 
 
 class UnreliableEstimate(SubdesignError):
-    """A Monte Carlo estimate had too many failed replicates to be trusted."""
+    """A Monte Carlo estimate had too many failed replicates to be trusted.
 
-    def __init__(self, message: str, n_failed: int = 0, n_total: int = 0):
+    ``failures`` counts the failed replicates by exception class name.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        n_failed: int = 0,
+        n_total: int = 0,
+        failures: dict[str, int] | None = None,
+    ):
         super().__init__(message)
         self.n_failed = n_failed
         self.n_total = n_total
+        self.failures = dict(failures or {})
 
 
 class DegenerateCriterion(SubdesignError):

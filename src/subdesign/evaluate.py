@@ -264,12 +264,17 @@ def _replicate_seed(master_seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class MonteCarloCovariance:
-    """Sample covariance of repeated draw-and-fit replicates."""
+    """Sample covariance of repeated draw-and-fit replicates.
+
+    ``failures`` counts the failed replicates by exception class name; its
+    values sum to ``n_failed``.
+    """
 
     cov: np.ndarray
     thetas: np.ndarray
     n_failed: int
     n_total: int
+    failures: dict[str, int]
 
     @property
     def failure_rate(self) -> float:
@@ -287,32 +292,38 @@ def monte_carlo_covariance(
 ) -> MonteCarloCovariance:
     """Estimate the covariance of the weighted estimator by simulation.
 
-    Replicates that fail to fit are dropped; the run aborts when more than
-    max_failure_rate of them do, since the surviving replicates would be a
-    biased selection.
+    Replicates that fail to fit are dropped and counted by exception class;
+    the run aborts when more than max_failure_rate of them do, since the
+    surviving replicates would be a biased selection.
     """
     if R < 1000:
         raise InvalidInput("need at least 1000 replicates for a stable covariance")
     thetas = []
-    failed = 0
+    failures: dict[str, int] = {}
     for r in range(R):
         result = draw(scheme, _replicate_seed(seed, r))
         try:
             fit = weighted_fit(problem, result.counts, scheme, tol=tol, max_iter=max_iter)
-        except FIT_ERRORS:
-            failed += 1
+        except FIT_ERRORS as err:
+            name = type(err).__name__
+            failures[name] = failures.get(name, 0) + 1
             continue
         thetas.append(fit.theta0)
+    failed = sum(failures.values())
     if failed > max_failure_rate * R:
+        reasons = ", ".join(f"{name}: {k}" for name, k in sorted(failures.items()))
         raise UnreliableEstimate(
-            f"{failed} of {R} replicates failed to fit",
+            f"{failed} of {R} replicates failed to fit ({reasons})",
             n_failed=failed,
             n_total=R,
+            failures=failures,
         )
     stacked = np.array(thetas)
     centered = stacked - stacked.mean(axis=0)
     cov = centered.T @ centered / (len(stacked) - 1)
-    return MonteCarloCovariance(cov=cov, thetas=stacked, n_failed=failed, n_total=R)
+    return MonteCarloCovariance(
+        cov=cov, thetas=stacked, n_failed=failed, n_total=R, failures=failures
+    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Dense symmetric-matrix kernels shared by the numeric modules.
+"""Dense kernels shared by the numeric modules.
 
 Everything here operates on plain numpy arrays. Inputs are treated as symmetric:
 only one triangle is authoritative and results are explicitly symmetrized, so
 callers never have to worry about round-off asymmetry accumulating through
 products. Eigen-based routines are backed by LAPACK via numpy with a
-deterministic sign convention layered on top.
+deterministic sign convention layered on top. ``logistic`` is the one
+overflow-safe sigmoid, used by the logistic model and its leverage.
 """
 
 from __future__ import annotations
@@ -118,44 +119,11 @@ def spd_inverse(m, config: NumericConfig = DEFAULT) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def sym_power(m, q: float, config: NumericConfig = DEFAULT) -> np.ndarray:
-    """Matrix power M^q of a symmetric positive definite matrix.
-
-    Non-integer powers require a strictly positive spectrum; a rank-deficient
-    input is rejected rather than silently regularized.
-    """
-    a = as_symmetric(m)
-    pair = sym_eigen(a, config)
-    min_eig = float(pair.values[-1])
-    scale = frob(a)
-    if min_eig <= config.singular_rtol * scale:
-        raise SingularMatrix(
-            f"matrix power {q} requires a positive definite input "
-            f"(min eigenvalue {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
-    p = pair.vectors
-    out = (p * pair.values**q) @ p.T
-    return 0.5 * (out + out.T)
-
-
-def trace_prod(a, b) -> float:
-    """Trace of the product of two symmetric matrices, computed as sum(A * B)."""
-    am = np.asarray(a, dtype=float)
-    bm = np.asarray(b, dtype=float)
-    if am.shape != bm.shape or am.ndim != 2 or am.shape[0] != am.shape[1]:
-        raise InvalidInput(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return float(np.sum(am * bm))
-
-
-def log_det_spd(m, config: NumericConfig = DEFAULT) -> float:
-    """log det of a symmetric positive definite matrix via its spectrum."""
-    a = as_symmetric(m)
-    pair = sym_eigen(a, config)
-    min_eig = float(pair.values[-1])
-    if min_eig <= config.singular_rtol * max(frob(a), 1e-300):
-        raise SingularMatrix(
-            f"log-determinant undefined: min eigenvalue {min_eig:.3e}",
-            min_eigenvalue=min_eig,
-        )
-    return float(np.sum(np.log(pair.values)))
+def logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) evaluated without overflow on either tail."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out

@@ -10,10 +10,17 @@ Three concrete models are provided:
 * ``qblogit_problem``: quasi-binomial logistic regression with fractional
   responses in [0, 1].
 
-``fit_full`` minimizes the total loss over all units; ``weighted_fit``
+Each public constructor validates and normalizes its inputs, then hands the
+arrays to a private builder. ``RiskProblem.take(idx)`` calls the same builder
+on a row subset, so the restricted model keeps what was fixed over the full
+population: the weight normalization and, for finpop, the starting point.
+
+``fit_full`` minimizes the total loss over all units; ``multiplier_fit``
+minimizes a multiplier-weighted loss over all units; ``weighted_fit``
 minimizes the inverse-probability weighted loss given realized selection
-counts. Both run damped Newton with step halving so the objective never
-increases within an iteration.
+counts, evaluating the sampled rows only, since units that were not drawn
+carry zero weight. All three run damped Newton with step halving so the
+objective never increases within an iteration.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
     NoConvergence,
     SingularHessian,
 )
+from .linalg import logistic
 from .sampling import SamplingScheme
 
 P_CLAMP = 1e-12
@@ -51,6 +59,9 @@ class RiskProblem:
     the Hessian of the multiplier-weighted total loss; multipliers of None
     mean the plain full-data sum. ``expected_hessian`` is the model-based
     counterpart used where observed curvature would inject residual noise.
+    ``take(idx)`` returns the same model restricted to the rows ``idx``; its
+    per-unit values are the full ones indexed by ``idx`` (for qblogit, up to
+    the rounding of the BLAS product ``X @ theta``).
     """
 
     kind: str
@@ -65,6 +76,7 @@ class RiskProblem:
     expected_hessian: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     default_init: Callable[[np.ndarray | None], np.ndarray] = field(repr=False)
     in_domain: Callable[[np.ndarray], bool] = field(repr=False)
+    take: Callable[[np.ndarray], "RiskProblem"] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,9 +109,12 @@ def finpop_problem(Y, w) -> RiskProblem:
         raise InvalidData(f"expected an N x m outcome matrix, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise InvalidData("outcomes contain non-finite values")
+    w_norm = _positive_weights(w, y.shape[0])
+    return _finpop(y, w_norm / w_norm.sum(), y.mean(axis=0))
+
+
+def _finpop(y: np.ndarray, w_norm: np.ndarray, y_mean: np.ndarray) -> RiskProblem:
     n, m = y.shape
-    w_norm = _positive_weights(w, n)
-    w_norm = w_norm / w_norm.sum()
 
     def losses(theta):
         resid = y - theta
@@ -116,7 +131,7 @@ def finpop_problem(Y, w) -> RiskProblem:
         return np.eye(m)
 
     def init(multipliers=None):
-        return y.mean(axis=0)
+        return y_mean.copy()
 
     return RiskProblem(
         kind="finpop",
@@ -131,6 +146,7 @@ def finpop_problem(Y, w) -> RiskProblem:
         expected_hessian=expected_hess,
         default_init=init,
         in_domain=lambda theta: True,
+        take=lambda idx: _finpop(y[idx], w_norm[idx], y_mean),
     )
 
 
@@ -146,10 +162,13 @@ def lognormal_problem(y, w) -> RiskProblem:
         raise InvalidData(f"expected a 1-d observation vector, got shape {obs.shape}")
     if not np.all(np.isfinite(obs)) or np.any(obs <= 0.0):
         raise InvalidData("observations must be finite and strictly positive")
-    n = obs.shape[0]
-    w_norm = _positive_weights(w, n)
+    w_norm = _positive_weights(w, obs.shape[0])
     w_norm = w_norm / w_norm.sum()
-    log_y = np.log(obs)
+    return _lognormal(obs, np.log(obs), w_norm)
+
+
+def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskProblem:
+    n = obs.shape[0]
 
     def losses(theta):
         eta, sigma = theta
@@ -200,6 +219,7 @@ def lognormal_problem(y, w) -> RiskProblem:
         expected_hessian=expected_hess,
         default_init=init,
         in_domain=lambda theta: bool(theta[1] > 0.0),
+        take=lambda idx: _lognormal(obs[idx], log_y[idx], w_norm[idx]),
     )
 
 
@@ -220,27 +240,21 @@ def qblogit_problem(X, y) -> RiskProblem:
     if np.any(np.all(x == 0.0, axis=0)):
         dead = int(np.argmax(np.all(x == 0.0, axis=0)))
         raise InvalidData(f"design column {dead} is identically zero")
-    n, p = x.shape
+    return _qblogit(x, resp)
 
-    def probs(theta):
-        t = x @ theta
-        # 1 / (1 + exp(-t)) evaluated without overflow on either tail.
-        out = np.empty_like(t)
-        pos = t >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        et = np.exp(t[~pos])
-        out[~pos] = et / (1.0 + et)
-        return out
+
+def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
+    n, p = x.shape
 
     def losses(theta):
         t = x @ theta
         return np.logaddexp(0.0, t) - resp * t
 
     def gradients(theta):
-        return (probs(theta) - resp)[:, None] * x
+        return (logistic(x @ theta) - resp)[:, None] * x
 
     def hess(theta, multipliers=None):
-        pr = np.clip(probs(theta), P_CLAMP, 1.0 - P_CLAMP)
+        pr = np.clip(logistic(x @ theta), P_CLAMP, 1.0 - P_CLAMP)
         wdiag = pr * (1.0 - pr)
         if multipliers is not None:
             wdiag = wdiag * multipliers
@@ -262,6 +276,7 @@ def qblogit_problem(X, y) -> RiskProblem:
         expected_hessian=lambda theta: hess(theta, None),
         default_init=init,
         in_domain=lambda theta: True,
+        take=lambda idx: _qblogit(x[idx], resp[idx]),
     )
 
 
@@ -365,8 +380,10 @@ def weighted_fit(
 ) -> FitResult:
     """Minimize the inverse-probability weighted loss sum(S_i/mu_i * loss_i).
 
-    Units with zero counts drop out; the fit fails with EmptySample when
-    nothing was selected.
+    Units with zero counts carry zero weight, so the fit evaluates the sampled
+    rows only (``problem.take`` on the support of ``counts``) and its cost
+    grows with the sample, not the population. Inputs are checked at full
+    length; the fit fails with EmptySample when nothing was selected.
     """
     s = np.asarray(counts, dtype=float)
     if s.shape != (problem.n_units,):
@@ -381,8 +398,9 @@ def weighted_fit(
         raise InvalidInput("counts must be non-negative and finite")
     if s.sum() == 0:
         raise EmptySample("no units were selected")
-    multipliers = s / scheme.mu
-    return _newton(problem, multipliers, theta_init, tol, max_iter)
+    support = np.flatnonzero(s)
+    multipliers = s[support] / scheme.mu[support]
+    return _newton(problem.take(support), multipliers, theta_init, tol, max_iter)
 
 
 def multiplier_fit(

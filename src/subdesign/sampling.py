@@ -130,11 +130,11 @@ def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
     if scheme.family is DesignFamily.PO_WR:
         counts = rng.poisson(mu)
     elif scheme.family is DesignFamily.PO_WOR:
-        counts = (rng.random(mu.shape[0]) < mu).astype(np.int64)
+        counts = rng.random(mu.shape[0]) < mu
     else:
         n = int(round(scheme.budget_n))
         pvals = mu / mu.sum()
         counts = rng.multinomial(n, pvals)
-    counts = counts.astype(np.int64)
+    counts = counts.astype(np.int64, copy=False)
     counts.flags.writeable = False
     return DrawResult(counts=counts, realized_size=int(counts.sum()), seed=int(seed))

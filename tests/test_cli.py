@@ -71,6 +71,13 @@ class TestFit:
         err = capsys.readouterr().err
         assert "missing column 'w'" in err
 
+    def test_duplicate_ids_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_text("id,w,y\n7,1,2\n8,1,3\n7,1,4\n", encoding="utf-8")
+        code = main(["fit", "--input", str(data), "--model", "lognormal"])
+        assert code == 2
+        assert "duplicate id '7'" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["fit", "--input", str(tmp_path / "nope.csv"), "--model", "finpop"]

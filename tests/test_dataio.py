@@ -112,6 +112,12 @@ class TestLoadProblem:
         with pytest.raises(InvalidData, match="duplicate"):
             load_problem(str(path), "lognormal")
 
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,w,y\na,1,2\nb,1,3\nc,1,4\nb,1,5\na,1,6\n", encoding="utf-8")
+        with pytest.raises(InvalidData, match="duplicate id 'b'"):
+            load_problem(str(path), "lognormal")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("", encoding="utf-8")

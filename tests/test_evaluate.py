@@ -19,6 +19,7 @@ from subdesign.errors import (
     UnreliableEstimate,
 )
 from subdesign.evaluate import (
+    FIT_ERRORS,
     EfficiencyTable,
     MonteCarloCovariance,
     Reparameterization,
@@ -250,6 +251,20 @@ class TestMonteCarloCovariance:
             monte_carlo_covariance(problem, scheme, R=1000, seed=4, max_iter=25)
         assert exc.value.n_failed > 50
 
+    def test_failures_counted_by_exception_class(self):
+        x = np.column_stack([np.ones(30), np.linspace(-2, 2, 30)])
+        y = (x[:, 1] > 0).astype(float)
+        problem = qblogit_problem(x, y)
+        scheme = uniform_scheme(30, 15, DesignFamily.PO_WR)
+        with pytest.raises(UnreliableEstimate) as exc:
+            monte_carlo_covariance(problem, scheme, R=1000, seed=4, max_iter=25)
+        failures = exc.value.failures
+        assert failures
+        assert sum(failures.values()) == exc.value.n_failed
+        assert set(failures) <= {cls.__name__ for cls in FIT_ERRORS}
+        for name, count in failures.items():
+            assert f"{name}: {count}" in str(exc.value)
+
     def test_result_shape(self):
         problem = finpop_example(seed=12, n=50, m=2)
         scheme = uniform_scheme(50, 25, DesignFamily.PO_WR)
@@ -257,6 +272,7 @@ class TestMonteCarloCovariance:
         assert isinstance(mc, MonteCarloCovariance)
         assert mc.cov.shape == (2, 2)
         assert mc.thetas.shape == (1000 - mc.n_failed, 2)
+        assert sum(mc.failures.values()) == mc.n_failed
         assert 0.0 <= mc.failure_rate <= 1.0
 
 

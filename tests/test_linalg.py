@@ -5,12 +5,10 @@ from subdesign.errors import InvalidInput, NotPSD, SingularMatrix
 from subdesign.linalg import (
     EigenPair,
     as_symmetric,
-    log_det_spd,
+    logistic,
     psd_factor,
     spd_inverse,
     sym_eigen,
-    sym_power,
-    trace_prod,
 )
 
 
@@ -115,56 +113,16 @@ class TestSpdInverse:
         assert abs(exc.value.min_eigenvalue) < 1e-12
 
 
-class TestSymPower:
-    def test_integer_power_matches_matmul(self):
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((4, 4))
-        m = b @ b.T + 4 * np.eye(4)
-        assert sym_power(m, 2.0) == pytest.approx(m @ m, rel=1e-10)
+class TestLogistic:
+    def test_matches_the_textbook_formula(self):
+        t = np.linspace(-30.0, 30.0, 601)
+        assert logistic(t) == pytest.approx(1.0 / (1.0 + np.exp(-t)), rel=1e-15)
 
-    def test_half_power_squares_back(self):
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal((5, 5))
-        m = b @ b.T + 5 * np.eye(5)
-        root = sym_power(m, 0.5)
-        assert root @ root == pytest.approx(m, rel=1e-10)
-
-    def test_rejects_singular(self):
-        with pytest.raises(SingularMatrix):
-            sym_power(np.diag([1.0, 0.0]), 0.5)
-
-
-class TestTraceProd:
-    def test_matches_explicit_product(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = rng.integers(1, 7)
-            a = rng.standard_normal((p, p))
-            a = a + a.T
-            b = rng.standard_normal((p, p))
-            b = b + b.T
-            direct = np.trace(a @ b)
-            assert trace_prod(a, b) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            trace_prod(np.eye(2), np.eye(3))
-
-
-class TestLogDet:
-    def test_matches_slogdet(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            p = rng.integers(1, 7)
-            b = rng.standard_normal((p, p))
-            m = b @ b.T + p * np.eye(p)
-            sign, val = np.linalg.slogdet(m)
-            assert sign > 0
-            assert log_det_spd(m) == pytest.approx(val, rel=1e-10, abs=1e-10)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            log_det_spd(np.zeros((2, 2)))
+    def test_tails_do_not_overflow(self):
+        with np.errstate(over="raise"):
+            out = logistic(np.array([-1000.0, -745.0, 0.0, 745.0, 1000.0]))
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert out[2] == 0.5
 
 
 def test_as_symmetric_symmetrizes():

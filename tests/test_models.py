@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import subdesign.models as models
 from subdesign.errors import (
     EmptySample,
     InvalidData,
@@ -13,6 +16,7 @@ from subdesign.models import (
     finpop_problem,
     fit_full,
     lognormal_problem,
+    multiplier_fit,
     qblogit_problem,
     weighted_fit,
 )
@@ -30,6 +34,26 @@ def random_problems(seed=0):
     probs = 1.0 / (1.0 + np.exp(-(x @ np.array([0.3, -0.5, 0.8]))))
     logit = qblogit_problem(x, np.clip(probs + rng.normal(0, 0.05, n), 0, 1))
     return fin, logn, logit
+
+
+def make_problem(kind, rng, n):
+    w = rng.uniform(0.5, 2.0, n)
+    if kind == "finpop":
+        return finpop_problem(rng.standard_normal((n, 2)) + 3.0, w)
+    if kind == "lognormal":
+        return lognormal_problem(np.exp(rng.normal(1.0, 0.8, n)), w)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    probs = 1.0 / (1.0 + np.exp(-(x @ np.array([0.3, -0.5, 0.8]))))
+    return qblogit_problem(x, np.clip(probs + rng.normal(0, 0.05, n), 0, 1))
+
+
+def sample_theta(kind, rng):
+    if kind == "lognormal":
+        return np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)])
+    return rng.uniform(-1, 1, size=2 if kind == "finpop" else 3)
+
+
+KINDS = ("finpop", "lognormal", "qblogit")
 
 
 class TestFinpop:
@@ -282,3 +306,126 @@ class TestFitResult:
         prob = lognormal_problem([1.0, 2.0, 3.0], np.ones(3))
         with pytest.raises(InvalidInput):
             fit_full(prob, theta_init=np.array([0.0, -1.0]))
+
+
+class TestTake:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_match_the_full_problem(self, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 60))
+        prob = make_problem(kind, rng, n)
+        idx = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sub = prob.take(idx)
+        theta = sample_theta(kind, rng)
+        assert (sub.kind, sub.n_units, sub.n_params) == (kind, idx.size, prob.n_params)
+        for name in ("unit_losses", "unit_gradients"):
+            full = getattr(prob, name)(theta)[idx]
+            part = getattr(sub, name)(theta)
+            assert part.shape == full.shape
+            if kind == "qblogit":
+                # The linear predictor x @ theta goes through BLAS gemv, which
+                # may round a row differently depending on how many rows share
+                # the call; rows then agree to the rounding of one dot product.
+                x = prob.data["X"][idx]
+                bound = 1e-13 * (1.0 + np.abs(x) @ np.abs(theta))
+                if name == "unit_gradients":
+                    bound = bound[:, None] * np.abs(x)
+                assert np.all(np.abs(part - full) <= bound)
+            else:
+                assert np.array_equal(part, full)
+
+    def test_keeps_full_population_normalization(self):
+        rng = np.random.default_rng(30)
+        for kind in ("finpop", "lognormal"):
+            prob = make_problem(kind, rng, 50)
+            idx = np.array([3, 17, 41])
+            sub = prob.take(idx)
+            assert np.array_equal(sub.weights, prob.weights[idx])
+            assert sub.weights.sum() < 1.0
+            assert np.array_equal(sub.take(np.array([2, 0])).weights, prob.weights[[41, 3]])
+
+    def test_finpop_start_is_the_full_data_mean(self):
+        prob = make_problem("finpop", np.random.default_rng(31), 50)
+        sub = prob.take(np.array([0, 1]))
+        assert np.array_equal(sub.default_init(None), prob.default_init(None))
+        assert np.array_equal(sub.default_init(None), prob.data["y"].mean(axis=0))
+
+    def test_hessian_matches_zero_multipliers_off_the_subset(self):
+        rng = np.random.default_rng(32)
+        for kind in KINDS:
+            prob = make_problem(kind, rng, 40)
+            idx = np.array([1, 5, 6, 20, 33, 39])
+            u = np.zeros(40)
+            u[idx] = rng.uniform(0.5, 3.0, idx.size)
+            theta = sample_theta(kind, rng)
+            full = prob.hessian(theta, u)
+            part = prob.take(idx).hessian(theta, u[idx])
+            assert part == pytest.approx(full, rel=1e-12, abs=1e-14)
+
+
+def random_scheme(rng, n_units, n, family):
+    mu = rng.uniform(0.2, 1.0, n_units)
+    mu = mu / mu.sum() * n
+    return validate_scheme(mu, family, n)
+
+
+def fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except (SingularHessian, NoConvergence) as err:
+        return type(err)
+
+
+class TestSupportFit:
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_length_multiplier_fit(self, kind, family, seed):
+        rng = np.random.default_rng(seed)
+        prob = make_problem(kind, rng, 300)
+        scheme = random_scheme(rng, 300, 40, family)
+        counts = draw(scheme, seed).counts
+        if counts.sum() == 0:
+            return
+        wfit = fit_or_error(weighted_fit, prob, counts, scheme)
+        mfit = fit_or_error(multiplier_fit, prob, counts / scheme.mu)
+        if isinstance(mfit, type):
+            assert wfit is mfit
+            return
+        assert wfit.iterations == mfit.iterations
+        err = np.max(np.abs(wfit.theta0 - mfit.theta0))
+        assert err <= 1e-12 * np.max(np.abs(mfit.theta0))
+
+    def test_newton_sees_only_the_support(self, monkeypatch):
+        seen = []
+        real = models._newton
+
+        def recording(problem, *args, **kwargs):
+            seen.append(problem.n_units)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(models, "_newton", recording)
+        rng = np.random.default_rng(33)
+        for kind in KINDS:
+            prob = make_problem(kind, rng, 2_000)
+            scheme = random_scheme(rng, 2_000, 60, DesignFamily.PO_WR)
+            counts = draw(scheme, 34).counts
+            weighted_fit(prob, counts, scheme)
+            assert seen[-1] == np.count_nonzero(counts) < 2_000
+        assert len(seen) == len(KINDS)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_counts_checked_at_full_length(self, bad):
+        prob = make_problem("lognormal", np.random.default_rng(35), 10)
+        scheme = uniform_scheme(10, 4, DesignFamily.PO_WR)
+        counts = np.zeros(10)
+        counts[[2, 7]] = 1.0
+        counts[5] = bad
+        with pytest.raises(InvalidInput):
+            weighted_fit(prob, counts, scheme)
