@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evaluate import efficiency_table_from_gradients
 from .models import fit_full
-from .sampling import DesignFamily
+from .sampling import DesignFamily, derive_seed
 from .sequential import run_k_stages
 from .solver import SolveStatus, fixed_point_solve
 from .synth import make_pool
@@ -393,11 +393,6 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _replication_seed(master_seed: int, r: int) -> int:
-    ss = np.random.SeedSequence(entropy=[int(master_seed), 7, int(r)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _batch_sizes(config: RunConfig) -> list[int]:
     sizes = [
         _parse_budget(part, "each stage size") for part in config.n.split(",")
@@ -473,7 +468,9 @@ def cmd_sequential(config: RunConfig) -> int:
                 data.problem,
                 sizes,
                 family,
-                _replication_seed(config.seed, r),
+                # The 7 is part of the replication key: it fixes every
+                # replication's draws.
+                derive_seed(config.seed, 7, r),
                 criterion=criterion,
                 tol=config.tol,
                 max_iter=config.max_iter,

@@ -305,11 +305,34 @@ def coefficients(
                 f"{spec.label} is linearized around a scheme; pass the current "
                 "iterate as `at`"
             )
-        report = gamma(grads, at)
-        phi = phi_matrix_derivative(spec, report.gamma, grads, config)
+        phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads, config)
+    return _coefficients_from_phi(spec, grads, phi, at, config)
+
+
+def _coefficients_from_phi(
+    spec: CriterionSpec,
+    grads: GradientSet,
+    phi: np.ndarray,
+    at: SamplingScheme | None,
+    config: NumericConfig = DEFAULT,
+) -> CoefficientSet:
+    """Coefficients for a derivative matrix phi already evaluated at ``at``.
+
+    The fixed-point solver calls this with the phi of the covariance it has
+    just computed for the objective, so V(mu) is built once per scheme.
+    """
     ell = psd_factor(phi, config=config)
     t = grads.psi @ (grads.hessian_inv @ ell)
-    c = np.sum(t * t, axis=1)
+    k = t.shape[1]
+    if k < 8:
+        # Row sums of fewer than 8 terms are added left to right by np.sum, so
+        # accumulating whole columns gives the same bits in fewer passes.
+        c = t[:, 0] * t[:, 0]
+        for j in range(1, k):
+            c += t[:, j] * t[:, j]
+    else:
+        # From 8 terms np.sum adds pairwise; keep its order.
+        c = np.sum(t * t, axis=1)
     return CoefficientSet(c=c, criterion=spec, at_scheme=at)
 
 

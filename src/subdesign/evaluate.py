@@ -30,7 +30,7 @@ from .errors import (
     UnreliableEstimate,
 )
 from .models import RiskProblem, fit_full, weighted_fit
-from .sampling import DesignFamily, SamplingScheme, draw, validate_scheme
+from .sampling import DesignFamily, SamplingScheme, derive_seed, draw, validate_scheme
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
 MAX_GRID_ROWS = 20_000_000
@@ -257,11 +257,6 @@ def brute_force_l_optimal(
     return validate_scheme(refined, family, float(n))
 
 
-def _replicate_seed(master_seed: int, r: int) -> int:
-    ss = np.random.SeedSequence(entropy=[int(master_seed), int(r)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 @dataclass(frozen=True)
 class MonteCarloCovariance:
     """Sample covariance of repeated draw-and-fit replicates.
@@ -301,7 +296,7 @@ def monte_carlo_covariance(
     thetas = []
     failures: dict[str, int] = {}
     for r in range(R):
-        result = draw(scheme, _replicate_seed(seed, r))
+        result = draw(scheme, derive_seed(seed, r))
         try:
             fit = weighted_fit(problem, result.counts, scheme, tol=tol, max_iter=max_iter)
         except FIT_ERRORS as err:

@@ -17,7 +17,14 @@ import numpy as np
 from .criteria import CoefficientSet, CriterionSpec, anticipated_coefficients
 from .errors import InvalidInput, SubdesignError, StageFailure, Unsupported
 from .models import FitResult, RiskProblem, multiplier_fit
-from .sampling import DesignFamily, DrawResult, SamplingScheme, draw, uniform_scheme
+from .sampling import (
+    DesignFamily,
+    DrawResult,
+    SamplingScheme,
+    derive_seed,
+    draw,
+    uniform_scheme,
+)
 from .solver import l_optimal_scheme
 
 SIGMA_FLOOR = 1e-6
@@ -71,8 +78,7 @@ class StageRecord:
 
 def stage_seed(master_seed: int, k: int) -> int:
     """Deterministic per-stage seed derived from the master seed."""
-    ss = np.random.SeedSequence(entropy=[int(master_seed), int(k)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return derive_seed(master_seed, k)
 
 
 def pooled_multipliers(records) -> np.ndarray:

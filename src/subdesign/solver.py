@@ -20,11 +20,16 @@ import numpy as np
 
 from .config import DEFAULT, NumericConfig
 from .covariance import GradientSet, gamma
-from .criteria import CoefficientSet, CriterionSpec, coefficients, phi_value
+from .criteria import (
+    CoefficientSet,
+    CriterionSpec,
+    _coefficients_from_phi,
+    coefficients,
+    phi_matrix_derivative,
+    phi_value,
+)
 from .errors import Infeasible, InvalidBudget, InvalidInput
 from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
-
-CAP_TOL = 1e-12
 
 
 class SolveStatus(enum.Enum):
@@ -59,9 +64,12 @@ def _sqrt_coefficients(c) -> np.ndarray:
     arr = c.c if isinstance(c, CoefficientSet) else np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInput(f"coefficients must be a non-empty vector, got {arr.shape}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidInput("coefficients must be finite and non-negative")
-    if np.any(arr == 0.0):
+    top = arr.max()
+    # NaN fails both comparisons, so the per-entry checks below run only to
+    # name the fault.
+    if not (arr.min() > 0.0 and top < np.inf):
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise InvalidInput("coefficients must be finite and non-negative")
         zero = tuple(int(i) for i in np.flatnonzero(arr == 0.0))
         raise Infeasible(
             f"feasible solution does not exist: {len(zero)} units have zero "
@@ -71,7 +79,7 @@ def _sqrt_coefficients(c) -> np.ndarray:
         )
     # Coefficients only matter through ratios of square roots; normalizing by
     # the maximum keeps the arithmetic in a safe range.
-    return np.sqrt(arr / arr.max())
+    return np.sqrt(arr / top)
 
 
 def l_optimal_scheme(
@@ -91,13 +99,15 @@ def l_optimal_scheme(
     n_units = s.shape[0]
     if not np.isfinite(n) or n <= 0:
         raise InvalidBudget(f"budget n must be positive, got {n}")
-    if family is not DesignFamily.PO_WOR:
-        mu = n * s / s.sum()
-        return validate_scheme(mu, family, n, config)
-    if n > n_units:
+    if family is DesignFamily.PO_WOR and n > n_units:
         raise InvalidBudget(
             f"expected size {n} exceeds the {n_units} available units"
         )
+    mu = n * s / s.sum()
+    # This is also the capping loop's first round, so when nothing reaches the
+    # cap the loop would return these same bits.
+    if family is not DesignFamily.PO_WOR or mu.max() < 1.0:
+        return validate_scheme(mu, family, n, config)
     capped = np.zeros(n_units, dtype=bool)
     mu = np.empty(n_units)
     for _ in range(n_units):
@@ -116,6 +126,7 @@ def stationarity_residual(
     scheme: SamplingScheme,
     c,
     family: DesignFamily | None = None,
+    config: NumericConfig = DEFAULT,
 ) -> float:
     """First-order optimality residual of a scheme for given coefficients.
 
@@ -139,8 +150,14 @@ def stationarity_residual(
     n = scheme.budget_n
     if family is not DesignFamily.PO_WOR:
         return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
-    capped = mu >= 1.0 - CAP_TOL
-    cap_violation = max(0.0, float(mu.max()) - 1.0)
+    mu_max = float(mu.max())
+    cap_violation = max(0.0, mu_max - 1.0)
+    if mu_max < 1.0 - config.cap_tol:
+        # Nothing is capped: the general case below with every unit free,
+        # without the masked copies.
+        prop_violation = float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
+        return max(cap_violation, prop_violation, 0.0)
+    capped = mu >= 1.0 - config.cap_tol
     prop_violation = 0.0
     threshold_violation = 0.0
     free = ~capped
@@ -157,10 +174,10 @@ def stationarity_residual(
     return max(cap_violation, prop_violation, threshold_violation)
 
 
-def _capped_count(scheme: SamplingScheme) -> int:
+def _capped_count(scheme: SamplingScheme, config: NumericConfig = DEFAULT) -> int:
     if scheme.family is not DesignFamily.PO_WOR:
         return 0
-    return int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
+    return int(np.sum(scheme.mu >= 1.0 - config.cap_tol))
 
 
 def fixed_point_solve(
@@ -178,6 +195,9 @@ def fixed_point_solve(
     Linear criteria are exact after a single refinement. For the others each
     pass computes coefficients at the current scheme and jumps to their
     closed-form optimum; see the module docstring for the stopping rules.
+    The covariance Gamma = H^-1 V(mu) H^-1 is computed once per scheme: the
+    one behind a scheme's objective is reused to linearize at that scheme,
+    so each iteration makes a single pass over the units to build V(mu).
     """
     if mu0 is None:
         mu0 = uniform_scheme(grads.n_units, n, family, config)
@@ -185,7 +205,12 @@ def fixed_point_solve(
         raise InvalidInput("mu0 does not match the problem size or design family")
 
     def objective(scheme):
-        return phi_value(spec, gamma(grads, scheme).gamma, grads, config)
+        gam = gamma(grads, scheme).gamma
+        return phi_value(spec, gam, grads, config), gam
+
+    def linearize(scheme, gam):
+        phi = phi_matrix_derivative(spec, gam, grads, config)
+        return _coefficients_from_phi(spec, grads, phi, scheme, config)
 
     def infeasible_trace(exc, objs, last_scheme, t):
         return SolveTrace(
@@ -193,25 +218,26 @@ def fixed_point_solve(
             iterations=t,
             objective_per_iter=tuple(objs),
             final_scheme=last_scheme,
-            capped_set_size=_capped_count(last_scheme),
+            capped_set_size=_capped_count(last_scheme, config),
             zero_ids=exc.zero_ids,
         )
 
-    objs = [objective(mu0)]
+    obj0, gam_current = objective(mu0)
+    objs = [obj0]
     if spec.is_linear:
         cs = coefficients(spec, grads, config=config)
         try:
             scheme = l_optimal_scheme(cs, n, family, config)
         except Infeasible as exc:
             return infeasible_trace(exc, objs, mu0, 0)
-        objs.append(objective(scheme))
-        resid = stationarity_residual(scheme, cs, family)
+        objs.append(objective(scheme)[0])
+        resid = stationarity_residual(scheme, cs, family, config)
         return SolveTrace(
             status=SolveStatus.CONVERGED,
             iterations=1,
             objective_per_iter=tuple(objs),
             final_scheme=scheme,
-            capped_set_size=_capped_count(scheme),
+            capped_set_size=_capped_count(scheme, config),
             stationarity=resid,
         )
 
@@ -219,13 +245,13 @@ def fixed_point_solve(
     best_scheme, best_obj = mu0, objs[0]
     cs_current: CoefficientSet | None = None
     for t in range(1, max_iter + 1):
-        if cs_current is None or cs_current.at_scheme is not current:
-            cs_current = coefficients(spec, grads, at=current, config=config)
+        if cs_current is None:
+            cs_current = linearize(current, gam_current)
         try:
             scheme = l_optimal_scheme(cs_current, n, family, config)
         except Infeasible as exc:
             return infeasible_trace(exc, objs, current, t - 1)
-        obj = objective(scheme)
+        obj, gam = objective(scheme)
         objs.append(obj)
         if obj > objs[-2] + config.divergence_slack:
             return SolveTrace(
@@ -233,31 +259,30 @@ def fixed_point_solve(
                 iterations=t,
                 objective_per_iter=tuple(objs),
                 final_scheme=best_scheme,
-                capped_set_size=_capped_count(best_scheme),
+                capped_set_size=_capped_count(best_scheme, config),
             )
         if obj < best_obj:
             best_scheme, best_obj = scheme, obj
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         if improvement < eps:
-            cs_next = coefficients(spec, grads, at=scheme, config=config)
-            resid = stationarity_residual(scheme, cs_next, family)
+            cs_current = linearize(scheme, gam)
+            resid = stationarity_residual(scheme, cs_current, family, config)
             if resid <= config.stationarity_tol:
                 return SolveTrace(
                     status=SolveStatus.CONVERGED,
                     iterations=t,
                     objective_per_iter=tuple(objs),
                     final_scheme=scheme,
-                    capped_set_size=_capped_count(scheme),
+                    capped_set_size=_capped_count(scheme, config),
                     stationarity=resid,
                 )
-            cs_current = cs_next
         else:
             cs_current = None
-        current = scheme
+        current, gam_current = scheme, gam
     return SolveTrace(
         status=SolveStatus.MAX_ITER,
         iterations=max_iter,
         objective_per_iter=tuple(objs),
         final_scheme=current,
-        capped_set_size=_capped_count(current),
+        capped_set_size=_capped_count(current, config),
     )

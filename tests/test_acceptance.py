@@ -35,7 +35,7 @@ from subdesign.evaluate import (
     reparam_invariance,
 )
 from subdesign.models import fit_full
-from subdesign.sampling import DesignFamily, draw, validate_scheme
+from subdesign.sampling import DesignFamily, derive_seed, draw, validate_scheme
 from subdesign.sequential import run_k_stages
 from subdesign.solver import SolveStatus, fixed_point_solve, l_optimal_scheme
 from subdesign.synth import finpop_pool, lognormal_pool, make_pool, pool_problem
@@ -45,11 +45,6 @@ BATTERY = ("A", "c", "D", "E", "d-er", "d-s", "phi:0.5", "phi:5", "phi:10")
 
 def report(number, message):
     print(f"acceptance {number:02d}: PASS - {message}")
-
-
-def seed_for(tag, index):
-    ss = np.random.SeedSequence(entropy=[int(tag), int(index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def balanced_gradients(rng, n_units, p):
@@ -265,7 +260,7 @@ def test_07_weighted_total_is_unbiased():
         R = 20_000
         estimates = np.empty(R)
         for r in range(R):
-            result = draw(scheme, seed_for(77, r))
+            result = draw(scheme, derive_seed(77, r))
             estimates[r] = result.counts @ weights
         se = float(estimates.std(ddof=1) / np.sqrt(R))
         dev = abs(float(estimates.mean()) - total) / se
@@ -386,7 +381,7 @@ def test_13_staged_reallocation_learns():
     firsts, finals = [], []
     for rep in range(200):
         records = run_k_stages(
-            problem, [100] * 5, DesignFamily.PO_WR, seed=seed_for(13, rep)
+            problem, [100] * 5, DesignFamily.PO_WR, seed=derive_seed(13, rep)
         )
         firsts.append(float(np.linalg.norm(records[0].theta_hat - theta_full)))
         finals.append(float(np.linalg.norm(records[-1].theta_hat - theta_full)))

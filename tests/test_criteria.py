@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdesign.config import DEFAULT
 from subdesign.covariance import DispersionKind, GradientSet, gamma, gradients_at
@@ -28,7 +30,7 @@ from subdesign.errors import (
     NotPSD,
     SingularMatrix,
 )
-from subdesign.linalg import as_symmetric, spd_inverse
+from subdesign.linalg import as_symmetric, psd_factor, spd_inverse
 from subdesign.models import fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, validate_scheme
 
@@ -618,3 +620,34 @@ def test_coefficient_set_zero_ids_empty():
     cs = CoefficientSet(c=np.array([1.0, 2.0]), criterion=a_opt())
     assert cs.zero_ids == ()
     assert not cs.has_zeros
+
+
+class TestCoefficientReduction:
+    """c_i = ||L^T H^-1 psi_i||^2 keeps the bits of the plain row reduction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(1, 9),
+        n_units=st.integers(12, 400),
+        seed=st.integers(0, 2**32 - 1),
+        token=st.sampled_from(["A", "D", "phi:3", "E"]),
+        family=st.sampled_from(list(DesignFamily)),
+    )
+    def test_matches_row_sum(self, p, n_units, seed, token, family):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((n_units, p)) * rng.lognormal(0.0, 2.0, (n_units, 1))
+        psi -= psi.mean(axis=0)
+        b = rng.standard_normal((p, p))
+        grads = GradientSet(psi=psi, hessian=b @ b.T + p * np.eye(p), theta0=np.zeros(p))
+        spec = parse_criterion(token)
+        w = rng.uniform(0.2, 1.0, n_units)
+        n = n_units // 10
+        at = None if spec.is_linear else validate_scheme(n * w / w.sum(), family, n)
+        gam = np.eye(p) if at is None else gamma(grads, at).gamma
+        try:
+            phi = phi_matrix_derivative(spec, gam, grads)
+        except NotDifferentiable:
+            return
+        t = grads.psi @ (grads.hessian_inv @ psd_factor(phi))
+        expected = np.sum(t * t, axis=1)
+        assert np.array_equal(coefficients(spec, grads, at=at).c, expected)

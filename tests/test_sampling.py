@@ -6,6 +6,7 @@ from subdesign.sampling import (
     DesignFamily,
     DrawResult,
     SamplingScheme,
+    derive_seed,
     draw,
     uniform_scheme,
     validate_scheme,
@@ -60,6 +61,30 @@ class TestValidateScheme:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             validate_scheme([np.nan, 1.0], DesignFamily.PO_WR, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_message_comes_before_budget_checks(self, bad):
+        for family in DesignFamily:
+            with pytest.raises(InvalidInput, match="^mu has non-finite entries$"):
+                validate_scheme([0.5, bad, 0.0], family, -1.0)
+
+    def test_domain_messages_name_the_extreme_unit(self):
+        with pytest.raises(OutOfDomain, match=r"^mu\[2\] = -0\.3 is not strictly positive$"):
+            validate_scheme([0.5, 0.0, -0.3, 1.8], DesignFamily.PO_WR, 2.0)
+        with pytest.raises(OutOfDomain, match=r"^mu\[1\] = 0\.0 is not strictly positive$"):
+            validate_scheme([0.5, 0.0, 1.5], DesignFamily.MULTI, 2)
+        with pytest.raises(
+            OutOfDomain,
+            match=r"^mu\[1\] = 1\.25 exceeds 1; without-replacement schemes are "
+            r"capped at 1$",
+        ):
+            validate_scheme([0.5, 1.25, 1.0 + 1e-15, 0.25], DesignFamily.PO_WOR, 3.0)
+
+    def test_domain_checks_follow_budget_checks(self):
+        with pytest.raises(InvalidBudget):
+            validate_scheme([0.0, 1.0], DesignFamily.PO_WR, np.inf)
+        with pytest.raises(InvalidBudget):
+            validate_scheme([1.5, 0.5], DesignFamily.PO_WOR, 0.0)
 
 
 class TestUniformScheme:
@@ -174,3 +199,17 @@ def test_draw_result_fields():
     result = DrawResult(counts=np.array([1, 0, 2]), realized_size=3, seed=9)
     assert result.realized_size == 3
     assert result.seed == 9
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize("keys", [(0, 0), (7, 1), (2**40, 999), (1, 7, 0), (42, 7, 9)])
+    def test_equals_the_seed_sequence_derivations_it_replaced(self, keys):
+        # Stage and replicate seeds were keyed (master, index), CLI replication
+        # seeds (master, 7, index), each by this SeedSequence recipe.
+        ss = np.random.SeedSequence(entropy=[int(k) for k in keys])
+        assert derive_seed(*keys) == int(ss.generate_state(1, dtype=np.uint64)[0])
+
+    def test_fits_a_draw_seed(self):
+        seed = derive_seed(3, 7, 1)
+        assert 0 <= seed <= np.iinfo(np.uint64).max
+        draw(uniform_scheme(5, 2, DesignFamily.PO_WR), seed)

@@ -10,7 +10,7 @@ from subdesign.models import (
     qblogit_problem,
     weighted_fit,
 )
-from subdesign.sampling import DesignFamily, draw, uniform_scheme
+from subdesign.sampling import DesignFamily, derive_seed, draw, uniform_scheme
 from subdesign.sequential import (
     AuxConfig,
     StageRecord,
@@ -49,6 +49,10 @@ class TestStageSeed:
     def test_varies_with_stage(self):
         seeds = {stage_seed(7, k) for k in range(1, 6)}
         assert len(seeds) == 5
+
+    def test_is_derive_seed_of_master_and_stage(self):
+        for master, k in ((0, 1), (7, 3), (12345, 5)):
+            assert stage_seed(master, k) == derive_seed(master, k)
 
 
 class TestPooledEstimate:

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from subdesign.covariance import GradientSet, gamma
+from subdesign import covariance
+from subdesign.config import DEFAULT
+from subdesign.covariance import GradientSet, gamma, gradients_at
 from subdesign.criteria import (
     CoefficientSet,
     a_opt,
@@ -12,10 +14,14 @@ from subdesign.criteria import (
     d_opt,
     e_opt,
     l_opt,
+    parse_criterion,
+    phi_matrix_derivative,
     phi_q,
     phi_value,
 )
 from subdesign.errors import Infeasible, InvalidBudget, InvalidInput
+from subdesign.linalg import psd_factor
+from subdesign.models import fit_full
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.solver import (
     SolveStatus,
@@ -24,6 +30,7 @@ from subdesign.solver import (
     l_optimal_scheme,
     stationarity_residual,
 )
+from subdesign.synth import make_pool, pool_problem
 
 
 def make_grads(seed=0, n=20, p=2):
@@ -320,3 +327,169 @@ def test_solve_trace_fields():
     )
     assert trace.zero_ids == ()
     assert trace.stationarity is None
+
+
+class TestCoefficientChecks:
+    """Messages of the coefficient checks in front of the closed form."""
+
+    def test_zero_coefficients_name_their_units(self):
+        with pytest.raises(Infeasible) as exc:
+            l_optimal_scheme(np.array([2.0, 0.0, 1.0, -0.0]), 1, DesignFamily.PO_WOR)
+        assert exc.value.zero_ids == (1, 3)
+        assert str(exc.value) == (
+            "feasible solution does not exist: 2 units have zero coefficient "
+            "and would receive zero selection mass; consider anticipated "
+            "coefficients"
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [-1.0, np.nan, np.inf, -np.inf], ids=["negative", "nan", "inf", "-inf"]
+    )
+    def test_negative_or_nonfinite_coefficient(self, bad):
+        # A zero elsewhere does not turn the fault into an Infeasible stop.
+        c = np.array([1.0, bad, 0.0, 3.0])
+        with pytest.raises(InvalidInput, match="^coefficients must be finite and non-negative$"):
+            l_optimal_scheme(c, 1, DesignFamily.PO_WR)
+
+    @pytest.mark.parametrize("c", [np.zeros(4), np.array([-1.0, 0.0, -2.0, 0.0])])
+    def test_residual_without_positive_coefficients_is_infinite(self, c):
+        for family in DesignFamily:
+            scheme = uniform_scheme(4, 2, family)
+            assert stationarity_residual(scheme, c) == float("inf")
+
+
+class TestCapTolerance:
+    def test_cap_tol_sets_the_capped_set(self):
+        # Unit 0 sits 1e-9 below the cap: free by default, capped at 1e-6.
+        mu = np.array([1.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10])
+        scheme = validate_scheme(mu, DesignFamily.PO_WOR, 2.0)
+        c = np.array([100.0, 1.0, 1.0])
+        loose = DEFAULT.with_(cap_tol=1e-6)
+        default_resid = stationarity_residual(scheme, c)
+        assert default_resid == stationarity_residual(scheme, c, config=DEFAULT)
+        # Free, unit 0 breaks proportionality; capped, it satisfies the threshold.
+        assert default_resid > 0.1
+        assert stationarity_residual(scheme, c, config=loose) < 1e-8
+
+
+def pool_grads(kind, n_units, seed):
+    problem = pool_problem(kind, make_pool(kind, n_units, seed))
+    return gradients_at(problem, fit_full(problem).theta0), problem
+
+
+def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3, config=DEFAULT):
+    """The fixed-point loop written plainly: Gamma is rebuilt for every use,
+    coefficients are row sums, and capping runs the masked loop from the start.
+    """
+
+    def objective(scheme):
+        return phi_value(spec, gamma(grads, scheme).gamma, grads, config)
+
+    def coefs(scheme):
+        phi = phi_matrix_derivative(spec, gamma(grads, scheme).gamma, grads, config)
+        t = grads.psi @ (grads.hessian_inv @ psd_factor(phi, config=config))
+        return np.sum(t * t, axis=1)
+
+    def closed_form(c):
+        s = np.sqrt(c / c.max())
+        if family is not DesignFamily.PO_WOR:
+            return validate_scheme(n * s / s.sum(), family, n, config)
+        capped = np.zeros(s.shape[0], dtype=bool)
+        mu = np.empty(s.shape[0])
+        for _ in range(s.shape[0]):
+            free = ~capped
+            mu[capped] = 1.0
+            mu[free] = (n - capped.sum()) * s[free] / s[free].sum()
+            newly = free & (mu >= 1.0)
+            if not newly.any():
+                break
+            capped |= newly
+        return validate_scheme(mu, family, n, config)
+
+    def residual(scheme, c):
+        s = np.sqrt(np.maximum(c, 0.0))
+        s_max = float(s.max())
+        mu = scheme.mu
+        if family is not DesignFamily.PO_WOR:
+            return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
+        capped = mu >= 1.0 - config.cap_tol
+        free = ~capped
+        cap_violation = max(0.0, float(mu.max()) - 1.0)
+        prop_violation = threshold_violation = 0.0
+        if free.any():
+            n_free = n - float(capped.sum())
+            prop_violation = float(
+                np.max(np.abs(mu[free] * s[free].sum() / n_free - s[free])) / s_max
+            )
+            if capped.any():
+                bar = float(np.max(s[free] / mu[free]))
+                threshold_violation = max(0.0, (bar - float(s[capped].min())) / s_max)
+        return max(cap_violation, prop_violation, threshold_violation)
+
+    current = uniform_scheme(grads.n_units, n, family, config)
+    objs = [objective(current)]
+    best_scheme, best_obj = current, objs[0]
+    for t in range(1, max_iter + 1):
+        scheme = closed_form(coefs(current))
+        obj = objective(scheme)
+        objs.append(obj)
+        if obj > objs[-2] + config.divergence_slack:
+            return "Diverged", t, objs, best_scheme, None
+        if obj < best_obj:
+            best_scheme, best_obj = scheme, obj
+        if (objs[-2] - obj) / max(abs(objs[-2]), 1e-300) < eps:
+            resid = residual(scheme, coefs(scheme))
+            if resid <= config.stationarity_tol:
+                return "Converged", t, objs, scheme, resid
+        current = scheme
+    return "MaxIter", max_iter, objs, current, None
+
+
+SPECTRAL = ("D", "phi:2", "phi:5", "phi:10", "E")
+FAMILY_BUDGETS = (
+    (DesignFamily.PO_WR, 60),
+    (DesignFamily.PO_WOR, 60),
+    (DesignFamily.MULTI, 60),
+    # Large enough that the heaviest units reach the cap.
+    (DesignFamily.PO_WOR, 700),
+)
+
+
+class TestFixedPointMatchesReference:
+    """The solver's shared-Gamma loop against the plain loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["lognormal", "qblogit"])
+    def test_bit_identical(self, kind):
+        grads, problem = pool_grads(kind, 1500, seed=11)
+        capped_seen = False
+        for family, n in FAMILY_BUDGETS:
+            for token in SPECTRAL:
+                spec = parse_criterion(token, problem)
+                trace = fixed_point_solve(spec, grads, family, n)
+                status, iters, objs, final, resid = reference_solve(
+                    spec, grads, family, n
+                )
+                where = f"{kind} {token} {family.value} n={n}"
+                assert trace.status.value == status, where
+                assert trace.iterations == iters, where
+                assert np.array_equal(trace.objective_per_iter, objs), where
+                assert np.array_equal(trace.final_scheme.mu, final.mu), where
+                assert trace.stationarity == resid, where
+                capped_seen |= trace.capped_set_size > 0
+        assert capped_seen
+
+    @pytest.mark.parametrize("token", SPECTRAL)
+    def test_one_v_matrix_per_objective(self, token, monkeypatch):
+        calls = []
+        real = covariance.v_matrix
+
+        def counting(grads, scheme):
+            calls.append(scheme.n_units)
+            return real(grads, scheme)
+
+        monkeypatch.setattr(covariance, "v_matrix", counting)
+        grads, problem = pool_grads("qblogit", 800, seed=5)
+        for family, n in ((DesignFamily.PO_WR, 40), (DesignFamily.PO_WOR, 400)):
+            calls.clear()
+            trace = fixed_point_solve(parse_criterion(token, problem), grads, family, n)
+            assert len(calls) == len(trace.objective_per_iter), (token, family)
