@@ -36,8 +36,6 @@ class NumericConfig:
     stationarity_tol: float = 1e-6
     # Absolute slack before an objective increase counts as divergence.
     divergence_slack: float = 1e-12
-    # Without-replacement expected counts at or above 1 - cap_tol count as capped.
-    cap_tol: float = 1e-12
 
     def with_(self, **kwargs) -> "NumericConfig":
         """Copy with selected fields replaced."""

@@ -79,22 +79,16 @@ def validate_scheme(
     arr = np.asarray(mu, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInput(f"mu must be a non-empty 1-d sequence, got shape {arr.shape}")
-    top = arr.max()
-    # NaN fails every comparison, so extremes inside the domain clear the
-    # whole vector; the per-entry checks run only to name the fault.
-    in_domain = arr.min() > 0.0 and top < np.inf and (
-        family is not DesignFamily.PO_WOR or top <= 1.0
-    )
-    if not in_domain and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise InvalidInput("mu has non-finite entries")
     if not np.isfinite(n) or n <= 0:
         raise InvalidBudget(f"budget n must be positive and finite, got {n}")
     if family is DesignFamily.MULTI and abs(n - round(n)) > 0:
         raise InvalidBudget(f"multinomial designs need an integer budget, got {n}")
-    if not in_domain and np.any(arr <= 0.0):
+    if np.any(arr <= 0.0):
         bad = int(np.argmin(arr))
         raise OutOfDomain(f"mu[{bad}] = {arr[bad]} is not strictly positive")
-    if not in_domain and family is DesignFamily.PO_WOR and np.any(arr > 1.0):
+    if family is DesignFamily.PO_WOR and np.any(arr > 1.0):
         bad = int(np.argmax(arr))
         raise OutOfDomain(
             f"mu[{bad}] = {arr[bad]} exceeds 1; without-replacement schemes are capped at 1"

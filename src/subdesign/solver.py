@@ -31,6 +31,8 @@ from .criteria import (
 from .errors import Infeasible, InvalidBudget, InvalidInput
 from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
 
+CAP_TOL = 1e-12
+
 
 class SolveStatus(enum.Enum):
     CONVERGED = "Converged"
@@ -126,7 +128,6 @@ def stationarity_residual(
     scheme: SamplingScheme,
     c,
     family: DesignFamily | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> float:
     """First-order optimality residual of a scheme for given coefficients.
 
@@ -148,16 +149,13 @@ def stationarity_residual(
         return float("inf")
     mu = scheme.mu
     n = scheme.budget_n
-    if family is not DesignFamily.PO_WOR:
-        return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
     mu_max = float(mu.max())
+    # With nothing at the cap every unit is free and only proportionality
+    # can fail, so the masked copies below are not needed.
+    if family is not DesignFamily.PO_WOR or mu_max < 1.0 - CAP_TOL:
+        return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
+    capped = mu >= 1.0 - CAP_TOL
     cap_violation = max(0.0, mu_max - 1.0)
-    if mu_max < 1.0 - config.cap_tol:
-        # Nothing is capped: the general case below with every unit free,
-        # without the masked copies.
-        prop_violation = float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
-        return max(cap_violation, prop_violation, 0.0)
-    capped = mu >= 1.0 - config.cap_tol
     prop_violation = 0.0
     threshold_violation = 0.0
     free = ~capped
@@ -174,10 +172,10 @@ def stationarity_residual(
     return max(cap_violation, prop_violation, threshold_violation)
 
 
-def _capped_count(scheme: SamplingScheme, config: NumericConfig = DEFAULT) -> int:
+def _capped_count(scheme: SamplingScheme) -> int:
     if scheme.family is not DesignFamily.PO_WOR:
         return 0
-    return int(np.sum(scheme.mu >= 1.0 - config.cap_tol))
+    return int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
 
 
 def fixed_point_solve(
@@ -218,7 +216,7 @@ def fixed_point_solve(
             iterations=t,
             objective_per_iter=tuple(objs),
             final_scheme=last_scheme,
-            capped_set_size=_capped_count(last_scheme, config),
+            capped_set_size=_capped_count(last_scheme),
             zero_ids=exc.zero_ids,
         )
 
@@ -231,13 +229,13 @@ def fixed_point_solve(
         except Infeasible as exc:
             return infeasible_trace(exc, objs, mu0, 0)
         objs.append(objective(scheme)[0])
-        resid = stationarity_residual(scheme, cs, family, config)
+        resid = stationarity_residual(scheme, cs, family)
         return SolveTrace(
             status=SolveStatus.CONVERGED,
             iterations=1,
             objective_per_iter=tuple(objs),
             final_scheme=scheme,
-            capped_set_size=_capped_count(scheme, config),
+            capped_set_size=_capped_count(scheme),
             stationarity=resid,
         )
 
@@ -259,21 +257,21 @@ def fixed_point_solve(
                 iterations=t,
                 objective_per_iter=tuple(objs),
                 final_scheme=best_scheme,
-                capped_set_size=_capped_count(best_scheme, config),
+                capped_set_size=_capped_count(best_scheme),
             )
         if obj < best_obj:
             best_scheme, best_obj = scheme, obj
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         if improvement < eps:
             cs_current = linearize(scheme, gam)
-            resid = stationarity_residual(scheme, cs_current, family, config)
+            resid = stationarity_residual(scheme, cs_current, family)
             if resid <= config.stationarity_tol:
                 return SolveTrace(
                     status=SolveStatus.CONVERGED,
                     iterations=t,
                     objective_per_iter=tuple(objs),
                     final_scheme=scheme,
-                    capped_set_size=_capped_count(scheme, config),
+                    capped_set_size=_capped_count(scheme),
                     stationarity=resid,
                 )
         else:
@@ -284,5 +282,5 @@ def fixed_point_solve(
         iterations=max_iter,
         objective_per_iter=tuple(objs),
         final_scheme=current,
-        capped_set_size=_capped_count(current, config),
+        capped_set_size=_capped_count(current),
     )

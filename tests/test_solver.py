@@ -24,6 +24,7 @@ from subdesign.linalg import psd_factor
 from subdesign.models import fit_full
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.solver import (
+    CAP_TOL,
     SolveStatus,
     SolveTrace,
     fixed_point_solve,
@@ -358,20 +359,6 @@ class TestCoefficientChecks:
             assert stationarity_residual(scheme, c) == float("inf")
 
 
-class TestCapTolerance:
-    def test_cap_tol_sets_the_capped_set(self):
-        # Unit 0 sits 1e-9 below the cap: free by default, capped at 1e-6.
-        mu = np.array([1.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10])
-        scheme = validate_scheme(mu, DesignFamily.PO_WOR, 2.0)
-        c = np.array([100.0, 1.0, 1.0])
-        loose = DEFAULT.with_(cap_tol=1e-6)
-        default_resid = stationarity_residual(scheme, c)
-        assert default_resid == stationarity_residual(scheme, c, config=DEFAULT)
-        # Free, unit 0 breaks proportionality; capped, it satisfies the threshold.
-        assert default_resid > 0.1
-        assert stationarity_residual(scheme, c, config=loose) < 1e-8
-
-
 def pool_grads(kind, n_units, seed):
     problem = pool_problem(kind, make_pool(kind, n_units, seed))
     return gradients_at(problem, fit_full(problem).theta0), problem
@@ -412,7 +399,7 @@ def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3, config=DEFAU
         mu = scheme.mu
         if family is not DesignFamily.PO_WOR:
             return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
-        capped = mu >= 1.0 - config.cap_tol
+        capped = mu >= 1.0 - CAP_TOL
         free = ~capped
         cap_violation = max(0.0, float(mu.max()) - 1.0)
         prop_violation = threshold_violation = 0.0
