@@ -20,25 +20,7 @@ import numpy as np
 from . import dataio
 from .covariance import gradients_at
 from .criteria import parse_criterion
-from .errors import (
-    BudgetMismatch,
-    DegenerateCriterion,
-    EmptySample,
-    Infeasible,
-    InvalidBudget,
-    InvalidData,
-    InvalidInput,
-    InvalidWeights,
-    NoConvergence,
-    NotDifferentiable,
-    NotPSD,
-    OutOfDomain,
-    SingularHessian,
-    SingularMatrix,
-    StageFailure,
-    Unsupported,
-    UnreliableEstimate,
-)
+from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
 from .models import fit_full
 from .sampling import DesignFamily, derive_seed
@@ -51,27 +33,6 @@ PROG = "subdesign"
 DEFAULT_BATTERY = (
     "A", "c", "D", "E", "d-er", "d-s", "phi:0.5", "phi:5", "phi:10",
 )
-
-_USAGE_ERRORS = (
-    InvalidData,
-    InvalidInput,
-    InvalidBudget,
-    BudgetMismatch,
-    InvalidWeights,
-    Unsupported,
-)
-_FIT_ERRORS = (
-    EmptySample,
-    SingularHessian,
-    SingularMatrix,
-    NoConvergence,
-    NotPSD,
-    OutOfDomain,
-    DegenerateCriterion,
-    NotDifferentiable,
-    UnreliableEstimate,
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -450,7 +411,7 @@ def cmd_sequential(config: RunConfig) -> int:
             if err.records:
                 _write_stage_outputs(config, data, err.records)
             print(f"{PROG}: error: {err}", file=sys.stderr)
-            return 3
+            return err.exit_code
         _write_stage_outputs(config, data, records)
         first, final = errors(records)
         dataio.write_learning_curve(curve_path, [(0, first, final)])
@@ -480,7 +441,7 @@ def cmd_sequential(config: RunConfig) -> int:
             print(
                 f"{PROG}: error: replication {r}: {err}", file=sys.stderr
             )
-            return 3
+            return err.exit_code
         first, final = errors(records)
         rows.append((r, first, final))
     dataio.write_learning_curve(curve_path, rows)
@@ -524,18 +485,11 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         return _COMMANDS[config.command](config)
-    except StageFailure as err:
+    except SubdesignError as err:
+        if err.exit_code is None:
+            raise
         print(f"{PROG}: error: {err}", file=sys.stderr)
-        return 3
-    except Infeasible as err:
-        print(f"{PROG}: error: {err}", file=sys.stderr)
-        return 5
-    except _FIT_ERRORS as err:
-        print(f"{PROG}: error: {err}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as err:
-        print(f"{PROG}: error: {err}", file=sys.stderr)
-        return 2
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -8,13 +8,21 @@ Input schemas by model kind (header row mandatory, UTF-8, dot decimals):
 
 Unknown columns are rejected rather than ignored so that a typo in a header
 fails loudly instead of silently dropping data.
+
+``csv`` tokenises the input; the numbers are then parsed a column at a time.
+Parsing cell by cell runs only when a file is malformed, to name the first
+bad row and column. The unit tables (scheme, gradients, synthetic pools) are
+written a chunk of rows at a time through one printf-style row template,
+which gives the same bytes as ``csv.writer`` with ``format(v, ".17g")``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,7 +43,7 @@ class LoadedData:
     groups: np.ndarray | None = None
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str) -> tuple[list[str], list[tuple[str, ...]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -43,7 +51,9 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise InvalidData(f"{path} is empty") from None
-            rows = [row for row in reader if row]
+            # Tuples of strings leave the garbage collector's tracking at its
+            # next pass; a list per row would be walked by every full pass.
+            rows = [tuple(row) for row in reader if row]
     except OSError as err:
         raise InvalidData(f"cannot read {path}: {err}") from err
     header = [h.strip() for h in header]
@@ -67,14 +77,19 @@ def _numbered(header: list[str], prefix: str) -> list[str]:
     return [found[i] for i in expected]
 
 
-def _column_matrix(rows, header, names, path):
+def _ragged(path, r, row, header) -> InvalidData:
+    return InvalidData(
+        f"{path} row {r + 2} has {len(row)} fields, header has {len(header)}"
+    )
+
+
+def _parse_cells(rows, header, names, path):
+    """Parse the named columns row by row; runs only to report the first error."""
     idx = [header.index(name) for name in names]
     out = np.empty((len(rows), len(names)))
     for r, row in enumerate(rows):
         if len(row) != len(header):
-            raise InvalidData(
-                f"{path} row {r + 2} has {len(row)} fields, header has {len(header)}"
-            )
+            raise _ragged(path, r, row, header)
         for c, j in enumerate(idx):
             try:
                 out[r, c] = float(row[j])
@@ -83,6 +98,24 @@ def _column_matrix(rows, header, names, path):
                     f"{path} row {r + 2}, column '{names[c]}': "
                     f"cannot parse {row[j]!r} as a number"
                 ) from None
+    return out
+
+
+def _column_matrix(rows, header, names, path):
+    """Parse the named columns of a rectangular table, one column at a time.
+
+    ``float`` parses every cell, as in :func:`_parse_cells`, so the values are
+    the same bits; on an unparsable cell the per-row parser names it.
+    """
+    n = len(rows)
+    out = np.empty((n, len(names)))
+    try:
+        for c, name in enumerate(names):
+            cells = map(itemgetter(header.index(name)), rows)
+            out[:, c] = np.fromiter(map(float, cells), float, count=n)
+    except ValueError:
+        _parse_cells(rows, header, names, path)
+        raise
     return out
 
 
@@ -111,7 +144,23 @@ def load_problem(path: str, kind: str) -> LoadedData:
                 )
 
     require("id")
-    ids = tuple(row[header.index("id")] for row in rows)
+    id_col = header.index("id")
+    if set(map(len, rows)) == {len(header)}:
+        parse = _column_matrix
+    else:
+        # A ragged table: the per-row parser reports its first bad row, or an
+        # earlier bad cell, once the header checks below have passed.
+        parse = _parse_cells
+        if any(len(row) <= id_col for row in rows):
+            r, row = next(
+                (r, row) for r, row in enumerate(rows) if len(row) != len(header)
+            )
+            raise _ragged(path, r, row, header)
+    ids = tuple(map(itemgetter(id_col), rows))
+
+    def matrix(names):
+        return parse(rows, header, names, path)
+
     if len(set(ids)) < len(ids):
         seen = set()
         for unit_id in ids:
@@ -128,11 +177,11 @@ def load_problem(path: str, kind: str) -> LoadedData:
         extra = [h for h in header if h not in allowed]
         if extra:
             raise InvalidData(f"unexpected column '{extra[0]}'")
-        w = _column_matrix(rows, header, ["w"], path)[:, 0]
-        y = _column_matrix(rows, header, y_cols, path)
+        w = matrix(["w"])[:, 0]
+        y = matrix(y_cols)
         groups = None
         if "g" in header:
-            g_raw = _column_matrix(rows, header, ["g"], path)[:, 0]
+            g_raw = matrix(["g"])[:, 0]
             if np.any(g_raw != np.round(g_raw)):
                 raise InvalidData("column 'g' must hold integers")
             groups = g_raw.astype(int)
@@ -147,9 +196,9 @@ def load_problem(path: str, kind: str) -> LoadedData:
         extra = [h for h in header if h not in allowed]
         if extra:
             raise InvalidData(f"unexpected column '{extra[0]}'")
-        w = _column_matrix(rows, header, ["w"], path)[:, 0]
-        y = _column_matrix(rows, header, ["y"], path)[:, 0]
-        aux = _column_matrix(rows, header, z_cols, path) if z_cols else None
+        w = matrix(["w"])[:, 0]
+        y = matrix(["y"])[:, 0]
+        aux = matrix(z_cols) if z_cols else None
         return LoadedData(
             problem=lognormal_problem(y, w), ids=ids, aux_columns=aux
         )
@@ -162,13 +211,62 @@ def load_problem(path: str, kind: str) -> LoadedData:
     extra = [h for h in header if h not in allowed]
     if extra:
         raise InvalidData(f"unexpected column '{extra[0]}'")
-    y = _column_matrix(rows, header, ["y"], path)[:, 0]
-    x = _column_matrix(rows, header, x_cols, path)
+    y = matrix(["y"])[:, 0]
+    x = matrix(x_cols)
     return LoadedData(problem=qblogit_problem(x, y), ids=ids)
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+# Rows per formatted chunk of a unit table: large enough that the per-chunk
+# overhead vanishes, small enough that no file-sized string is ever built.
+_CHUNK_ROWS = 4096
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
+def _id_fields(ids) -> list[str]:
+    """The ids as ``csv.writer`` writes them: quoted only where they must be."""
+    texts = list(map(str, ids))
+    if any(ch in "".join(texts) for ch in ',"\r\n'):
+        texts = [_csv_field(t) for t in texts]
+    return texts
+
+
+def _write_units(path: str, header, ids, columns, groups=None) -> None:
+    """One row per unit: its id, each column as ``%.17g``, then any integer group.
+
+    Each chunk of rows is one ``%`` call on a repeated row template. ``'%.17g'
+    % v`` is ``format(v, '.17g')`` for every float and ``'%d' % v`` is
+    ``str(int(v))``, so the bytes are those of ``csv.writer`` with
+    :func:`_fmt`.
+    """
+    ids = _id_fields(ids)
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    fields = ["%s"] + ["%.17g"] * len(columns)
+    if groups is not None:
+        columns.append(np.asarray(groups))
+        fields.append("%d")
+    width = len(fields)
+    row = ",".join(fields) + "\r\n"
+    full_chunk = row * _CHUNK_ROWS
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(ids), _CHUNK_ROWS):
+            m = min(_CHUNK_ROWS, len(ids) - start)
+            cells = [None] * (m * width)
+            cells[::width] = ids[start:start + m]
+            for j, col in enumerate(columns, 1):
+                cells[j::width] = col[start:start + m].tolist()
+            template = full_chunk if m == _CHUNK_ROWS else row * m
+            fh.write(template % tuple(cells))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -184,24 +282,11 @@ def write_theta(path: str, param_names, theta) -> None:
 
 def write_gradients(path: str, ids, psi: np.ndarray, param_names) -> None:
     header = ["id"] + [f"grad_{name}" for name in param_names]
-    rows = [
-        [ids[i]] + [_fmt(v) for v in psi[i]] for i in range(len(ids))
-    ]
-    _write_csv(path, header, rows)
+    _write_units(path, header, ids, list(psi.T))
 
 
 def write_scheme(path: str, ids, scheme: SamplingScheme) -> None:
-    rows = [[ids[i], _fmt(scheme.mu[i])] for i in range(len(ids))]
-    _write_csv(path, ["id", "mu"], rows)
-
-
-def read_scheme(path: str) -> tuple[tuple[str, ...], np.ndarray]:
-    header, rows = _read_rows(path)
-    if header != ["id", "mu"]:
-        raise InvalidData(f"{path}: expected header 'id,mu', got {','.join(header)}")
-    ids = tuple(row[0] for row in rows)
-    mu = _column_matrix(rows, header, ["mu"], path)[:, 0]
-    return ids, mu
+    _write_units(path, ["id", "mu"], ids, [scheme.mu])
 
 
 def write_trace(path: str, trace: SolveTrace) -> None:
@@ -234,33 +319,23 @@ def write_stage_log(path: str, records, problem: RiskProblem, scheme_files) -> N
 
 def write_pool(path: str, kind: str, pool: dict) -> None:
     """Emit a synthetic pool in the input schema of its model kind."""
+    groups = None
     if kind == "lognormal":
         z = pool["z"]
         header = ["id", "w", "y"] + [f"z{j + 1}" for j in range(z.shape[1])]
-        rows = [
-            [i + 1, _fmt(pool["w"][i]), _fmt(pool["y"][i])]
-            + [_fmt(v) for v in z[i]]
-            for i in range(len(pool["y"]))
-        ]
+        columns = [pool["w"], pool["y"], *z.T]
     elif kind == "qblogit":
         x = pool["X"]
         header = ["id", "y"] + [f"x{j + 1}" for j in range(x.shape[1])]
-        rows = [
-            [i + 1, _fmt(pool["y"][i])] + [_fmt(v) for v in x[i]]
-            for i in range(len(pool["y"]))
-        ]
+        columns = [pool["y"], *x.T]
     elif kind == "finpop":
         y = pool["y"]
         header = ["id", "w"] + [f"y{j + 1}" for j in range(y.shape[1])] + ["g"]
-        rows = [
-            [i + 1, _fmt(pool["w"][i])]
-            + [_fmt(v) for v in y[i]]
-            + [int(pool["g"][i])]
-            for i in range(len(y))
-        ]
+        columns = [pool["w"], *y.T]
+        groups = pool["g"]
     else:
         raise InvalidData(f"unknown model kind {kind!r}")
-    _write_csv(path, header, rows)
+    _write_units(path, header, range(1, len(columns[0]) + 1), columns, groups)
 
 
 def write_learning_curve(path: str, rows) -> None:

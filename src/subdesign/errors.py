@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all subdesign modules.
 
 Every error raised by the library derives from :class:`SubdesignError` so callers
-can catch the whole family with one clause. The CLI maps these onto exit codes.
+can catch the whole family with one clause. The CLI exits with a class's
+``exit_code``: 2 for usage or schema errors, 3 for estimation failures, 5 for an
+infeasible allocation. A bare :class:`SubdesignError` has none and propagates.
 """
 
 from __future__ import annotations
@@ -10,17 +12,25 @@ from __future__ import annotations
 class SubdesignError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code: int | None = None
+
 
 class InvalidInput(SubdesignError):
     """Malformed input: non-finite entries, dimension mismatch, missing argument."""
+
+    exit_code = 2
 
 
 class NotPSD(SubdesignError):
     """A matrix required to be positive semidefinite is not, beyond tolerance."""
 
+    exit_code = 3
+
 
 class SingularMatrix(SubdesignError):
     """A matrix required to be invertible is singular or numerically near-singular."""
+
+    exit_code = 3
 
     def __init__(self, message: str, min_eigenvalue: float | None = None):
         super().__init__(message)
@@ -30,37 +40,55 @@ class SingularMatrix(SubdesignError):
 class SingularHessian(SubdesignError):
     """The Hessian of a risk problem is singular or indefinite where PD is required."""
 
+    exit_code = 3
+
 
 class NoConvergence(SubdesignError):
     """An iterative fit exhausted its iteration budget."""
+
+    exit_code = 3
 
 
 class EmptySample(SubdesignError):
     """A subsample fit was requested but no unit was selected."""
 
+    exit_code = 3
+
 
 class InvalidWeights(SubdesignError):
     """Unit weights violate their domain (must be strictly positive)."""
+
+    exit_code = 2
 
 
 class InvalidData(SubdesignError):
     """Data violates a model's domain (e.g. non-positive outcomes for a log scale)."""
 
+    exit_code = 2
+
 
 class OutOfDomain(SubdesignError):
     """A sampling scheme leaves the feasible domain of its design family."""
+
+    exit_code = 3
 
 
 class BudgetMismatch(SubdesignError):
     """Scheme expected size does not match the declared budget."""
 
+    exit_code = 2
+
 
 class InvalidBudget(SubdesignError):
     """The budget itself is infeasible for the family (n > N without replacement, ...)."""
 
+    exit_code = 2
+
 
 class Infeasible(SubdesignError):
     """No feasible optimal scheme exists (some coefficient is exactly zero)."""
+
+    exit_code = 5
 
     def __init__(self, message: str, zero_ids: tuple[int, ...] = ()):
         super().__init__(message)
@@ -70,9 +98,13 @@ class Infeasible(SubdesignError):
 class NotDifferentiable(SubdesignError):
     """The criterion is not differentiable at this point (repeated top eigenvalue)."""
 
+    exit_code = 3
+
 
 class Unsupported(SubdesignError):
     """The operation is outside the supported envelope (size limits, missing pieces)."""
+
+    exit_code = 2
 
 
 class UnreliableEstimate(SubdesignError):
@@ -80,6 +112,8 @@ class UnreliableEstimate(SubdesignError):
 
     ``failures`` counts the failed replicates by exception class name.
     """
+
+    exit_code = 3
 
     def __init__(
         self,
@@ -97,9 +131,13 @@ class UnreliableEstimate(SubdesignError):
 class DegenerateCriterion(SubdesignError):
     """A criterion evaluated to zero where a ratio requires a positive value."""
 
+    exit_code = 3
+
 
 class StageFailure(SubdesignError):
     """A sequential stage failed; partial records are attached."""
+
+    exit_code = 3
 
     def __init__(self, message: str, stage: int, records: tuple = ()):
         super().__init__(message)

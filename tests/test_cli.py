@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from subdesign import cli, errors
 from subdesign.cli import main
 from subdesign.dataio import write_pool
 from subdesign.models import weighted_fit
@@ -77,6 +78,13 @@ class TestFit:
         code = main(["fit", "--input", str(data), "--model", "lognormal"])
         assert code == 2
         assert "duplicate id '7'" in capsys.readouterr().err
+
+    def test_row_too_short_for_its_id_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_text("w,y,id\n1,2,a\n1,3\n", encoding="utf-8")
+        code = main(["fit", "--input", str(data), "--model", "lognormal"])
+        assert code == 2
+        assert "row 3 has 2 fields, header has 3" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
@@ -640,3 +648,55 @@ class TestUsage:
         code = main(["fit", "--input", str(data)])
         assert code == 2
         assert "--model is required" in capsys.readouterr().err
+
+
+# Exit code per error class, as the CLI has always mapped them.
+EXIT_CODES = {
+    "InvalidData": 2,
+    "InvalidInput": 2,
+    "InvalidBudget": 2,
+    "BudgetMismatch": 2,
+    "InvalidWeights": 2,
+    "Unsupported": 2,
+    "EmptySample": 3,
+    "SingularHessian": 3,
+    "SingularMatrix": 3,
+    "NoConvergence": 3,
+    "NotPSD": 3,
+    "OutOfDomain": 3,
+    "DegenerateCriterion": 3,
+    "NotDifferentiable": 3,
+    "UnreliableEstimate": 3,
+    "StageFailure": 3,
+    "Infeasible": 5,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_code(self):
+        classes = {
+            name
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.SubdesignError)
+        }
+        assert classes - {"SubdesignError"} == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_main_returns_the_code(self, name, monkeypatch, capsys):
+        cls = getattr(errors, name)
+        err = cls("boom", 1) if cls is errors.StageFailure else cls("boom")
+
+        def fail(args):
+            raise err
+
+        monkeypatch.setattr(cli, "build_config", fail)
+        assert main(["fit"]) == EXIT_CODES[name]
+        assert capsys.readouterr().err == "subdesign: error: boom\n"
+
+    def test_bare_base_class_propagates(self, monkeypatch):
+        def fail(args):
+            raise errors.SubdesignError("boom")
+
+        monkeypatch.setattr(cli, "build_config", fail)
+        with pytest.raises(errors.SubdesignError, match="boom"):
+            main(["fit"])

@@ -1,11 +1,15 @@
 import csv
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subdesign import dataio
 from subdesign.dataio import (
     load_problem,
-    read_scheme,
     write_gradients,
     write_learning_curve,
     write_pool,
@@ -15,7 +19,7 @@ from subdesign.dataio import (
     write_trace,
 )
 from subdesign.errors import InvalidData
-from subdesign.models import fit_full
+from subdesign.models import fit_full, lognormal_problem
 from subdesign.sampling import DesignFamily, uniform_scheme
 from subdesign.sequential import run_k_stages
 from subdesign.solver import fixed_point_solve
@@ -170,15 +174,10 @@ class TestWriters:
         )
         path = tmp_path / "scheme.csv"
         write_scheme(str(path), tuple(str(i) for i in range(12)), scheme)
-        ids, back = read_scheme(str(path))
-        assert ids == tuple(str(i) for i in range(12))
-        assert np.array_equal(back, scheme.mu)
-
-    def test_read_scheme_rejects_other_header(self, tmp_path):
-        path = tmp_path / "scheme.csv"
-        path.write_text("id,weight\n1,0.5\n", encoding="utf-8")
-        with pytest.raises(InvalidData, match="expected header 'id,mu'"):
-            read_scheme(str(path))
+        header, rows = read_rows(str(path))
+        assert header == ["id", "mu"]
+        assert [row[0] for row in rows] == [str(i) for i in range(12)]
+        assert np.array_equal([float(row[1]) for row in rows], scheme.mu)
 
     def test_trace_rows_and_statuses(self, tmp_path):
         pool = lognormal_pool(60, seed=2)
@@ -229,3 +228,279 @@ class TestWriters:
         header, rows = read_rows(str(qb))
         assert header == ["id", "y", "x1", "x2", "x3"]
         assert all(float(row[2]) == 1.0 for row in rows)
+
+
+# Reference implementations: the per-cell reader and the csv.writer-based
+# writer that the column-wise paths in dataio must match byte for byte.
+
+COLUMN_GROUPS = {
+    "finpop": lambda header: [["w"], numbered(header, "y"), ["g"] if "g" in header else []],
+    "lognormal": lambda header: [["w"], ["y"], numbered(header, "z")],
+    "qblogit": lambda header: [["y"], numbered(header, "x")],
+}
+
+
+def numbered(header, prefix):
+    cols = [h for h in header if h[:1] == prefix and h[1:].isdigit()]
+    return sorted(cols, key=lambda h: int(h[1:]))
+
+
+def reference_parse(path, kind):
+    """Ids and one matrix per column group, parsed row by row and cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [row for row in reader if row]
+    ids = tuple(row[header.index("id")] for row in rows)
+    matrices = []
+    for names in COLUMN_GROUPS[kind](header):
+        out = np.empty((len(rows), len(names)))
+        for r, row in enumerate(rows):
+            if len(row) != len(header):
+                raise InvalidData(
+                    f"{path} row {r + 2} has {len(row)} fields, header has {len(header)}"
+                )
+            for c, name in enumerate(names):
+                cell = row[header.index(name)]
+                try:
+                    out[r, c] = float(cell)
+                except ValueError:
+                    raise InvalidData(
+                        f"{path} row {r + 2}, column '{name}': "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+        matrices.append(out)
+    return ids, matrices
+
+
+def reference_write(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def fmt(v):
+    return format(float(v), ".17g")
+
+
+def reference_pool_rows(kind, pool):
+    if kind == "lognormal":
+        return [
+            [i + 1, fmt(pool["w"][i]), fmt(pool["y"][i])] + [fmt(v) for v in pool["z"][i]]
+            for i in range(len(pool["y"]))
+        ]
+    if kind == "qblogit":
+        return [
+            [i + 1, fmt(pool["y"][i])] + [fmt(v) for v in pool["X"][i]]
+            for i in range(len(pool["y"]))
+        ]
+    return [
+        [i + 1, fmt(pool["w"][i])] + [fmt(v) for v in pool["y"][i]] + [int(pool["g"][i])]
+        for i in range(len(pool["y"]))
+    ]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 2.0, -3.0, 1e16]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+unit_ids = st.one_of(
+    st.sampled_from(["a,b", 'q"t', "line\nbreak", "cr\rlf", " lead", "", "7"]),
+    st.text(max_size=6),
+)
+# N = 1, a few chunks with a partial last one, and exact multiples.
+sizes_and_chunks = st.tuples(st.integers(1, 40), st.sampled_from([1, 3, 7, 4096]))
+
+
+class TestWriterParity:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=sizes_and_chunks, p=st.integers(1, 4))
+    def test_scheme_and_gradients_bytes(self, tmp_path_factory, data, shape, p):
+        n, chunk = shape
+        ids = data.draw(st.lists(unit_ids, min_size=n, max_size=n))
+        psi = np.array(data.draw(st.lists(floats, min_size=n * p, max_size=n * p))).reshape(n, p)
+        names = tuple(f"t{j}" for j in range(p))
+        scheme = uniform_scheme(n, 1.0, DesignFamily.PO_WR)
+        scheme = type(scheme)(mu=psi[:, 0].copy(), family=scheme.family, budget_n=1.0)
+        out = tmp_path_factory.mktemp("w")
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+            write_gradients(str(out / "g.csv"), ids, psi, names)
+            write_scheme(str(out / "s.csv"), ids, scheme)
+        reference_write(
+            str(out / "g_ref.csv"),
+            ["id"] + [f"grad_{name}" for name in names],
+            [[ids[i]] + [fmt(v) for v in psi[i]] for i in range(n)],
+        )
+        reference_write(
+            str(out / "s_ref.csv"), ["id", "mu"], [[ids[i], fmt(psi[i, 0])] for i in range(n)]
+        )
+        assert (out / "g.csv").read_bytes() == (out / "g_ref.csv").read_bytes()
+        assert (out / "s.csv").read_bytes() == (out / "s_ref.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["lognormal", "qblogit", "finpop"]),
+        shape=sizes_and_chunks,
+        k=st.integers(1, 3),
+    )
+    def test_pool_bytes(self, tmp_path_factory, data, kind, shape, k):
+        n, chunk = shape
+
+        def column(width=None):
+            size = n * (width or 1)
+            values = np.array(data.draw(st.lists(floats, min_size=size, max_size=size)))
+            return values.reshape(n, width) if width else values
+
+        if kind == "lognormal":
+            pool = {"w": column(), "y": column(), "z": column(k)}
+            header = ["id", "w", "y"] + [f"z{j + 1}" for j in range(k)]
+        elif kind == "qblogit":
+            pool = {"y": column(), "X": column(k)}
+            header = ["id", "y"] + [f"x{j + 1}" for j in range(k)]
+        else:
+            groups = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n))
+            pool = {"w": column(), "y": column(k), "g": np.array(groups, dtype=object)}
+            if data.draw(st.booleans()):
+                pool["g"] = np.array([g % 7 for g in groups], dtype=np.int64)
+            header = ["id", "w"] + [f"y{j + 1}" for j in range(k)] + ["g"]
+        out = tmp_path_factory.mktemp("p")
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+            write_pool(str(out / "pool.csv"), kind, pool)
+        reference_write(str(out / "ref.csv"), header, reference_pool_rows(kind, pool))
+        assert (out / "pool.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_rows_beyond_one_default_chunk(self, tmp_path):
+        n = 2 * dataio._CHUNK_ROWS + 5
+        pool = finpop_pool(n, seed=8)
+        write_pool(str(tmp_path / "pool.csv"), "finpop", pool)
+        header = ["id", "w", "y1", "y2", "y3", "g"]
+        reference_write(str(tmp_path / "ref.csv"), header, reference_pool_rows("finpop", pool))
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def cell_text(value, style):
+    """One number as it may appear in a hand-written CSV cell."""
+    text = repr(value)
+    if style == "quoted":
+        return f'"{text}"'
+    if style == "padded":
+        return f"  {text} "
+    if style == "underscore" and math.isfinite(value) and value.is_integer():
+        digits = f"{int(value):d}"
+        if len(digits.lstrip("-")) > 3:
+            return digits[:-3] + "_" + digits[-3:]
+    return text
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+class TestReaderParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 30),
+        k=st.integers(0, 3),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_lognormal_arrays_match_per_cell_parse(self, tmp_path_factory, data, n, k, newline):
+        styles = st.sampled_from(["plain", "quoted", "padded", "underscore"])
+        integral = st.integers(-(10**6), 10**6).map(float)
+        lines = [",".join(["id", "w", "y"] + [f"z{j + 1}" for j in range(k)])]
+        for i in range(n):
+            w = data.draw(positive)
+            y = data.draw(st.one_of(positive, st.integers(1, 10**6).map(float)))
+            z = [data.draw(st.one_of(floats, integral)) for _ in range(k)]
+            cells = [cell_text(v, data.draw(styles)) for v in (w, y, *z)]
+            lines.append(",".join([f"u{i}", *cells]))
+            if data.draw(st.booleans()):
+                lines.append("")
+        path = tmp_path_factory.mktemp("r") / "d.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        loaded = load_problem(str(path), "lognormal")
+        ids, (w, y, z) = reference_parse(str(path), "lognormal")
+        assert loaded.ids == ids
+        assert same_bits(loaded.problem.data["y"], y[:, 0])
+        assert same_bits(loaded.problem.weights, lognormal_problem(y[:, 0], w[:, 0]).weights)
+        if k:
+            assert same_bits(loaded.aux_columns, z)
+        else:
+            assert loaded.aux_columns is None
+
+    @pytest.mark.parametrize("kind", ["finpop", "qblogit"])
+    def test_pool_arrays_match_per_cell_parse(self, tmp_path, kind):
+        pool = finpop_pool(257, seed=2) if kind == "finpop" else qblogit_pool(257, seed=2)
+        path = tmp_path / "d.csv"
+        write_pool(str(path), kind, pool)
+        loaded = load_problem(str(path), kind)
+        ids, matrices = reference_parse(str(path), kind)
+        assert loaded.ids == ids
+        if kind == "finpop":
+            assert same_bits(loaded.problem.data["y"], matrices[1])
+            assert np.array_equal(loaded.groups, matrices[2][:, 0].astype(int))
+        else:
+            assert same_bits(loaded.problem.data["y"], matrices[0][:, 0])
+            assert same_bits(loaded.problem.data["X"], matrices[1])
+            assert loaded.problem.data["X"].flags.c_contiguous
+
+
+MALFORMED = {
+    "bad cell": "id,w,y\na,1,2\nb,1,oops\nc,1,3\n",
+    "short row": "id,w,y\na,1,2\nb,1\nc,1,3\n",
+    "long row": "id,w,y\na,1,2\nb,1,3,4\nc,1,3\n",
+    "bad cell then ragged": "id,w,y\na,x,2\nb,1\n",
+    "ragged then bad cell": "id,w,y\na,1\nb,x,2\n",
+    "bad later column then ragged": "id,w,y\na,1,x\nb,1\n",
+    "ragged then bad later column": "id,w,y\na,1\nb,1,x\n",
+    "bad cell after a blank line": "id,w,y\n\na,1,2\n\nb,1,\n",
+}
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_message_matches_per_cell_parse(self, tmp_path, case):
+        path = tmp_path / "d.csv"
+        path.write_text(MALFORMED[case], encoding="utf-8")
+        with pytest.raises(InvalidData) as expected:
+            reference_parse(str(path), "lognormal")
+        with pytest.raises(InvalidData) as got:
+            load_problem(str(path), "lognormal")
+        assert str(got.value) == str(expected.value)
+
+    def test_row_too_short_for_its_id_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("w,y,id\n1,2,a\n1,3\n", encoding="utf-8")
+        with pytest.raises(InvalidData, match=r"row 3 has 2 fields, header has 3"):
+            load_problem(str(path), "lognormal")
+
+    def test_first_ragged_row_is_named_when_an_id_is_missing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("w,y,id\n1,2,a,9\n1,3\n", encoding="utf-8")
+        with pytest.raises(InvalidData, match=r"row 2 has 4 fields, header has 3"):
+            load_problem(str(path), "lognormal")
+
+
+class TestNoPerCellLoop:
+    @pytest.mark.parametrize("kind", ["lognormal", "finpop", "qblogit"])
+    def test_valid_files_skip_the_per_cell_paths(self, tmp_path, kind, monkeypatch):
+        pools = {"lognormal": lognormal_pool, "finpop": finpop_pool, "qblogit": qblogit_pool}
+        path = tmp_path / "d.csv"
+        write_pool(str(path), kind, pools[kind](1000, seed=4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-cell path used on a valid table")
+
+        monkeypatch.setattr(dataio, "_parse_cells", forbidden)
+        monkeypatch.setattr(dataio, "_fmt", forbidden)
+        data = load_problem(str(path), kind)
+        grads = gradients_at(data.problem, fit_full(data.problem).theta0)
+        write_gradients(str(tmp_path / "g.csv"), data.ids, grads.psi, data.problem.param_names)
+        scheme = uniform_scheme(data.problem.n_units, 10.0, DesignFamily.PO_WOR)
+        write_scheme(str(tmp_path / "s.csv"), data.ids, scheme)
+        write_pool(str(tmp_path / "again.csv"), kind, pools[kind](1000, seed=4))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
