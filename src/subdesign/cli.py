@@ -22,7 +22,7 @@ from .covariance import gradients_at
 from .criteria import parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
-from .models import fit_full
+from .models import MODELS, fit_full
 from .sampling import DesignFamily, derive_seed
 from .sequential import run_k_stages
 from .solver import SolveStatus, fixed_point_solve
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value option file")
         p.add_argument("--input", help="input CSV path")
-        p.add_argument("--model", choices=["finpop", "lognormal", "qblogit"])
+        p.add_argument("--model", choices=list(MODELS))
         p.add_argument("--criterion", help="criterion token, e.g. A or c:1,0")
         p.add_argument("--family", help="po-wr, po-wor or multi")
         p.add_argument("--n", help="budget; comma list of stage sizes for sequential")
@@ -143,9 +143,7 @@ def _merge(args: argparse.Namespace, file_opts: dict, key: str, default=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in file_opts:
-        return file_opts[key]
-    return value if value is not None else default
+    return file_opts.get(key, default)
 
 
 def _check_criterion_token(token: str) -> None:
@@ -175,7 +173,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     model = _merge(args, file_opts, "model")
     if model is None:
         raise InvalidInput("--model is required")
-    if model not in ("finpop", "lognormal", "qblogit"):
+    if model not in MODELS:
         raise InvalidInput(f"unknown model kind {model!r}")
 
     input_path = _merge(args, file_opts, "input")
@@ -390,6 +388,12 @@ def cmd_sequential(config: RunConfig) -> int:
     )
     theta_full = fit_full(data.problem, tol=config.tol).theta0
 
+    def stages(seed):
+        return run_k_stages(
+            data.problem, sizes, family, seed,
+            criterion=criterion, tol=config.tol, max_iter=config.max_iter,
+        )
+
     def errors(records):
         first = float(np.linalg.norm(records[0].theta_hat - theta_full))
         final = float(np.linalg.norm(records[-1].theta_hat - theta_full))
@@ -398,15 +402,7 @@ def cmd_sequential(config: RunConfig) -> int:
     curve_path = _out_path(config, "learning_curve.csv")
     if config.replications == 1:
         try:
-            records = run_k_stages(
-                data.problem,
-                sizes,
-                family,
-                config.seed,
-                criterion=criterion,
-                tol=config.tol,
-                max_iter=config.max_iter,
-            )
+            records = stages(config.seed)
         except StageFailure as err:
             if err.records:
                 _write_stage_outputs(config, data, err.records)
@@ -419,23 +415,15 @@ def cmd_sequential(config: RunConfig) -> int:
             f"{len(records)} stages complete; stage-1 error {first:.6g}, "
             f"final error {final:.6g}"
         )
-        print(f"wrote {_stages_path(config)} and {curve_path}")
+        print(f"wrote {os.path.join(config.out, 'stages.csv')} and {curve_path}")
         return 0
 
     rows = []
     for r in range(config.replications):
         try:
-            records = run_k_stages(
-                data.problem,
-                sizes,
-                family,
-                # The 7 is part of the replication key: it fixes every
-                # replication's draws.
-                derive_seed(config.seed, 7, r),
-                criterion=criterion,
-                tol=config.tol,
-                max_iter=config.max_iter,
-            )
+            # The 7 is part of the replication key: it fixes every
+            # replication's draws.
+            records = stages(derive_seed(config.seed, 7, r))
         except StageFailure as err:
             dataio.write_learning_curve(curve_path, rows)
             print(
@@ -454,10 +442,6 @@ def cmd_sequential(config: RunConfig) -> int:
     )
     print(f"wrote {curve_path}")
     return 0
-
-
-def _stages_path(config: RunConfig) -> str:
-    return os.path.join(config.out, "stages.csv")
 
 
 def cmd_synth(config: RunConfig) -> int:

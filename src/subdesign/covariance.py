@@ -108,7 +108,7 @@ def gradients_at(problem, theta0) -> GradientSet:
     theta = np.asarray(theta0, dtype=float)
     psi = problem.unit_gradients(theta)
     hess = problem.hessian(theta, None)
-    expected = problem.expected_hessian(theta) if problem.expected_hessian else None
+    expected = problem.expected_hessian(theta)
     return GradientSet(psi=psi, hessian=hess, theta0=theta, expected_hessian=expected)
 
 

@@ -25,17 +25,12 @@ import numpy as np
 
 from .config import DEFAULT, NumericConfig
 from .covariance import DispersionKind, GradientSet, dispersion_matrix, gamma
-from .errors import (
-    InvalidInput,
-    NotDifferentiable,
-    NotPSD,
-    SingularMatrix,
-)
-from .linalg import as_symmetric, logistic, psd_factor, spd_inverse, sym_eigen
+from .errors import InvalidInput, NotDifferentiable, SingularMatrix
+from .linalg import as_symmetric, psd_factor, sym_eigen
+from .models import MODELS, leverage  # noqa: F401  (leverage is re-exported)
 from .sampling import SamplingScheme
 
 LINEAR_KINDS = frozenset({"A", "C", "L", "V", "Distance"})
-NONLINEAR_KINDS = frozenset({"D", "E", "PhiQ"})
 
 
 @dataclass(frozen=True)
@@ -336,91 +331,19 @@ def _coefficients_from_phi(
     return CoefficientSet(c=c, criterion=spec, at_scheme=at)
 
 
-def leverage(X, theta, clamp: float = 1e-12) -> np.ndarray:
-    """Hat-matrix diagonal of a logistic fit: W_ii x_i^T (X^T W X)^-1 x_i."""
-    x = np.asarray(X, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    if x.ndim != 2 or th.shape != (x.shape[1],):
-        raise InvalidInput("X must be N x p and theta length p")
-    pr = np.clip(logistic(x @ th), clamp, 1.0 - clamp)
-    w = pr * (1.0 - pr)
-    h_inv = spd_inverse((x * w[:, None]).T @ x)
-    return w * np.sum((x @ h_inv) * x, axis=1)
-
-
 def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
     """Coefficients with unobserved responses replaced by model expectations.
 
     The exact c_i depend on outcomes that are unknown before sampling; taking
     expectations under a working model yields strictly positive surrogates
     whenever the assumed dispersions are positive, so no unit is starved of
-    selection mass. Auxiliary inputs by model:
-
-    * ``lognormal``: weights, predictions (log scale), dispersions, center
-      (preliminary location). Anticipates the variance of the location
-      component: c_i = w_i^2 ((pred_i - center)^2 + disp_i^2).
-    * ``qblogit``: X, theta, deflate. Anticipates the ER distance via the
-      logistic leverage h_ii, deflated to h_ii (1 - h_ii) when requested.
-    * ``finpop``: weights, predictions (N x m), center, v (m x m), and
-      dispersion_matrices (one m x m PSD block per unit, or a single shared
-      block). Anticipates the standardized quadratic form:
-      c_i = w_i^2 ((pred_i - center)^T V^-1 (pred_i - center) + tr(V^-1 Disp_i)).
-      Predictions and blocks must be finite. The PSD check costs one
-      eigendecomposition for a shared block and one batched call for a stack,
-      not one call per unit.
+    selection mass. The auxiliary inputs, the formula and the criterion it
+    targets are the model's entry in ``models.MODELS``.
     """
-    if model_kind == "lognormal":
-        w = np.asarray(aux["weights"], dtype=float)
-        pred = np.asarray(aux["predictions"], dtype=float)
-        disp = np.asarray(aux["dispersions"], dtype=float)
-        center = float(aux["center"])
-        if not (w.shape == pred.shape == disp.shape) or w.ndim != 1:
-            raise InvalidInput("weights, predictions, dispersions must be equal-length vectors")
-        if np.any(disp <= 0.0) or not np.all(np.isfinite(disp)):
-            raise InvalidInput("dispersions must be strictly positive")
-        c = w**2 * ((pred - center) ** 2 + disp**2)
-        spec = c_opt(np.array([1.0, 0.0]))
-        return CoefficientSet(c=c, criterion=spec)
-    if model_kind == "qblogit":
-        h = leverage(aux["X"], aux["theta"])
-        if aux.get("deflate", False):
-            c = h * (1.0 - h)
-        else:
-            c = h
-        return CoefficientSet(c=c, criterion=distance_opt(DispersionKind.ER))
-    if model_kind == "finpop":
-        w = np.asarray(aux["weights"], dtype=float)
-        pred = np.asarray(aux["predictions"], dtype=float)
-        center = np.asarray(aux["center"], dtype=float)
-        v = as_symmetric(aux["v"])
-        if pred.ndim == 1:
-            pred = pred[:, None]
-        n, m = pred.shape
-        if w.shape != (n,) or center.shape != (m,) or v.shape != (m, m):
-            raise InvalidInput("inconsistent shapes among weights, predictions, center, v")
-        v_inv = spd_inverse(v)
-        blocks = np.asarray(aux["dispersion_matrices"], dtype=float)
-        if blocks.shape not in ((m, m), (n, m, m)):
-            raise InvalidInput(
-                f"dispersion_matrices must be ({n}, {m}, {m}) or ({m}, {m}), "
-                f"got {blocks.shape}"
-            )
-        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(pred))):
-            raise InvalidInput("dispersion_matrices and predictions must be finite")
-        sym = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
-        min_eig = np.atleast_1d(np.linalg.eigvalsh(sym)[..., 0])
-        floor = -DEFAULT.psd_tol * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)
-        bad = np.flatnonzero(min_eig < floor)
-        if bad.size:
-            i = int(bad[0])
-            raise NotPSD(f"dispersion block {i} has min eigenvalue {min_eig[i]:.3e}")
-        blocks = np.broadcast_to(blocks, (n, m, m))
-        resid = pred - center
-        quad = np.sum((resid @ v_inv) * resid, axis=1)
-        traces = np.einsum("ij,nji->n", v_inv, blocks)
-        c = w**2 * (quad + traces)
-        return CoefficientSet(c=c, criterion=distance_opt(DispersionKind.SANDWICH))
-    raise InvalidInput(f"unknown model kind {model_kind!r}")
+    spec = MODELS.get(model_kind)
+    if spec is None:
+        raise InvalidInput(f"unknown model kind {model_kind!r}")
+    return CoefficientSet(c=spec.anticipate(aux), criterion=parse_criterion(spec.criterion))
 
 
 def parse_criterion(token: str, problem=None, base_dir: str = ".") -> CriterionSpec:
@@ -483,17 +406,8 @@ def parse_criterion(token: str, problem=None, base_dir: str = ".") -> CriterionS
 
 
 def default_gram(problem) -> np.ndarray:
-    """Feature Gram matrix for V-optimality under the empirical measure.
-
-    Logistic models average x x^T over the design rows; the location/scale
-    model predicts the location only; the population-mean model predicts the
-    full parameter vector.
-    """
-    if problem.kind == "qblogit":
-        x = problem.data["X"]
-        return as_symmetric(x.T @ x / x.shape[0])
-    if problem.kind == "lognormal":
-        return np.diag([1.0, 0.0])
-    if problem.kind == "finpop":
-        return np.eye(problem.n_params)
-    raise InvalidInput(f"no default Gram matrix for model kind {problem.kind!r}")
+    """Feature Gram matrix for V-optimality under the empirical measure."""
+    spec = MODELS.get(problem.kind)
+    if spec is None:
+        raise InvalidInput(f"no default Gram matrix for model kind {problem.kind!r}")
+    return spec.gram(problem)

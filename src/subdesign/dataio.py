@@ -1,10 +1,9 @@
 """CSV ingestion and emission.
 
-Input schemas by model kind (header row mandatory, UTF-8, dot decimals):
-
-* finpop: ``id,w,y1..ym[,g]``
-* lognormal: ``id,w,y[,z1..zk]``
-* qblogit: ``id,y,x1..xp``
+Each model's input schema (header row mandatory, UTF-8, dot decimals) is its
+entry in ``models.MODELS``: ``id``, the model's scalar columns, one numbered
+block such as ``y1..ym``, and optional columns. Header checks run in that
+order, and cells are parsed one column group at a time in the same order.
 
 Unknown columns are rejected rather than ignored so that a typo in a header
 fails loudly instead of silently dropping data.
@@ -27,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidData
-from .models import RiskProblem, finpop_problem, lognormal_problem, qblogit_problem
+from .models import MODELS, RiskProblem
 from .sampling import SamplingScheme
 from .sequential import StageRecord, pooled_risk
 from .solver import SolveStatus, SolveTrace
@@ -35,7 +34,11 @@ from .solver import SolveStatus, SolveTrace
 
 @dataclass(frozen=True)
 class LoadedData:
-    """A parsed input table: the model object plus everything around it."""
+    """A parsed input table: the model object plus everything around it.
+
+    ``aux_columns`` is the ``z1..zk`` block and ``groups`` the ``g`` column,
+    for models whose schema has them.
+    """
 
     problem: RiskProblem
     ids: tuple[str, ...]
@@ -119,16 +122,10 @@ def _column_matrix(rows, header, names, path):
     return out
 
 
-SCHEMAS = {
-    "finpop": "id,w,y1..ym[,g]",
-    "lognormal": "id,w,y[,z1..zk]",
-    "qblogit": "id,y,x1..xp",
-}
-
-
 def load_problem(path: str, kind: str) -> LoadedData:
     """Parse an input CSV into the model object for its kind."""
-    if kind not in SCHEMAS:
+    spec = MODELS.get(kind)
+    if spec is None:
         raise InvalidData(f"unknown model kind {kind!r}")
     header, rows = _read_rows(path)
     if not rows:
@@ -140,7 +137,7 @@ def load_problem(path: str, kind: str) -> LoadedData:
         for name in names:
             if name not in header:
                 raise InvalidData(
-                    f"missing column '{name}' (schema for {kind}: {SCHEMAS[kind]})"
+                    f"missing column '{name}' (schema for {kind}: {spec.schema})"
                 )
 
     require("id")
@@ -168,52 +165,30 @@ def load_problem(path: str, kind: str) -> LoadedData:
                 raise InvalidData(f"{path} has duplicate id {unit_id!r}")
             seen.add(unit_id)
 
-    if kind == "finpop":
-        require("w")
-        y_cols = _numbered(header, "y")
-        if not y_cols:
-            raise InvalidData(f"missing column 'y1' (schema for finpop: {SCHEMAS['finpop']})")
-        allowed = {"id", "w", "g", *y_cols}
-        extra = [h for h in header if h not in allowed]
-        if extra:
-            raise InvalidData(f"unexpected column '{extra[0]}'")
-        w = matrix(["w"])[:, 0]
-        y = matrix(y_cols)
-        groups = None
-        if "g" in header:
-            g_raw = matrix(["g"])[:, 0]
-            if np.any(g_raw != np.round(g_raw)):
-                raise InvalidData("column 'g' must hold integers")
-            groups = g_raw.astype(int)
-        return LoadedData(
-            problem=finpop_problem(y, w), ids=ids, groups=groups
-        )
-
-    if kind == "lognormal":
-        require("w", "y")
-        z_cols = _numbered(header, "z")
-        allowed = {"id", "w", "y", *z_cols}
-        extra = [h for h in header if h not in allowed]
-        if extra:
-            raise InvalidData(f"unexpected column '{extra[0]}'")
-        w = matrix(["w"])[:, 0]
-        y = matrix(["y"])[:, 0]
-        aux = matrix(z_cols) if z_cols else None
-        return LoadedData(
-            problem=lognormal_problem(y, w), ids=ids, aux_columns=aux
-        )
-
-    require("y")
-    x_cols = _numbered(header, "x")
-    if not x_cols:
-        raise InvalidData(f"missing column 'x1' (schema for qblogit: {SCHEMAS['qblogit']})")
-    allowed = {"id", "y", *x_cols}
+    require(*spec.scalars)
+    block = _numbered(header, spec.block)
+    if spec.block_required and not block:
+        require(f"{spec.block}1")
+    allowed = {"id", *spec.scalars, *block, *spec.optional}
     extra = [h for h in header if h not in allowed]
     if extra:
         raise InvalidData(f"unexpected column '{extra[0]}'")
-    y = matrix(["y"])[:, 0]
-    x = matrix(x_cols)
-    return LoadedData(problem=qblogit_problem(x, y), ids=ids)
+    cols = {name: matrix([name])[:, 0] for name in spec.scalars}
+    if block:
+        cols[spec.block_key] = matrix(block)
+    for name in spec.optional:
+        if name in header:
+            cols[name] = matrix([name])[:, 0]
+
+    aux, groups = cols.get("z"), cols.get("g")
+    if aux is not None and not np.all(np.isfinite(aux)):
+        bad = block[int(np.argmin(np.all(np.isfinite(aux), axis=0)))]
+        raise InvalidData(f"column '{bad}' must hold finite numbers")
+    if groups is not None:
+        if not np.all(np.isfinite(groups) & (groups == np.round(groups))):
+            raise InvalidData("column 'g' must hold integers")
+        groups = groups.astype(int)
+    return LoadedData(problem=spec.build(cols), ids=ids, aux_columns=aux, groups=groups)
 
 
 def _fmt(v: float) -> str:
@@ -319,22 +294,15 @@ def write_stage_log(path: str, records, problem: RiskProblem, scheme_files) -> N
 
 def write_pool(path: str, kind: str, pool: dict) -> None:
     """Emit a synthetic pool in the input schema of its model kind."""
-    groups = None
-    if kind == "lognormal":
-        z = pool["z"]
-        header = ["id", "w", "y"] + [f"z{j + 1}" for j in range(z.shape[1])]
-        columns = [pool["w"], pool["y"], *z.T]
-    elif kind == "qblogit":
-        x = pool["X"]
-        header = ["id", "y"] + [f"x{j + 1}" for j in range(x.shape[1])]
-        columns = [pool["y"], *x.T]
-    elif kind == "finpop":
-        y = pool["y"]
-        header = ["id", "w"] + [f"y{j + 1}" for j in range(y.shape[1])] + ["g"]
-        columns = [pool["w"], *y.T]
-        groups = pool["g"]
-    else:
+    spec = MODELS.get(kind)
+    if spec is None:
         raise InvalidData(f"unknown model kind {kind!r}")
+    block = pool[spec.block_key]
+    header = ["id", *spec.scalars] + [f"{spec.block}{j + 1}" for j in range(block.shape[1])]
+    columns = [pool[name] for name in spec.scalars] + list(block.T)
+    groups = pool["g"] if "g" in spec.optional else None
+    if groups is not None:
+        header.append("g")
     _write_units(path, header, range(1, len(columns[0]) + 1), columns, groups)
 
 

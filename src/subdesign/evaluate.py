@@ -29,7 +29,7 @@ from .errors import (
     Unsupported,
     UnreliableEstimate,
 )
-from .models import RiskProblem, fit_full, weighted_fit
+from .models import MODELS, RiskProblem, fit_full, weighted_fit
 from .sampling import DesignFamily, SamplingScheme, derive_seed, draw, validate_scheme
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
@@ -356,7 +356,7 @@ def reparam_invariance(
     fitted parameter becomes A theta. Returns both schemes and the sup-norm
     difference of their probabilities.
     """
-    if problem.kind != "qblogit":
+    if "X" not in problem.data:
         raise Unsupported("the reparameterization harness needs a model matrix")
     if not isinstance(reparam, Reparameterization):
         reparam = Reparameterization(np.asarray(reparam, dtype=float))
@@ -365,11 +365,8 @@ def reparam_invariance(
         raise InvalidInput(
             f"map is {a.shape}, parameter dimension is {problem.n_params}"
         )
-    from .models import qblogit_problem
-
     x = np.asarray(problem.data["X"], dtype=float)
-    y = np.asarray(problem.data["y"], dtype=float)
-    transformed = qblogit_problem(x @ np.linalg.inv(a), y)
+    transformed = MODELS[problem.kind].build({**problem.data, "X": x @ np.linalg.inv(a)})
 
     schemes = []
     for prob in (problem, transformed):

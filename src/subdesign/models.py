@@ -21,24 +21,33 @@ minimizes the inverse-probability weighted loss given realized selection
 counts, evaluating the sampled rows only, since units that were not drawn
 carry zero weight. All three run damped Newton with step halving so the
 objective never increases within an iteration.
+
+``MODELS`` is the model table: one ``ModelSpec`` per model name, holding
+everything other modules need to know about that model (its CSV layout, how
+to build it from named arrays, its default Gram matrix, and how the
+sequential pipeline anticipates its coefficients). A new model is its
+problem builder, one entry there and a generator in ``synth``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .config import DEFAULT
 from .errors import (
     EmptySample,
     InvalidData,
     InvalidInput,
     InvalidWeights,
     NoConvergence,
+    NotPSD,
     SingularHessian,
 )
-from .linalg import logistic
+from .linalg import as_symmetric, logistic, spd_inverse
 from .sampling import SamplingScheme
 
 P_CLAMP = 1e-12
@@ -254,8 +263,7 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         return (logistic(x @ theta) - resp)[:, None] * x
 
     def hess(theta, multipliers=None):
-        pr = np.clip(logistic(x @ theta), P_CLAMP, 1.0 - P_CLAMP)
-        wdiag = pr * (1.0 - pr)
+        wdiag = _logistic_weights(x, theta)
         if multipliers is not None:
             wdiag = wdiag * multipliers
         return (x * wdiag[:, None]).T @ x
@@ -278,6 +286,23 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         in_domain=lambda theta: True,
         take=lambda idx: _qblogit(x[idx], resp[idx]),
     )
+
+
+def _logistic_weights(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Logistic curvature weights pr (1 - pr), at probabilities clipped off 0 and 1."""
+    pr = np.clip(logistic(x @ theta), P_CLAMP, 1.0 - P_CLAMP)
+    return pr * (1.0 - pr)
+
+
+def leverage(X, theta) -> np.ndarray:
+    """Hat-matrix diagonal of a logistic fit: W_ii x_i^T (X^T W X)^-1 x_i."""
+    x = np.asarray(X, dtype=float)
+    th = np.asarray(theta, dtype=float)
+    if x.ndim != 2 or th.shape != (x.shape[1],):
+        raise InvalidInput("X must be N x p and theta length p")
+    w = _logistic_weights(x, th)
+    h_inv = spd_inverse((x * w[:, None]).T @ x)
+    return w * np.sum((x @ h_inv) * x, axis=1)
 
 
 def _newton(
@@ -425,3 +450,225 @@ def multiplier_fit(
     if u.sum() == 0:
         raise EmptySample("no units carry positive weight")
     return _newton(problem, u, theta_init, tol, max_iter)
+
+
+# Floors that keep the anticipated dispersions of the sequential pipeline
+# strictly positive when few outcomes have been revealed.
+SIGMA_FLOOR = 1e-6
+COV_EIGEN_FLOOR = 1e-8
+
+
+def _lognormal_anticipate(aux: dict) -> np.ndarray:
+    """Anticipated variance of the location: c_i = w_i^2 ((pred_i - center)^2 + disp_i^2).
+
+    Inputs: weights, predictions (log scale), dispersions, center (the
+    preliminary location).
+    """
+    w = np.asarray(aux["weights"], dtype=float)
+    pred = np.asarray(aux["predictions"], dtype=float)
+    disp = np.asarray(aux["dispersions"], dtype=float)
+    center = float(aux["center"])
+    if not (w.shape == pred.shape == disp.shape) or w.ndim != 1:
+        raise InvalidInput("weights, predictions, dispersions must be equal-length vectors")
+    if np.any(disp <= 0.0) or not np.all(np.isfinite(disp)):
+        raise InvalidInput("dispersions must be strictly positive")
+    return w**2 * ((pred - center) ** 2 + disp**2)
+
+
+def _qblogit_anticipate(aux: dict) -> np.ndarray:
+    """Anticipated ER distance: the logistic leverage h_ii of X at theta.
+
+    Deflated to h_ii (1 - h_ii) when ``deflate`` is set.
+    """
+    h = leverage(aux["X"], aux["theta"])
+    return h * (1.0 - h) if aux.get("deflate", False) else h
+
+
+def _finpop_anticipate(aux: dict) -> np.ndarray:
+    """Anticipated standardized quadratic form of the weighted mean.
+
+    c_i = w_i^2 ((pred_i - center)^T V^-1 (pred_i - center) + tr(V^-1 Disp_i))
+    from weights, predictions (N x m), center, v (m x m) and
+    dispersion_matrices (one m x m PSD block per unit, or a single shared
+    block). Predictions and blocks must be finite. The PSD check costs one
+    eigendecomposition for a shared block and one batched call for a stack,
+    not one call per unit.
+    """
+    w = np.asarray(aux["weights"], dtype=float)
+    pred = np.asarray(aux["predictions"], dtype=float)
+    center = np.asarray(aux["center"], dtype=float)
+    v = as_symmetric(aux["v"])
+    if pred.ndim == 1:
+        pred = pred[:, None]
+    n, m = pred.shape
+    if w.shape != (n,) or center.shape != (m,) or v.shape != (m, m):
+        raise InvalidInput("inconsistent shapes among weights, predictions, center, v")
+    v_inv = spd_inverse(v)
+    blocks = np.asarray(aux["dispersion_matrices"], dtype=float)
+    if blocks.shape not in ((m, m), (n, m, m)):
+        raise InvalidInput(
+            f"dispersion_matrices must be ({n}, {m}, {m}) or ({m}, {m}), "
+            f"got {blocks.shape}"
+        )
+    if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(pred))):
+        raise InvalidInput("dispersion_matrices and predictions must be finite")
+    sym = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
+    min_eig = np.atleast_1d(np.linalg.eigvalsh(sym)[..., 0])
+    floor = -DEFAULT.psd_tol * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)
+    bad = np.flatnonzero(min_eig < floor)
+    if bad.size:
+        i = int(bad[0])
+        raise NotPSD(f"dispersion block {i} has min eigenvalue {min_eig[i]:.3e}")
+    blocks = np.broadcast_to(blocks, (n, m, m))
+    resid = pred - center
+    quad = np.sum((resid @ v_inv) * resid, axis=1)
+    traces = np.einsum("ij,nji->n", v_inv, blocks)
+    return w**2 * (quad + traces)
+
+
+def _lognormal_aux(problem, selected, theta, config) -> dict:
+    """Location model of the revealed log outcomes on the auxiliary columns."""
+    ylog = problem.data["log_y"]
+    n = problem.n_units
+    cols = config.columns if config is not None else None
+    if cols is not None and cols.shape[0] != n:
+        raise InvalidInput(f"auxiliary columns cover {cols.shape[0]} units, expected {n}")
+
+    design = np.ones((n, 1)) if cols is None else np.column_stack([np.ones(n), cols])
+    x_sel = design[selected]
+    y_sel = ylog[selected]
+    coef, _, rank, _ = np.linalg.lstsq(x_sel, y_sel, rcond=None)
+    if rank < design.shape[1]:
+        warnings.warn(
+            "degenerate auxiliary regression, falling back to the global mean",
+            RuntimeWarning,
+        )
+        pred = np.full(n, float(y_sel.mean()))
+        resid = y_sel - y_sel.mean()
+    else:
+        pred = design @ coef
+        resid = y_sel - x_sel @ coef
+    sigma = max(float(np.sqrt(np.mean(resid**2))), SIGMA_FLOOR)
+    return {
+        "weights": problem.weights,
+        "predictions": pred,
+        "dispersions": np.full(n, sigma),
+        "center": float(theta[0]),
+    }
+
+
+def _finpop_aux(problem, selected, theta, config) -> dict:
+    """Group means and a pooled within-group covariance of the revealed outcomes."""
+    y = problem.data["y"]
+    n, m = y.shape
+    groups = config.groups if config is not None else None
+
+    if groups is None:
+        base = y[selected].mean(axis=0)
+        pred = np.tile(base, (n, 1))
+        resid = y[selected] - base
+    else:
+        if groups.shape != (n,):
+            raise InvalidInput(f"group labels cover {groups.shape} units, expected ({n},)")
+        global_mean = y[selected].mean(axis=0)
+        pred = np.tile(global_mean, (n, 1))
+        resid_rows = []
+        missing = 0
+        for label in np.unique(groups):
+            in_group = groups == label
+            seen = in_group & selected
+            if not np.any(seen):
+                missing += 1
+                continue
+            mean = y[seen].mean(axis=0)
+            pred[in_group] = mean
+            resid_rows.append(y[seen] - mean)
+        if missing:
+            warnings.warn(
+                f"{missing} group(s) have no sampled units yet, using the global mean",
+                RuntimeWarning,
+            )
+        resid = np.vstack(resid_rows) if resid_rows else y[selected] - global_mean
+
+    cov = resid.T @ resid / max(len(resid), 1)
+    cov = 0.5 * (cov + cov.T)
+    min_eig = float(np.linalg.eigvalsh(cov)[0])
+    if min_eig < COV_EIGEN_FLOOR:
+        cov = cov + (COV_EIGEN_FLOOR - min_eig) * np.eye(m)
+
+    w = problem.weights
+    centered = pred - theta
+    v_hat = (w[:, None] ** 2 * centered).T @ centered
+    v_hat += float(np.sum(w**2)) * cov
+    v_hat = 0.5 * (v_hat + v_hat.T)
+    return {
+        "weights": w,
+        "predictions": pred,
+        "center": theta,
+        "v": v_hat,
+        "dispersion_matrices": cov,
+    }
+
+
+def _qblogit_aux(problem, selected, theta, config) -> dict:
+    """The design matrix and the current fit: leverage needs no outcomes."""
+    return {
+        "X": np.asarray(problem.data["X"], dtype=float),
+        "theta": theta,
+        "deflate": bool(config.deflate) if config is not None else False,
+    }
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model as the rest of the package sees it.
+
+    Parsed CSV columns and synthetic pools are dicts keyed by column name,
+    except that the numbered block is one matrix under ``block_key``. A ``z``
+    block and a ``g`` column feed the sequential pipeline, not the fit.
+    """
+
+    schema: str  # the CSV layout as messages write it
+    scalars: tuple[str, ...]  # required columns after ``id``, in parse order
+    block: str  # prefix of the numbered columns prefix1..prefixk
+    block_key: str
+    block_required: bool
+    optional: tuple[str, ...]  # optional columns, parsed after the block
+    build: Callable[[dict], RiskProblem]
+    gram: Callable[[RiskProblem], np.ndarray]  # default V-optimality Gram matrix
+    criterion: str  # token of the criterion that anticipation targets
+    update_aux: Callable[..., dict]  # (problem, selected, theta, AuxConfig) -> aux
+    anticipate: Callable[[dict], np.ndarray]  # aux -> coefficients
+
+
+def _design_gram(problem: RiskProblem) -> np.ndarray:
+    """x x^T averaged over the design rows."""
+    x = problem.data["X"]
+    return as_symmetric(x.T @ x / x.shape[0])
+
+
+MODELS = {
+    # The population mean predicts the full parameter vector.
+    "finpop": ModelSpec(
+        schema="id,w,y1..ym[,g]", scalars=("w",), block="y", block_key="y",
+        block_required=True, optional=("g",),
+        build=lambda cols: finpop_problem(cols["y"], cols["w"]),
+        gram=lambda problem: np.eye(problem.n_params),
+        criterion="d-s", update_aux=_finpop_aux, anticipate=_finpop_anticipate,
+    ),
+    # The location/scale model predicts the location only.
+    "lognormal": ModelSpec(
+        schema="id,w,y[,z1..zk]", scalars=("w", "y"), block="z", block_key="z",
+        block_required=False, optional=(),
+        build=lambda cols: lognormal_problem(cols["y"], cols["w"]),
+        gram=lambda problem: np.diag([1.0, 0.0]),
+        criterion="c:1,0", update_aux=_lognormal_aux, anticipate=_lognormal_anticipate,
+    ),
+    "qblogit": ModelSpec(
+        schema="id,y,x1..xp", scalars=("y",), block="x", block_key="X",
+        block_required=True, optional=(),
+        build=lambda cols: qblogit_problem(cols["X"], cols["y"]),
+        gram=_design_gram,
+        criterion="d-er", update_aux=_qblogit_aux, anticipate=_qblogit_anticipate,
+    ),
+}

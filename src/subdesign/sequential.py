@@ -9,14 +9,13 @@ single inverse-probability weighted fit.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .criteria import CoefficientSet, CriterionSpec, anticipated_coefficients
 from .errors import InvalidInput, SubdesignError, StageFailure, Unsupported
-from .models import FitResult, RiskProblem, multiplier_fit
+from .models import MODELS, FitResult, RiskProblem, multiplier_fit
 from .sampling import (
     DesignFamily,
     DrawResult,
@@ -26,9 +25,6 @@ from .sampling import (
     uniform_scheme,
 )
 from .solver import l_optimal_scheme
-
-SIGMA_FLOOR = 1e-6
-COV_EIGEN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,97 +118,6 @@ def _selected_mask(records) -> np.ndarray:
     return total > 0
 
 
-def _lognormal_aux(records, problem, config):
-    sel = _selected_mask(records)
-    ylog = np.log(np.asarray(problem.data["y"], dtype=float))
-    n = problem.n_units
-    theta = records[-1].theta_hat
-    cols = config.columns if config is not None else None
-    if cols is not None and cols.shape[0] != n:
-        raise InvalidInput(f"auxiliary columns cover {cols.shape[0]} units, expected {n}")
-
-    if cols is None:
-        design = np.ones((n, 1))
-    else:
-        design = np.column_stack([np.ones(n), cols])
-    x_sel = design[sel]
-    y_sel = ylog[sel]
-    coef, _, rank, _ = np.linalg.lstsq(x_sel, y_sel, rcond=None)
-    if rank < design.shape[1]:
-        warnings.warn(
-            "degenerate auxiliary regression, falling back to the global mean",
-            RuntimeWarning,
-        )
-        pred = np.full(n, float(y_sel.mean()))
-        resid = y_sel - y_sel.mean()
-    else:
-        pred = design @ coef
-        resid = y_sel - x_sel @ coef
-    sigma = max(float(np.sqrt(np.mean(resid**2))), SIGMA_FLOOR)
-    return {
-        "weights": problem.weights,
-        "predictions": pred,
-        "dispersions": np.full(n, sigma),
-        "center": float(theta[0]),
-    }
-
-
-def _finpop_aux(records, problem, config):
-    sel = _selected_mask(records)
-    y = np.asarray(problem.data["y"], dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    n, m = y.shape
-    theta = records[-1].theta_hat
-    groups = config.groups if config is not None else None
-
-    if groups is None:
-        base = y[sel].mean(axis=0)
-        pred = np.tile(base, (n, 1))
-        resid = y[sel] - base
-    else:
-        if groups.shape != (n,):
-            raise InvalidInput(f"group labels cover {groups.shape} units, expected ({n},)")
-        global_mean = y[sel].mean(axis=0)
-        pred = np.tile(global_mean, (n, 1))
-        resid_rows = []
-        missing = 0
-        for label in np.unique(groups):
-            in_group = groups == label
-            seen = in_group & sel
-            if not np.any(seen):
-                missing += 1
-                continue
-            mean = y[seen].mean(axis=0)
-            pred[in_group] = mean
-            resid_rows.append(y[seen] - mean)
-        if missing:
-            warnings.warn(
-                f"{missing} group(s) have no sampled units yet, using the global mean",
-                RuntimeWarning,
-            )
-        resid = np.vstack(resid_rows) if resid_rows else y[sel] - global_mean
-
-    cov = resid.T @ resid / max(len(resid), 1)
-    cov = 0.5 * (cov + cov.T)
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig < COV_EIGEN_FLOOR:
-        cov = cov + (COV_EIGEN_FLOOR - min_eig) * np.eye(m)
-
-    w = problem.weights
-    centered = pred - theta
-    v_hat = (w[:, None] ** 2 * centered).T @ centered
-    v_hat += float(np.sum(w**2)) * cov
-    v_hat = 0.5 * (v_hat + v_hat.T)
-    return {
-        "weights": w,
-        "predictions": pred,
-        "center": theta,
-        "v": v_hat,
-        "dispersion_matrices": cov,
-    }
-
-
 def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -> dict:
     """Refresh the auxiliary inputs that anticipation needs.
 
@@ -222,19 +127,10 @@ def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -
     """
     if not records:
         raise InvalidInput("need at least one stage record")
-    kind = problem.kind
-    if kind == "lognormal":
-        return _lognormal_aux(records, problem, config)
-    if kind == "finpop":
-        return _finpop_aux(records, problem, config)
-    if kind == "qblogit":
-        deflate = bool(config.deflate) if config is not None else False
-        return {
-            "X": np.asarray(problem.data["X"], dtype=float),
-            "theta": records[-1].theta_hat,
-            "deflate": deflate,
-        }
-    raise Unsupported(f"no auxiliary updater for model kind {kind!r}")
+    spec = MODELS.get(problem.kind)
+    if spec is None:
+        raise Unsupported(f"no auxiliary updater for model kind {problem.kind!r}")
+    return spec.update_aux(problem, _selected_mask(records), records[-1].theta_hat, config)
 
 
 def anticipate_scheme(
@@ -306,19 +202,13 @@ def run_k_stages(
                 f"stage {k} failed: {err}", stage=k, records=tuple(records)
             ) from err
         theta = fit.theta0
-        records[-1] = StageRecord(
-            k=k,
-            scheme=records[-1].scheme,
-            draw=records[-1].draw,
-            theta_hat=theta,
-            m_k=records[-1].m_k,
-        )
+        records[-1] = replace(records[-1], theta_hat=theta)
     return tuple(records)
 
 
 def anticipated_criterion_label(kind: str) -> str:
     """Label of the criterion each model's anticipation targets."""
-    labels = {"lognormal": "c:1,0", "qblogit": "d-er", "finpop": "d-s"}
-    if kind not in labels:
+    spec = MODELS.get(kind)
+    if spec is None:
         raise Unsupported(f"no anticipated criterion for model kind {kind!r}")
-    return labels[kind]
+    return spec.criterion

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .models import RiskProblem, finpop_problem, lognormal_problem, qblogit_problem
+from .models import MODELS, RiskProblem
 
 FINPOP_SCALE_GAP = 100.0
 
@@ -104,22 +104,17 @@ def finpop_pool(n_units: int, seed: int = 0) -> dict:
 
 def pool_problem(kind: str, pool: dict) -> RiskProblem:
     """Model object for a generated pool."""
-    if kind == "lognormal":
-        return lognormal_problem(pool["y"], pool["w"])
-    if kind == "qblogit":
-        return qblogit_problem(pool["X"], pool["y"])
-    if kind == "finpop":
-        return finpop_problem(pool["y"], pool["w"])
-    raise InvalidInput(f"unknown model kind {kind!r}")
+    spec = MODELS.get(kind)
+    if spec is None:
+        raise InvalidInput(f"unknown model kind {kind!r}")
+    return spec.build(pool)
+
+
+_GENERATORS = {"finpop": finpop_pool, "lognormal": lognormal_pool, "qblogit": qblogit_pool}
 
 
 def make_pool(kind: str, n_units: int, seed: int = 0) -> dict:
     """Dispatch to the generator for a model kind."""
-    generators = {
-        "lognormal": lognormal_pool,
-        "qblogit": qblogit_pool,
-        "finpop": finpop_pool,
-    }
-    if kind not in generators:
+    if kind not in MODELS:
         raise InvalidInput(f"unknown model kind {kind!r}")
-    return generators[kind](n_units, seed)
+    return _GENERATORS[kind](n_units, seed)

@@ -86,6 +86,20 @@ class TestFit:
         assert code == 2
         assert "row 3 has 2 fields, header has 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, text, column",
+        [
+            ("lognormal", "id,w,y,z1\n1,1,2,nan\n2,1,3,0\n", "z1"),
+            ("finpop", "id,w,y1,g\n1,1,2,inf\n2,1,3,0\n", "g"),
+        ],
+    )
+    def test_non_finite_auxiliary_cell_exits_2(self, tmp_path, capsys, model, text, column):
+        data = tmp_path / "toy.csv"
+        data.write_text(text, encoding="utf-8")
+        code = main(["fit", "--input", str(data), "--model", model, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"column '{column}'" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["fit", "--input", str(tmp_path / "nope.csv"), "--model", "finpop"]

@@ -422,8 +422,14 @@ class TestReaderParity:
                 lines.append("")
         path = tmp_path_factory.mktemp("r") / "d.csv"
         path.write_bytes(newline.join(lines).encode() + newline.encode())
-        loaded = load_problem(str(path), "lognormal")
         ids, (w, y, z) = reference_parse(str(path), "lognormal")
+        if not np.all(np.isfinite(z)):
+            # Auxiliary cells must be finite; the first such column is named.
+            bad = int(np.argmin(np.all(np.isfinite(z), axis=0)))
+            with pytest.raises(InvalidData, match=f"^column 'z{bad + 1}' must hold finite"):
+                load_problem(str(path), "lognormal")
+            return
+        loaded = load_problem(str(path), "lognormal")
         assert loaded.ids == ids
         assert same_bits(loaded.problem.data["y"], y[:, 0])
         assert same_bits(loaded.problem.weights, lognormal_problem(y[:, 0], w[:, 0]).weights)
@@ -504,3 +510,105 @@ class TestNoPerCellLoop:
         write_scheme(str(tmp_path / "s.csv"), data.ids, scheme)
         write_pool(str(tmp_path / "again.csv"), kind, pools[kind](1000, seed=4))
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+FINPOP_SCHEMA = "(schema for finpop: id,w,y1..ym[,g])"
+LOGNORMAL_SCHEMA = "(schema for lognormal: id,w,y[,z1..zk])"
+QBLOGIT_SCHEMA = "(schema for qblogit: id,y,x1..xp)"
+
+
+def bad_cell(row, column, text="x"):
+    return f"{{path}} row {row}, column '{column}': cannot parse {text!r} as a number"
+
+
+# (model, CSV text, exact message; {path} stands for the file). Header checks
+# run as: id, required scalars, the numbered block, unexpected columns. Cells
+# are parsed one column group at a time in schema order (scalars, block,
+# optional), whatever the header order; inside a group the first bad row wins.
+MESSAGE_PINS = {
+    "finpop missing id": ("finpop", "w,y1\n1,2\n", f"missing column 'id' {FINPOP_SCHEMA}"),
+    "finpop missing scalar": ("finpop", "id,y1\n1,2\n", f"missing column 'w' {FINPOP_SCHEMA}"),
+    "finpop missing scalar before unexpected": (
+        "finpop", "id,x1,y1\n1,1,2\n", f"missing column 'w' {FINPOP_SCHEMA}"),
+    "finpop missing block": ("finpop", "id,w\n1,1\n", f"missing column 'y1' {FINPOP_SCHEMA}"),
+    "finpop missing first block column": ("finpop", "id,w,y2\n1,1,2\n", "missing column 'y1'"),
+    "finpop missing block before unexpected": (
+        "finpop", "id,w,x1\n1,1,2\n", f"missing column 'y1' {FINPOP_SCHEMA}"),
+    "finpop block gap": ("finpop", "id,w,y1,y3\n1,1,2,3\n", "missing column 'y2'"),
+    "finpop block gap before unexpected": (
+        "finpop", "id,w,q,y1,y3\n1,1,0,2,3\n", "missing column 'y2'"),
+    "finpop unexpected column": (
+        "finpop", "id,w,y1,g,z1\n1,1,2,0,3\n", "unexpected column 'z1'"),
+    "finpop bad w then bad y": (
+        "finpop", "id,y1,y2,w,g\n1,1,2,x,0\n2,1,x,1,0\n", bad_cell(2, "w")),
+    "finpop bad y then bad w": (
+        "finpop", "id,y1,y2,w,g\n1,1,x,1,0\n2,1,2,x,0\n", bad_cell(3, "w")),
+    "finpop bad y then bad g": (
+        "finpop", "id,w,y1,g\n1,1,x,0\n2,1,2,x\n", bad_cell(2, "y1")),
+    "finpop bad g then bad y": (
+        "finpop", "id,w,y1,g\n1,1,2,x\n2,1,x,0\n", bad_cell(3, "y1")),
+    "finpop block cells in row order": (
+        "finpop", "id,w,y1,y2\n1,1,2,x\n2,1,x,3\n", bad_cell(2, "y2")),
+    "lognormal missing id": ("lognormal", "w,y\n1,2\n", f"missing column 'id' {LOGNORMAL_SCHEMA}"),
+    "lognormal missing first scalar": (
+        "lognormal", "id,y\n1,2\n", f"missing column 'w' {LOGNORMAL_SCHEMA}"),
+    "lognormal missing second scalar": (
+        "lognormal", "id,w,z1\n1,1,2\n", f"missing column 'y' {LOGNORMAL_SCHEMA}"),
+    "lognormal missing scalar before unexpected": (
+        "lognormal", "id,w,x1\n1,1,2\n", f"missing column 'y' {LOGNORMAL_SCHEMA}"),
+    "lognormal missing first block column": (
+        "lognormal", "id,w,y,z2\n1,1,2,3\n", "missing column 'z1'"),
+    "lognormal block gap": ("lognormal", "id,w,y,z1,z3\n1,1,2,3,4\n", "missing column 'z2'"),
+    "lognormal block gap before unexpected": (
+        "lognormal", "id,w,y,g,z3\n1,1,2,0,4\n", "missing column 'z1'"),
+    "lognormal unexpected column": (
+        "lognormal", "id,w,y,z1,g\n1,1,2,3,0\n", "unexpected column 'g'"),
+    "lognormal bad w then bad y": (
+        "lognormal", "id,y,w\n1,2,x\n2,x,1\n", bad_cell(2, "w")),
+    "lognormal bad y then bad w": (
+        "lognormal", "id,y,w\n1,x,1\n2,2,x\n", bad_cell(3, "w")),
+    "lognormal bad y then bad z": (
+        "lognormal", "id,w,y,z1\n1,1,x,0\n2,1,2,x\n", bad_cell(2, "y")),
+    "lognormal bad z then bad y": (
+        "lognormal", "id,w,y,z1\n1,1,2,x\n2,1,x,0\n", bad_cell(3, "y")),
+    "qblogit missing id": ("qblogit", "y,x1\n1,2\n", f"missing column 'id' {QBLOGIT_SCHEMA}"),
+    "qblogit missing scalar": ("qblogit", "id,x1\n1,1\n", f"missing column 'y' {QBLOGIT_SCHEMA}"),
+    "qblogit missing scalar before unexpected": (
+        "qblogit", "id,w,x1\n1,1,1\n", f"missing column 'y' {QBLOGIT_SCHEMA}"),
+    "qblogit missing block": ("qblogit", "id,y\n1,0.5\n", f"missing column 'x1' {QBLOGIT_SCHEMA}"),
+    "qblogit missing first block column": ("qblogit", "id,y,x2\n1,0.5,1\n", "missing column 'x1'"),
+    "qblogit block gap": ("qblogit", "id,y,x1,x3\n1,0.5,1,2\n", "missing column 'x2'"),
+    "qblogit unexpected column": ("qblogit", "id,y,x1,w\n1,0.5,1,1\n", "unexpected column 'w'"),
+    "qblogit bad y then bad x": (
+        "qblogit", "id,x1,y\n1,1,x\n2,x,0.5\n", bad_cell(2, "y")),
+    "qblogit bad x then bad y": (
+        "qblogit", "id,x1,y\n1,x,0.5\n2,1,x\n", bad_cell(3, "y")),
+}
+
+
+class TestMessagePins:
+    @pytest.mark.parametrize("case", sorted(MESSAGE_PINS))
+    def test_exact_message(self, tmp_path, case):
+        kind, text, expected = MESSAGE_PINS[case]
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidData) as got:
+            load_problem(str(path), kind)
+        assert str(got.value) == expected.format(path=path)
+
+
+class TestAuxiliaryCells:
+    @pytest.mark.parametrize(
+        "kind, text, column",
+        [
+            ("lognormal", "id,w,y,z1\n1,1,2,nan\n2,1,3,0\n", "z1"),
+            ("lognormal", "id,w,y,z1,z2\n1,1,2,0,0\n2,1,3,0,-inf\n", "z2"),
+            ("finpop", "id,w,y1,g\n1,1,2,inf\n2,1,3,0\n", "g"),
+            ("finpop", "id,w,y1,g\n1,1,2,0\n2,1,3,-inf\n", "g"),
+        ],
+    )
+    def test_non_finite_auxiliary_cells_are_rejected(self, tmp_path, kind, text, column):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidData, match=f"column '{column}'"):
+            load_problem(str(path), kind)

@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subdesign.models as models
+from subdesign.cli import _build_parser
+from subdesign.covariance import DispersionKind
+from subdesign.criteria import c_opt, distance_opt, parse_criterion
+from subdesign.dataio import load_problem, write_pool
 from subdesign.errors import (
     EmptySample,
     InvalidData,
@@ -21,6 +25,7 @@ from subdesign.models import (
     weighted_fit,
 )
 from subdesign.sampling import DesignFamily, draw, uniform_scheme, validate_scheme
+from subdesign.synth import make_pool, pool_problem
 
 
 def random_problems(seed=0):
@@ -429,3 +434,32 @@ class TestSupportFit:
         counts[5] = bad
         with pytest.raises(InvalidInput):
             weighted_fit(prob, counts, scheme)
+
+
+class TestModelTable:
+    def test_anticipation_tokens_parse_to_the_derived_criteria(self):
+        derived = {
+            "finpop": distance_opt(DispersionKind.SANDWICH),
+            "lognormal": c_opt(np.array([1.0, 0.0])),
+            "qblogit": distance_opt(DispersionKind.ER),
+        }
+        assert set(derived) == set(models.MODELS)
+        for kind, expected in derived.items():
+            got = parse_criterion(models.MODELS[kind].criterion)
+            assert (got.kind, got.label, got.dispersion) == (
+                expected.kind, expected.label, expected.dispersion
+            )
+            if expected.c is not None:
+                assert got.c.tobytes() == expected.c.tobytes()
+
+    @pytest.mark.parametrize("kind", list(models.MODELS))
+    def test_every_entry_round_trips_its_pool(self, tmp_path, kind):
+        pool = make_pool(kind, 30, seed=2)
+        path = tmp_path / "pool.csv"
+        write_pool(str(path), kind, pool)
+        loaded = load_problem(str(path), kind)
+        reference = pool_problem(kind, pool)
+        assert loaded.problem.kind == reference.kind == kind
+        for key, value in reference.data.items():
+            assert np.array_equal(loaded.problem.data[key], value)
+        assert _build_parser().parse_args(["fit", "--model", kind]).model == kind
