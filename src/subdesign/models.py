@@ -16,11 +16,13 @@ on a row subset, so the restricted model keeps what was fixed over the full
 population: the weight normalization and, for finpop, the starting point.
 
 ``fit_full`` minimizes the total loss over all units; ``multiplier_fit``
-minimizes a multiplier-weighted loss over all units; ``weighted_fit``
-minimizes the inverse-probability weighted loss given realized selection
-counts, evaluating the sampled rows only, since units that were not drawn
-carry zero weight. All three run damped Newton with step halving so the
-objective never increases within an iteration.
+minimizes a multiplier-weighted loss; ``weighted_fit`` minimizes the
+inverse-probability weighted loss given realized selection counts. The last
+two check their full-length inputs, then evaluate only the rows with positive
+weight, since the others contribute nothing; so does the Monte-Carlo loop in
+``evaluate``, which starts from a draw's support. All of them run damped
+Newton with step halving so the objective never increases within an
+iteration.
 
 ``MODELS`` is the model table: one ``ModelSpec`` per model name, holding
 everything other modules need to know about that model (its CSV layout, how
@@ -406,9 +408,9 @@ def weighted_fit(
     """Minimize the inverse-probability weighted loss sum(S_i/mu_i * loss_i).
 
     Units with zero counts carry zero weight, so the fit evaluates the sampled
-    rows only (``problem.take`` on the support of ``counts``) and its cost
-    grows with the sample, not the population. Inputs are checked at full
-    length; the fit fails with EmptySample when nothing was selected.
+    rows only (``problem.take`` on the support of ``counts``) and its Newton
+    iterations cost in the sample, not the population. Inputs are checked at
+    full length; the fit fails with EmptySample when nothing was selected.
     """
     s = np.asarray(counts, dtype=float)
     if s.shape != (problem.n_units,):
@@ -421,11 +423,10 @@ def weighted_fit(
         )
     if np.any(s < 0) or not np.all(np.isfinite(s)):
         raise InvalidInput("counts must be non-negative and finite")
-    if s.sum() == 0:
-        raise EmptySample("no units were selected")
     support = np.flatnonzero(s)
-    multipliers = s[support] / scheme.mu[support]
-    return _newton(problem.take(support), multipliers, theta_init, tol, max_iter)
+    return _fit_on_support(
+        problem, support, s[support] / scheme.mu[support], theta_init, tol, max_iter
+    )
 
 
 def multiplier_fit(
@@ -437,8 +438,9 @@ def multiplier_fit(
 ) -> FitResult:
     """Minimize sum(u_i * loss_i) for externally assembled multipliers u.
 
-    Used by callers that combine several draws into one weight vector, e.g.
-    pooling across sampling stages.
+    Used by callers that combine several draws into one weight vector. As in
+    ``weighted_fit``, the multipliers are checked at full length and Newton
+    runs on the rows where they are positive.
     """
     u = np.asarray(multipliers, dtype=float)
     if u.shape != (problem.n_units,):
@@ -449,7 +451,26 @@ def multiplier_fit(
         raise InvalidInput("multipliers must be non-negative and finite")
     if u.sum() == 0:
         raise EmptySample("no units carry positive weight")
-    return _newton(problem, u, theta_init, tol, max_iter)
+    support = np.flatnonzero(u)
+    return _fit_on_support(problem, support, u[support], theta_init, tol, max_iter)
+
+
+def _fit_on_support(
+    problem: RiskProblem,
+    support: np.ndarray,
+    multipliers: np.ndarray,
+    theta_init=None,
+    tol: float = 1e-10,
+    max_iter: int = 60,
+) -> FitResult:
+    """Newton on the rows ``support`` (increasing unit indices) with their multipliers.
+
+    Callers pass unchecked but valid inputs: positive finite multipliers, one
+    per support unit. An empty support raises EmptySample.
+    """
+    if support.size == 0:
+        raise EmptySample("no units were selected")
+    return _newton(problem.take(support), multipliers, theta_init, tol, max_iter)
 
 
 # Floors that keep the anticipated dispersions of the sequential pipeline

@@ -8,14 +8,25 @@ selection count; validation enforces the family's domain exactly and never
 rescales on the caller's behalf.
 
 Draws use the Philox counter-based bit generator keyed by the caller's 64-bit
-seed, so equal (scheme, seed) pairs produce bitwise identical counts on any
-platform.
+seed. With-replacement and multinomial draws rest on Poisson splitting:
+independent Poisson(mu_i) counts have the same law as a total
+K ~ Poisson(sum mu) followed by K independent categorical draws with
+probabilities mu / sum(mu), and a multinomial draw is the second step with
+K = n. Each categorical draw places a Philox uniform, scaled by the total, in
+the scheme's running sum ``np.cumsum(mu)`` with ``np.searchsorted``. A scheme
+builds that running sum on its first draw and keeps it, so a draw costs
+O(n log N) after one O(N) set-up per scheme. Without-replacement draws stay
+one uniform per unit, since no exact shortcut is known for unequal mu. Both
+paths are IEEE-754 arithmetic on Philox output (a sequential ``cumsum``, one
+product per uniform and a binary search), so equal (scheme, seed) pairs
+produce bitwise identical counts on any platform.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +66,40 @@ class SamplingScheme:
     def n_units(self) -> int:
         return self.mu.shape[0]
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Running sums of mu, the table categorical draws search.
+
+        Built on the first draw and kept, never by ``validate_scheme``: the
+        solvers build many schemes that are never drawn from.
+        """
+        cdf = np.cumsum(self.mu)
+        cdf.flags.writeable = False
+        return cdf
+
 
 @dataclass(frozen=True)
 class DrawResult:
-    """Realized selection counts from one seeded draw."""
+    """Realized selection counts from one seeded draw.
+
+    ``counts`` has one entry per population unit. ``support`` lists the units
+    drawn at least once in increasing order and ``support_counts`` their
+    counts, so estimators can work on the sample alone. A result built from
+    ``counts`` only derives the two from it.
+    """
 
     counts: np.ndarray
     realized_size: int
     seed: int
+    support: np.ndarray = field(default=None, repr=False)
+    support_counts: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.support is None:
+            counts = np.asarray(self.counts)
+            support = np.flatnonzero(counts)
+            object.__setattr__(self, "support", support)
+            object.__setattr__(self, "support_counts", counts[support])
 
 
 def validate_scheme(
@@ -132,19 +169,48 @@ def derive_seed(*keys: int) -> int:
 
 
 def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
-    """One seeded draw of selection counts from the scheme's distribution."""
+    """One seeded draw of selection counts from the scheme's distribution.
+
+    po-wr draws a total K ~ Poisson(sum mu) and multi takes K = n; either then
+    places K categorical draws with probabilities mu / sum(mu) through the
+    scheme's cached running sum (see the module docstring). po-wor draws one
+    Bernoulli(mu_i) indicator per unit.
+    """
     if seed < 0 or seed > np.iinfo(np.uint64).max:
         raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     mu = scheme.mu
-    if scheme.family is DesignFamily.PO_WR:
-        counts = rng.poisson(mu)
-    elif scheme.family is DesignFamily.PO_WOR:
-        counts = rng.random(mu.shape[0]) < mu
+    if scheme.family is DesignFamily.PO_WOR:
+        counts = (rng.random(mu.shape[0]) < mu).astype(np.int64)
+        support = np.flatnonzero(counts)
+        support_counts = counts[support]
     else:
-        n = int(round(scheme.budget_n))
-        pvals = mu / mu.sum()
-        counts = rng.multinomial(n, pvals)
-    counts = counts.astype(np.int64, copy=False)
-    counts.flags.writeable = False
-    return DrawResult(counts=counts, realized_size=int(counts.sum()), seed=int(seed))
+        cdf = scheme.cdf
+        total = cdf[-1]
+        if scheme.family is DesignFamily.PO_WR:
+            k = int(rng.poisson(total))
+        else:
+            k = int(round(scheme.budget_n))
+        # Sorted targets let each binary search start where the last one
+        # ended; the order of the K draws does not change the counts.
+        uniforms = rng.random(k)
+        uniforms.sort()
+        # Unit i takes the targets in [cdf[i-1], cdf[i]). A uniform below one
+        # times cdf[-1] stays below cdf[-1] under round-to-nearest; a target
+        # reaching it would map to index N, so it is clamped to the last unit.
+        units = np.searchsorted(cdf, uniforms * total, side="right")
+        units = np.minimum(units, mu.shape[0] - 1)
+        support, support_counts = np.unique(units, return_counts=True)
+        support_counts = support_counts.astype(np.int64, copy=False)
+        counts = np.zeros(mu.shape[0], dtype=np.int64)
+        counts[support] = support_counts
+    for arr in (counts, support, support_counts):
+        arr.flags.writeable = False
+    return DrawResult(
+        counts=counts,
+        realized_size=int(support_counts.sum()),
+        seed=int(seed),
+        support=support,
+        support_counts=support_counts,
+    )
+

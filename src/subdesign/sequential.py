@@ -4,7 +4,8 @@ Stage 1 draws uniformly because no estimate exists yet. Every later stage
 fits an auxiliary model to the outcomes revealed so far, anticipates the
 allocation coefficients for the units that are still unobserved, and draws
 from the resulting scheme. Estimation always pools all stages through a
-single inverse-probability weighted fit.
+single inverse-probability weighted fit, evaluated on the units that some
+stage drew.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .criteria import CoefficientSet, CriterionSpec, anticipated_coefficients
 from .errors import InvalidInput, SubdesignError, StageFailure, Unsupported
-from .models import MODELS, FitResult, RiskProblem, multiplier_fit
+from .models import MODELS, FitResult, RiskProblem, _fit_on_support
 from .sampling import (
     DesignFamily,
     DrawResult,
@@ -77,26 +78,45 @@ def stage_seed(master_seed: int, k: int) -> int:
     return derive_seed(master_seed, k)
 
 
-def pooled_multipliers(records) -> np.ndarray:
-    """Aggregate stage draws into one weight vector.
+def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
+    """Units drawn in some stage, in increasing order, and their pooled multipliers.
 
     Each stage contributes its inverse-probability multipliers S_i / mu_i,
-    weighted by that stage's share n_j / m_k of the cumulative budget.
+    weighted by that stage's share n_j / m_k of the cumulative budget. The
+    sums are taken in stage order, as over the full population, so every
+    multiplier is the same float as in the dense vector.
     """
     if not records:
         raise InvalidInput("need at least one stage record")
     sizes = np.array([float(r.scheme.budget_n) for r in records])
     m_k = sizes.sum()
-    u = np.zeros(records[0].scheme.n_units)
+    support = np.unique(np.concatenate([r.draw.support for r in records]))
+    u = np.zeros(support.size)
     for rec, n_j in zip(records, sizes):
-        u += (n_j / m_k) * rec.draw.counts / rec.scheme.mu
+        drawn = rec.draw.support
+        u[np.searchsorted(support, drawn)] += (
+            (n_j / m_k) * rec.draw.support_counts / rec.scheme.mu[drawn]
+        )
+    return support, u
+
+
+def pooled_multipliers(records) -> np.ndarray:
+    """Aggregate stage draws into one weight vector over all units.
+
+    Each stage contributes its inverse-probability multipliers S_i / mu_i,
+    weighted by that stage's share n_j / m_k of the cumulative budget; units
+    no stage drew get zero.
+    """
+    support, u_support = _pooled_support(records)
+    u = np.zeros(records[0].scheme.n_units)
+    u[support] = u_support
     return u
 
 
 def pooled_risk(records, problem: RiskProblem, theta) -> float:
-    """Value of the pooled weighted risk at theta."""
-    u = pooled_multipliers(records)
-    return float(u @ problem.unit_losses(np.asarray(theta, dtype=float)))
+    """Value of the pooled weighted risk at theta, summed over the drawn units."""
+    support, u = _pooled_support(records)
+    return float(u @ problem.take(support).unit_losses(np.asarray(theta, dtype=float)))
 
 
 def pooled_estimate(
@@ -106,16 +126,20 @@ def pooled_estimate(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> FitResult:
-    """Fit theta on the stage-share weighted combination of all draws."""
-    u = pooled_multipliers(records)
-    return multiplier_fit(problem, u, theta_init, tol, max_iter)
+    """Fit theta on the stage-share weighted combination of all draws.
+
+    Newton runs on the union of the stage supports; no stage drew the other
+    units, so their multipliers are zero.
+    """
+    support, u = _pooled_support(records)
+    return _fit_on_support(problem, support, u, theta_init, tol, max_iter)
 
 
 def _selected_mask(records) -> np.ndarray:
-    total = np.zeros(records[0].scheme.n_units)
+    mask = np.zeros(records[0].scheme.n_units, dtype=bool)
     for rec in records:
-        total += rec.draw.counts
-    return total > 0
+        mask[rec.draw.support] = True
+    return mask
 
 
 def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -> dict:

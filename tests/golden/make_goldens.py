@@ -5,8 +5,10 @@
 For each model (finpop, lognormal, qblogit) and seed (1, 7, 42) the script
 runs, on N = 3000 units: ``synth``; ``fit``; ``design`` with the criteria A,
 D, phi:5 and E; ``evaluate`` with the default battery; and ``sequential``
-with three stages of 100. Each run gets its own directory holding its output
-files plus ``exit_code``, ``stdout`` and ``stderr``. Commands run in a fresh
+with three stages of 100 under each design family: po-wor (the default),
+po-wr over three replications, and multi. Each run gets its own directory
+holding its output files plus ``exit_code``, ``stdout`` and ``stderr``.
+Commands run in a fresh
 interpreter on the ``src/`` beside this file, with relative paths, so that
 two checkouts can be compared byte for byte:
 
@@ -42,8 +44,12 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
         out.append((name, ["design", *data, "--criterion", criterion, "--n", "100",
                            "--seed", str(seed), "--out", name]))
     out.append(("evaluate", ["evaluate", *data, "--out", "evaluate"]))
-    out.append(("sequential", ["sequential", *data, "--stages", "3", "--n", "100",
-                               "--seed", str(seed), "--out", "sequential"]))
+    stages = ["sequential", *data, "--stages", "3", "--n", "100", "--seed", str(seed)]
+    out.append(("sequential", [*stages, "--out", "sequential"]))
+    out.append(("sequential-powr", [*stages, "--family", "po-wr", "--replications", "3",
+                                    "--out", "sequential-powr"]))
+    out.append(("sequential-multi", [*stages, "--family", "multi",
+                                     "--out", "sequential-multi"]))
     return out
 
 

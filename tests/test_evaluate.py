@@ -30,8 +30,15 @@ from subdesign.evaluate import (
     rel_efficiency,
     reparam_invariance,
 )
+import subdesign.models as models
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
-from subdesign.sampling import DesignFamily, draw, uniform_scheme, validate_scheme
+from subdesign.sampling import (
+    DesignFamily,
+    derive_seed,
+    draw,
+    uniform_scheme,
+    validate_scheme,
+)
 from subdesign.solver import SolveStatus, fixed_point_solve, l_optimal_scheme
 
 
@@ -274,6 +281,56 @@ class TestMonteCarloCovariance:
         assert mc.thetas.shape == (1000 - mc.n_failed, 2)
         assert sum(mc.failures.values()) == mc.n_failed
         assert 0.0 <= mc.failure_rate <= 1.0
+
+
+class TestMonteCarloCost:
+    """A replicate costs O(n): its draw and its fit never touch all N units."""
+
+    def test_draws_and_fits_stay_on_the_support(self, monkeypatch):
+        n_units, seed = 3_000, 6
+        problem = lognormal_example(seed=14, n=n_units)
+        mu = np.random.default_rng(14).uniform(0.2, 1.0, n_units)
+        scheme = validate_scheme(mu / mu.sum() * 60, DesignFamily.PO_WR, 60)
+        supports = [
+            np.count_nonzero(draw(scheme, derive_seed(seed, r)).counts) for r in range(1000)
+        ]
+
+        poisson_sizes, newton_sizes = [], []
+        real_newton = models._newton
+
+        def recording_newton(problem, *args, **kwargs):
+            newton_sizes.append(problem.n_units)
+            return real_newton(problem, *args, **kwargs)
+
+        class SpyGenerator(np.random.Generator):
+            def poisson(self, lam=1.0, size=None):
+                poisson_sizes.append(int(np.prod(np.shape(lam) if size is None else size)))
+                return super().poisson(lam, size)
+
+        monkeypatch.setattr(models, "_newton", recording_newton)
+        monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+        mc = monte_carlo_covariance(problem, scheme, R=1000, seed=seed)
+        assert mc.n_failed == 0
+        assert newton_sizes == supports
+        assert max(newton_sizes) < n_units
+        assert poisson_sizes == [1] * 1000
+
+    def test_empty_draws_count_as_empty_sample(self):
+        problem = finpop_example(seed=15, n=50)
+        # A po-wr total of 4 leaves about e^-4, 1.8 %, of the draws empty.
+        scheme = uniform_scheme(50, 4, DesignFamily.PO_WR)
+        empty = sum(draw(scheme, derive_seed(7, r)).realized_size == 0 for r in range(1000))
+        assert empty > 0
+        mc = monte_carlo_covariance(problem, scheme, R=1000, seed=7)
+        assert mc.failures == {"EmptySample": empty}
+        assert mc.n_failed == empty
+
+        tiny = uniform_scheme(50, 0.5, DesignFamily.PO_WR)
+        with pytest.raises(
+            UnreliableEstimate,
+            match=r"^(\d+) of 1000 replicates failed to fit \(EmptySample: \1\)$",
+        ):
+            monte_carlo_covariance(problem, tiny, R=1000, seed=7)
 
 
 class TestHansenHurwitzUnbiasedness:

@@ -184,6 +184,119 @@ class TestDraw:
             result.counts[0] = 7
 
 
+def chi2_upper(df, z=3.719):
+    """Upper 1e-4 quantile of chi-square(df), Wilson-Hilferty approximation."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * np.sqrt(a)) ** 3
+
+
+def unequal_scheme(family, n=6.0):
+    mu = np.array([0.05, 0.3, 0.5, 0.8, 1.1, 1.7, 0.25, 1.3])
+    return validate_scheme(mu / mu.sum() * n, family, n)
+
+
+def draw_matrix(scheme, reps=10_000):
+    return np.array([draw(scheme, derive_seed(11, r)).counts for r in range(reps)])
+
+
+class TestSplittingDistribution:
+    """10^4 seeded draws follow the law of independent Poisson or multinomial counts."""
+
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
+    def test_unit_means_within_4se(self, family):
+        scheme = unequal_scheme(family)
+        counts = draw_matrix(scheme)
+        mu = scheme.mu
+        var = mu if family is DesignFamily.PO_WR else mu * (1.0 - mu / scheme.budget_n)
+        se = np.sqrt(var / counts.shape[0])
+        assert np.all(np.abs(counts.mean(axis=0) - mu) <= 4 * se)
+
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
+    def test_pooled_counts_chi_square_against_mu_share(self, family):
+        scheme = unequal_scheme(family)
+        pooled = draw_matrix(scheme).sum(axis=0)
+        expected = pooled.sum() * scheme.mu / scheme.mu.sum()
+        stat = float(np.sum((pooled - expected) ** 2 / expected))
+        assert stat <= chi2_upper(scheme.n_units - 1)
+
+    def test_po_wr_unit_variance_equals_mean(self):
+        scheme = unequal_scheme(DesignFamily.PO_WR)
+        counts = draw_matrix(scheme)
+        mu = scheme.mu
+        # The sample variance of Poisson(mu) counts has variance about (mu + 2 mu^2) / R.
+        band = 4 * np.sqrt((mu + 2 * mu**2) / counts.shape[0])
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - mu) <= band)
+
+    def test_po_wr_total_is_poisson(self):
+        scheme = unequal_scheme(DesignFamily.PO_WR)
+        reps = 10_000
+        totals = np.array(
+            [draw(scheme, derive_seed(12, r)).realized_size for r in range(reps)]
+        )
+        lam = float(scheme.mu.sum())
+        assert abs(totals.mean() - lam) <= 4 * np.sqrt(lam / reps)
+        assert abs(totals.var(ddof=1) - lam) <= 4 * np.sqrt((lam + 2 * lam**2) / reps)
+        # Goodness of fit over k = 0..11 with the upper tail pooled into the last bin.
+        ks = np.arange(12)
+        log_fact = np.cumsum(np.log(np.maximum(ks, 1)))
+        pmf = np.exp(ks * np.log(lam) - lam - log_fact)
+        probs = np.append(pmf[:-1], 1.0 - pmf[:-1].sum())
+        observed = np.bincount(np.minimum(totals, 11), minlength=12)
+        expected = reps * probs
+        assert expected.min() >= 5
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert stat <= chi2_upper(len(ks) - 1)
+
+    def test_multi_realized_size_is_exactly_n(self):
+        scheme = unequal_scheme(DesignFamily.MULTI)
+        for r in range(10_000):
+            result = draw(scheme, derive_seed(13, r))
+            assert result.realized_size == 6
+            assert result.counts.sum() == 6
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_support_lists_the_drawn_units(self, family):
+        scheme = unequal_scheme(family, n=3.0)
+        for r in range(200):
+            result = draw(scheme, derive_seed(14, r))
+            support = result.support
+            assert np.all(np.diff(support) > 0)
+            assert np.array_equal(support, np.flatnonzero(result.counts))
+            assert np.array_equal(result.support_counts, result.counts[support])
+            assert result.support_counts.sum() == result.realized_size
+            assert not support.flags.writeable
+            assert not result.support_counts.flags.writeable
+
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
+    def test_target_at_the_total_maps_to_the_last_unit(self, family, monkeypatch):
+        # A uniform u < 1 times cdf[-1] stays below cdf[-1] under round-to-nearest,
+        # so the generator here returns the edge itself, u * cdf[-1] == cdf[-1],
+        # which searchsorted alone would map to index N.
+        class EdgeGenerator(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.ones(size)
+
+            def poisson(self, lam=1.0, size=None):
+                return 2
+
+        monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
+        scheme = unequal_scheme(family, n=2.0)
+        result = draw(scheme, 3)
+        assert result.support.tolist() == [scheme.n_units - 1]
+        assert result.support_counts.tolist() == [2]
+        assert result.counts[-1] == 2 and result.realized_size == 2
+
+    def test_cdf_is_cached_and_only_built_by_draws(self):
+        scheme = unequal_scheme(DesignFamily.PO_WR)
+        assert "cdf" not in vars(scheme)
+        draw(scheme, 1)
+        cdf = vars(scheme)["cdf"]
+        assert np.array_equal(cdf, np.cumsum(scheme.mu))
+        assert not cdf.flags.writeable
+        draw(scheme, 2)
+        assert scheme.cdf is cdf
+
+
 class TestDesignFamily:
     def test_tokens_roundtrip(self):
         assert DesignFamily.from_token("po-wr") is DesignFamily.PO_WR

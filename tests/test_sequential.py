@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
+import subdesign.models as models
 from subdesign.criteria import a_opt, c_opt, leverage
 from subdesign.errors import InvalidInput, StageFailure, Unsupported
 from subdesign.models import (
     finpop_problem,
     fit_full,
     lognormal_problem,
+    multiplier_fit,
     qblogit_problem,
     weighted_fit,
 )
-from subdesign.sampling import DesignFamily, derive_seed, draw, uniform_scheme
+from subdesign.sampling import (
+    DesignFamily,
+    DrawResult,
+    derive_seed,
+    draw,
+    uniform_scheme,
+    validate_scheme,
+)
 from subdesign.sequential import (
     AuxConfig,
     StageRecord,
@@ -114,6 +123,58 @@ class TestPooledEstimate:
             pooled_estimate([], finpop_problem(y, w))
 
 
+def unequal_stages(family, n_units=400, seed=21):
+    """Three stages of unequal schemes; the last record is built from counts alone."""
+    rng = np.random.default_rng(seed)
+    recs = []
+    for k, n_k in enumerate((20, 30, 50), start=1):
+        mu = rng.uniform(0.2, 1.0, n_units)
+        scheme = validate_scheme(mu / mu.sum() * n_k, family, n_k)
+        result = draw(scheme, stage_seed(seed, k))
+        if k == 3:
+            result = DrawResult(result.counts, result.realized_size, result.seed)
+        recs.append(StageRecord(k=k, scheme=scheme, draw=result, theta_hat=np.zeros(2), m_k=0))
+    return recs
+
+
+class TestPooledSupport:
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_multipliers_equal_the_full_population_loop_bitwise(self, family):
+        recs = unequal_stages(family)
+        sizes = np.array([float(r.scheme.budget_n) for r in recs])
+        dense = np.zeros(recs[0].scheme.n_units)
+        for rec, n_j in zip(recs, sizes):
+            dense += (n_j / sizes.sum()) * rec.draw.counts / rec.scheme.mu
+        assert np.array_equal(pooled_multipliers(recs), dense)
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_newton_runs_on_the_union_of_the_stage_supports(self, family, monkeypatch):
+        y, w, _ = finpop_population(seed=22, n=400)
+        problem = finpop_problem(y, w)
+        recs = unequal_stages(family)
+        u = pooled_multipliers(recs)
+        reference = multiplier_fit(problem, u)
+        seen = []
+        real = models._newton
+
+        def recording(prob, *args, **kwargs):
+            seen.append(prob.n_units)
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(models, "_newton", recording)
+        fit = pooled_estimate(recs, problem)
+        assert seen == [np.count_nonzero(u)]
+        assert np.array_equal(fit.theta0, reference.theta0)
+
+    def test_risk_matches_the_full_population_sum(self):
+        y, w, _ = lognormal_population(seed=23, n=400)
+        problem = lognormal_problem(y, w)
+        recs = unequal_stages(DesignFamily.PO_WR)
+        theta = np.array([1.1, 0.9])
+        full = float(pooled_multipliers(recs) @ problem.unit_losses(theta))
+        assert pooled_risk(recs, problem, theta) == pytest.approx(full, rel=1e-13)
+
+
 class TestUpdateAux:
     def run_one_stage(self, problem, n, seed=13, family=DesignFamily.PO_WR):
         scheme = uniform_scheme(problem.n_units, n, family)
@@ -196,7 +257,9 @@ class TestUpdateAux:
     def test_finpop_unseen_group_warns(self):
         y, w, _ = finpop_population(seed=11, n=50)
         problem = finpop_problem(y, w)
-        recs = self.run_one_stage(problem, 10, seed=4)
+        # The stage must draw some unit: under Poisson splitting, seed 4 draws
+        # K = 0 (probability e^-10), so the stage uses seed 5.
+        recs = self.run_one_stage(problem, 10, seed=5)
         g = np.zeros(50, dtype=int)
         g[-1] = 7  # singleton group
         sel = recs[0].draw.counts > 0
