@@ -296,8 +296,7 @@ def cmd_fit(config: RunConfig) -> int:
 
 def cmd_design(config: RunConfig) -> int:
     data = _load(config)
-    base_dir = os.path.dirname(os.path.abspath(config.input))
-    spec = parse_criterion(config.criterion, data.problem, base_dir=base_dir)
+    spec = parse_criterion(config.criterion, data.problem)
     family = DesignFamily.from_token(config.family)
     n = _parse_budget(config.n, "--n")
     fit = fit_full(data.problem, tol=config.tol)
@@ -435,7 +434,7 @@ def cmd_sequential(config: RunConfig) -> int:
     dataio.write_learning_curve(curve_path, rows)
     firsts = np.array([row[1] for row in rows])
     finals = np.array([row[2] for row in rows])
-    ratio = float(finals.mean() / firsts.mean())
+    ratio = dataio.error_ratio(finals.mean(), firsts.mean())
     print(
         f"{config.replications} replications of {len(sizes)} stages; "
         f"mean final/first error ratio {ratio:.4f}"

@@ -1,34 +1,25 @@
 """Single source of truth for numeric tolerances.
 
-All tolerance-sensitive operations take an optional ``config`` argument that
-defaults to :data:`DEFAULT`. Tests that need to probe edge behavior can pass a
-modified copy instead of monkeypatching module constants.
+The algorithms need only fixed tolerances, so there is one frozen
+:data:`DEFAULT` and every tolerance-sensitive operation reads
+``DEFAULT.<field>`` where it uses it; no function takes a per-call override.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class NumericConfig:
-    # Eigendecomposition contracts, relative to the Frobenius norm of the input.
-    eigen_reconstruction_rtol: float = 1e-10
-    orthonormality_tol: float = 1e-10
-    # PSD factorization: LL^T must reproduce the input within this (relative).
-    psd_factor_rtol: float = 1e-9
-    # psd_factor default slack for slightly negative eigenvalues (relative).
+    # psd_factor slack for slightly negative eigenvalues (relative to ||M||_F).
     psd_tol: float = 1e-9
-    # SPD inverse: declared singular when min eigenvalue <= singular_rtol * ||M||_F.
+    # Declared singular when min eigenvalue <= singular_rtol * scale.
     singular_rtol: float = 1e-12
-    # Max-norm deviation of M @ inv(M) from the identity.
-    inverse_identity_tol: float = 1e-8
     # Sum of mu must match the budget within budget_rtol * n.
     budget_rtol: float = 1e-9
     # Column sums of the gradient matrix at theta0, relative to the max row norm.
     gradient_balance_rtol: float = 1e-6
-    # Allowed negative spectrum of V matrices (relative to ||V||_F).
-    v_psd_rtol: float = 1e-9
     # E-optimality eigen-gap thresholds (relative to the top eigenvalue).
     eigen_gap_error: float = 1e-8
     eigen_gap_warn: float = 1e-3
@@ -36,10 +27,6 @@ class NumericConfig:
     stationarity_tol: float = 1e-6
     # Absolute slack before an objective increase counts as divergence.
     divergence_slack: float = 1e-12
-
-    def with_(self, **kwargs) -> "NumericConfig":
-        """Copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT = NumericConfig()

@@ -18,12 +18,13 @@ criteria coincide exactly, not just up to scale.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DEFAULT
 from .covariance import DispersionKind, GradientSet, dispersion_matrix, gamma
 from .errors import InvalidInput, NotDifferentiable, SingularMatrix
 from .linalg import as_symmetric, psd_factor, sym_eigen
@@ -181,10 +182,10 @@ def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.nd
     raise InvalidInput(f"{spec.kind} has no constant derivative matrix")
 
 
-def _positive_spectrum(gam: np.ndarray, what: str, config: NumericConfig):
-    pair = sym_eigen(gam, config)
+def _positive_spectrum(gam: np.ndarray, what: str):
+    pair = sym_eigen(gam)
     top = float(pair.values[0])
-    if top <= 0.0 or float(pair.values[-1]) <= config.singular_rtol * top:
+    if top <= 0.0 or float(pair.values[-1]) <= DEFAULT.singular_rtol * top:
         raise SingularMatrix(
             f"{what} needs a full-rank covariance; min eigenvalue "
             f"{float(pair.values[-1]):.3e}",
@@ -197,7 +198,6 @@ def phi_value(
     spec: CriterionSpec,
     gam,
     grads: GradientSet | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> float:
     """Scalar objective of the criterion at the covariance matrix."""
     g = as_symmetric(gam)
@@ -206,12 +206,12 @@ def phi_value(
         phi = _static_phi(spec, p, grads)
         return float(np.sum(g * phi))
     if spec.kind == "D":
-        pair = _positive_spectrum(g, "D-optimality", config)
+        pair = _positive_spectrum(g, "D-optimality")
         return float(np.exp(np.mean(np.log(pair.values))))
     if spec.kind == "E":
         return float(np.linalg.eigvalsh(g)[-1])
     if spec.kind == "PhiQ":
-        pair = _positive_spectrum(g, f"phi:{spec.q:g}", config)
+        pair = _positive_spectrum(g, f"phi:{spec.q:g}")
         return float((np.sum(pair.values**spec.q) / p) ** (1.0 / spec.q))
     raise InvalidInput(f"unknown criterion kind {spec.kind!r}")
 
@@ -220,7 +220,6 @@ def objective_for_derivative(
     spec: CriterionSpec,
     gam,
     grads: GradientSet | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> float:
     """The objective whose gradient the coefficients represent.
 
@@ -229,16 +228,15 @@ def objective_for_derivative(
     minimizer, so the solver tracks this one.
     """
     if spec.kind == "D":
-        pair = _positive_spectrum(as_symmetric(gam), "D-optimality", config)
+        pair = _positive_spectrum(as_symmetric(gam), "D-optimality")
         return float(np.sum(np.log(pair.values)))
-    return phi_value(spec, gam, grads, config)
+    return phi_value(spec, gam, grads)
 
 
 def phi_matrix_derivative(
     spec: CriterionSpec,
     gam,
     grads: GradientSet | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> np.ndarray:
     """Derivative matrix phi(Gamma) of the objective with respect to Gamma."""
     g = as_symmetric(gam)
@@ -246,22 +244,22 @@ def phi_matrix_derivative(
     if spec.is_linear:
         return _static_phi(spec, p, grads)
     if spec.kind == "D":
-        pair = _positive_spectrum(g, "D-optimality", config)
+        pair = _positive_spectrum(g, "D-optimality")
         q_mat = pair.vectors
         inv = (q_mat / pair.values) @ q_mat.T
         return as_symmetric(inv)
     if spec.kind == "E":
-        pair = sym_eigen(g, config)
+        pair = sym_eigen(g)
         top = float(pair.values[0])
         if top <= 0.0:
             raise NotDifferentiable("E-optimality derivative undefined at Gamma = 0")
         gap = (top - float(pair.values[1])) / top if p > 1 else 1.0
-        if gap < config.eigen_gap_error:
+        if gap < DEFAULT.eigen_gap_error:
             raise NotDifferentiable(
                 f"leading eigenvalue is numerically repeated (relative gap "
                 f"{gap:.2e}); E-optimality is not differentiable here"
             )
-        if gap < config.eigen_gap_warn:
+        if gap < DEFAULT.eigen_gap_warn:
             warnings.warn(
                 f"E-optimality eigen-gap {gap:.2e} is small; the derivative "
                 "is ill-conditioned",
@@ -270,7 +268,7 @@ def phi_matrix_derivative(
         v1 = pair.vectors[:, 0]
         return np.outer(v1, v1)
     if spec.kind == "PhiQ":
-        pair = _positive_spectrum(g, f"phi:{spec.q:g}", config)
+        pair = _positive_spectrum(g, f"phi:{spec.q:g}")
         q = spec.q
         trace_q = float(np.sum(pair.values**q))
         scale = p ** (-1.0 / q) * trace_q ** (1.0 / q - 1.0)
@@ -284,7 +282,6 @@ def coefficients(
     spec: CriterionSpec,
     grads: GradientSet,
     at: SamplingScheme | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> CoefficientSet:
     """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion.
 
@@ -300,8 +297,8 @@ def coefficients(
                 f"{spec.label} is linearized around a scheme; pass the current "
                 "iterate as `at`"
             )
-        phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads, config)
-    return _coefficients_from_phi(spec, grads, phi, at, config)
+        phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads)
+    return _coefficients_from_phi(spec, grads, phi, at)
 
 
 def _coefficients_from_phi(
@@ -309,14 +306,13 @@ def _coefficients_from_phi(
     grads: GradientSet,
     phi: np.ndarray,
     at: SamplingScheme | None,
-    config: NumericConfig = DEFAULT,
 ) -> CoefficientSet:
     """Coefficients for a derivative matrix phi already evaluated at ``at``.
 
     The fixed-point solver calls this with the phi of the covariance it has
     just computed for the objective, so V(mu) is built once per scheme.
     """
-    ell = psd_factor(phi, config=config)
+    ell = psd_factor(phi)
     t = grads.psi @ (grads.hessian_inv @ ell)
     k = t.shape[1]
     if k < 8:
@@ -346,13 +342,14 @@ def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
     return CoefficientSet(c=spec.anticipate(aux), criterion=parse_criterion(spec.criterion))
 
 
-def parse_criterion(token: str, problem=None, base_dir: str = ".") -> CriterionSpec:
+def parse_criterion(token: str, problem=None) -> CriterionSpec:
     """Build a CriterionSpec from its text form.
 
     Recognized tokens: ``A``, ``c`` or ``c:v1,...,vp``, ``L:@file.csv``, ``V``,
     ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets
     the first parameter coordinate; ``V`` derives its Gram matrix from the
-    problem, which must then be supplied.
+    problem, which must then be supplied. A relative ``L:@`` path is read
+    from the working directory.
     """
     text = token.strip()
     low = text.lower()
@@ -381,14 +378,13 @@ def parse_criterion(token: str, problem=None, base_dir: str = ".") -> CriterionS
             raise InvalidInput(f"cannot parse c vector from {token!r}")
         return c_opt(vec)
     if low.startswith("l:@"):
-        import os
-
-        path = text[3:]
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
+        path = os.path.abspath(text[3:])
         try:
-            mat = np.loadtxt(full, delimiter=",", ndmin=2)
+            mat = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError:
-            raise InvalidInput(f"cannot read L matrix from {full!r}")
+            raise InvalidInput(f"cannot read L matrix from {path!r}")
+        except ValueError as err:
+            raise InvalidInput(f"cannot parse L matrix in {path!r}: {err}")
         return l_opt(mat)
     if low.startswith("phi:"):
         try:

@@ -306,12 +306,22 @@ def write_pool(path: str, kind: str, pool: dict) -> None:
     _write_units(path, header, range(1, len(columns[0]) + 1), columns, groups)
 
 
+def error_ratio(final: float, first: float) -> float:
+    """final / first by IEEE rules, without a warning: x/0 is inf, 0/0 is nan.
+
+    A census first stage recovers the full-data fit exactly, so its error,
+    the denominator, can be 0.0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(final) / first)
+
+
 def write_learning_curve(path: str, rows) -> None:
-    """Per-replication first and final stage errors.
+    """Per-replication first and final stage errors and their ratio.
 
     rows: iterable of (replication, stage1_error, final_error).
     """
     out = []
     for rep, first, final in rows:
-        out.append([rep, _fmt(first), _fmt(final), _fmt(final / first)])
+        out.append([rep, _fmt(first), _fmt(final), _fmt(error_ratio(final, first))])
     _write_csv(path, ["replication", "stage1_error", "final_error", "ratio"], out)

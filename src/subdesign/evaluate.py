@@ -15,7 +15,6 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
 from .covariance import GradientSet, gamma, gradients_at
 from .criteria import CriterionSpec, phi_value
 from .errors import (
@@ -45,15 +44,14 @@ def rel_efficiency(
     gamma_at_mu: np.ndarray,
     gamma_at_opt: np.ndarray,
     grads: GradientSet | None = None,
-    config: NumericConfig = DEFAULT,
 ) -> float:
     """Criterion value at the optimal scheme over the value at mu.
 
     Equals 1 when mu is itself optimal and drops toward 0 as mu wastes
     budget on uninformative units.
     """
-    num = phi_value(spec, gamma_at_opt, grads, config)
-    den = phi_value(spec, gamma_at_mu, grads, config)
+    num = phi_value(spec, gamma_at_opt, grads)
+    den = phi_value(spec, gamma_at_mu, grads)
     if not np.isfinite(den) or den == 0.0:
         raise DegenerateCriterion(f"criterion {spec.label} vanishes at the candidate scheme")
     return num / den
@@ -120,7 +118,6 @@ def efficiency_table_from_gradients(
     col_specs,
     max_iter: int = 100,
     eps: float = 1e-3,
-    config: NumericConfig = DEFAULT,
 ) -> EfficiencyTable:
     """Build the efficiency grid from precomputed gradients.
 
@@ -134,7 +131,7 @@ def efficiency_table_from_gradients(
     for spec in row_specs + col_specs:
         if spec.label not in traces:
             traces[spec.label] = fixed_point_solve(
-                spec, grads, family, n, max_iter=max_iter, eps=eps, config=config
+                spec, grads, family, n, max_iter=max_iter, eps=eps
             )
 
     gammas = {
@@ -142,7 +139,7 @@ def efficiency_table_from_gradients(
     }
     col_values = []
     for spec in col_specs:
-        values = [phi_value(spec, gammas[label], grads, config) for label in traces]
+        values = [phi_value(spec, gammas[label], grads) for label in traces]
         col_values.append(min(values))
 
     cells = []
@@ -154,7 +151,7 @@ def efficiency_table_from_gradients(
         gam = gammas[spec.label]
         row = []
         for j, col in enumerate(col_specs):
-            den = phi_value(col, gam, grads, config)
+            den = phi_value(col, gam, grads)
             if not np.isfinite(den) or den == 0.0:
                 raise DegenerateCriterion(
                     f"criterion {col.label} vanishes at the {spec.label} scheme"
@@ -180,13 +177,12 @@ def efficiency_table(
     col_specs,
     max_iter: int = 100,
     eps: float = 1e-3,
-    config: NumericConfig = DEFAULT,
 ) -> EfficiencyTable:
     """Fit the full-data parameter, then cross-evaluate optimal schemes."""
     fit = fit_full(problem)
     grads = gradients_at(problem, fit.theta0)
     return efficiency_table_from_gradients(
-        grads, family, n, row_specs, col_specs, max_iter=max_iter, eps=eps, config=config
+        grads, family, n, row_specs, col_specs, max_iter=max_iter, eps=eps
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DEFAULT
 from .errors import InvalidInput, NotPSD, SingularMatrix
 
 
@@ -55,7 +55,7 @@ class EigenPair:
         return (q * self.values) @ q.T
 
 
-def sym_eigen(m, config: NumericConfig = DEFAULT) -> EigenPair:
+def sym_eigen(m) -> EigenPair:
     """Full eigendecomposition of a symmetric matrix, descending order.
 
     The sign convention (first component of each eigenvector with magnitude
@@ -76,21 +76,20 @@ def sym_eigen(m, config: NumericConfig = DEFAULT) -> EigenPair:
     return EigenPair(values=values, vectors=vectors)
 
 
-def psd_factor(m, tol: float | None = None, config: NumericConfig = DEFAULT) -> np.ndarray:
+def psd_factor(m) -> np.ndarray:
     """Factor a PSD matrix as L @ L.T.
 
     Strictly positive definite inputs get the Cholesky factor; semidefinite ones
     fall back to the eigenvalue square root with slightly negative eigenvalues
-    (within ``tol * ||M||_F``) clamped to zero.
+    (within ``DEFAULT.psd_tol * ||M||_F``) clamped to zero.
     """
     a = as_symmetric(m)
-    if tol is None:
-        tol = config.psd_tol
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    pair = sym_eigen(a, config)
+    pair = sym_eigen(a)
+    tol = DEFAULT.psd_tol
     scale = frob(a)
     floor = -tol * scale if scale > 0.0 else -tol
     min_eig = float(pair.values[-1])
@@ -103,13 +102,13 @@ def psd_factor(m, tol: float | None = None, config: NumericConfig = DEFAULT) -> 
     return pair.vectors * np.sqrt(clamped)
 
 
-def spd_inverse(m, config: NumericConfig = DEFAULT) -> np.ndarray:
+def spd_inverse(m) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
     a = as_symmetric(m)
-    pair = sym_eigen(a, config)
+    pair = sym_eigen(a)
     min_eig = float(pair.values[-1])
     scale = frob(a)
-    if min_eig <= config.singular_rtol * scale:
+    if min_eig <= DEFAULT.singular_rtol * scale:
         raise SingularMatrix(
             f"matrix is singular to working precision (min eigenvalue {min_eig:.3e})",
             min_eigenvalue=min_eig,

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DEFAULT
 from .errors import BudgetMismatch, InvalidBudget, InvalidInput, OutOfDomain
 
 
@@ -102,12 +102,7 @@ class DrawResult:
             object.__setattr__(self, "support_counts", counts[support])
 
 
-def validate_scheme(
-    mu,
-    family: DesignFamily,
-    n: float,
-    config: NumericConfig = DEFAULT,
-) -> SamplingScheme:
+def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     """Check mu against the family's domain and wrap it in a SamplingScheme.
 
     Raises instead of repairing: a sum that misses the budget or a capped entry
@@ -131,19 +126,14 @@ def validate_scheme(
             f"mu[{bad}] = {arr[bad]} exceeds 1; without-replacement schemes are capped at 1"
         )
     total = float(arr.sum())
-    if abs(total - n) > config.budget_rtol * max(abs(n), 1.0):
+    if abs(total - n) > DEFAULT.budget_rtol * max(abs(n), 1.0):
         raise BudgetMismatch(f"sum(mu) = {total!r} does not match budget n = {n!r}")
     arr = arr.copy()
     arr.flags.writeable = False
     return SamplingScheme(mu=arr, family=family, budget_n=float(n))
 
 
-def uniform_scheme(
-    n_units: int,
-    n: float,
-    family: DesignFamily,
-    config: NumericConfig = DEFAULT,
-) -> SamplingScheme:
+def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingScheme:
     """Scheme with equal expected counts n/N for every unit."""
     if n_units < 1:
         raise InvalidInput(f"population size must be at least 1, got {n_units}")
@@ -155,7 +145,7 @@ def uniform_scheme(
     # Guarantee the exact budget under the family cap despite division round-off.
     if family is DesignFamily.PO_WOR:
         mu = np.minimum(mu, 1.0)
-    return validate_scheme(mu, family, n, config)
+    return validate_scheme(mu, family, n)
 
 
 def derive_seed(*keys: int) -> int:

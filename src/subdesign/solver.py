@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DEFAULT
 from .covariance import GradientSet, gamma
 from .criteria import (
     CoefficientSet,
@@ -84,12 +84,7 @@ def _sqrt_coefficients(c) -> np.ndarray:
     return np.sqrt(arr / top)
 
 
-def l_optimal_scheme(
-    c,
-    n: float,
-    family: DesignFamily,
-    config: NumericConfig = DEFAULT,
-) -> SamplingScheme:
+def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
     """Closed-form optimal scheme mu_i proportional to sqrt(c_i).
 
     Without replacement, entries that the proportional rule pushes to one or
@@ -109,7 +104,7 @@ def l_optimal_scheme(
     # This is also the capping loop's first round, so when nothing reaches the
     # cap the loop would return these same bits.
     if family is not DesignFamily.PO_WOR or mu.max() < 1.0:
-        return validate_scheme(mu, family, n, config)
+        return validate_scheme(mu, family, n)
     capped = np.zeros(n_units, dtype=bool)
     mu = np.empty(n_units)
     for _ in range(n_units):
@@ -121,7 +116,7 @@ def l_optimal_scheme(
         if not newly.any():
             break
         capped |= newly
-    return validate_scheme(mu, family, n, config)
+    return validate_scheme(mu, family, n)
 
 
 def stationarity_residual(
@@ -186,7 +181,6 @@ def fixed_point_solve(
     mu0: SamplingScheme | None = None,
     max_iter: int = 100,
     eps: float = 1e-3,
-    config: NumericConfig = DEFAULT,
 ) -> SolveTrace:
     """Optimal scheme for any criterion via linearize-and-solve iteration.
 
@@ -198,17 +192,17 @@ def fixed_point_solve(
     so each iteration makes a single pass over the units to build V(mu).
     """
     if mu0 is None:
-        mu0 = uniform_scheme(grads.n_units, n, family, config)
+        mu0 = uniform_scheme(grads.n_units, n, family)
     elif mu0.n_units != grads.n_units or mu0.family is not family:
         raise InvalidInput("mu0 does not match the problem size or design family")
 
     def objective(scheme):
         gam = gamma(grads, scheme).gamma
-        return phi_value(spec, gam, grads, config), gam
+        return phi_value(spec, gam, grads), gam
 
     def linearize(scheme, gam):
-        phi = phi_matrix_derivative(spec, gam, grads, config)
-        return _coefficients_from_phi(spec, grads, phi, scheme, config)
+        phi = phi_matrix_derivative(spec, gam, grads)
+        return _coefficients_from_phi(spec, grads, phi, scheme)
 
     def infeasible_trace(exc, objs, last_scheme, t):
         return SolveTrace(
@@ -223,9 +217,9 @@ def fixed_point_solve(
     obj0, gam_current = objective(mu0)
     objs = [obj0]
     if spec.is_linear:
-        cs = coefficients(spec, grads, config=config)
+        cs = coefficients(spec, grads)
         try:
-            scheme = l_optimal_scheme(cs, n, family, config)
+            scheme = l_optimal_scheme(cs, n, family)
         except Infeasible as exc:
             return infeasible_trace(exc, objs, mu0, 0)
         objs.append(objective(scheme)[0])
@@ -246,12 +240,12 @@ def fixed_point_solve(
         if cs_current is None:
             cs_current = linearize(current, gam_current)
         try:
-            scheme = l_optimal_scheme(cs_current, n, family, config)
+            scheme = l_optimal_scheme(cs_current, n, family)
         except Infeasible as exc:
             return infeasible_trace(exc, objs, current, t - 1)
         obj, gam = objective(scheme)
         objs.append(obj)
-        if obj > objs[-2] + config.divergence_slack:
+        if obj > objs[-2] + DEFAULT.divergence_slack:
             return SolveTrace(
                 status=SolveStatus.DIVERGED,
                 iterations=t,
@@ -265,7 +259,7 @@ def fixed_point_solve(
         if improvement < eps:
             cs_current = linearize(scheme, gam)
             resid = stationarity_residual(scheme, cs_current, family)
-            if resid <= config.stationarity_tol:
+            if resid <= DEFAULT.stationarity_tol:
                 return SolveTrace(
                     status=SolveStatus.CONVERGED,
                     iterations=t,

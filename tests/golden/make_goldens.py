@@ -4,13 +4,16 @@
 
 For each model (finpop, lognormal, qblogit) and seed (1, 7, 42) the script
 runs, on N = 3000 units: ``synth``; ``fit``; ``design`` with the criteria A,
-D, phi:5 and E; ``evaluate`` with the default battery; and ``sequential``
-with three stages of 100 under each design family: po-wor (the default),
-po-wr over three replications, and multi. Each run gets its own directory
-holding its output files plus ``exit_code``, ``stdout`` and ``stderr``.
-Commands run in a fresh
-interpreter on the ``src/`` beside this file, with relative paths, so that
-two checkouts can be compared byte for byte:
+D, phi:5, E, V, d-kl and ``L:@L.csv``; ``evaluate`` with the default battery;
+and ``sequential`` with three stages of 100 under each design family: po-wor
+(the default), po-wr over three replications, and multi. Each run writes its
+output files to a directory named after it, and its exit code, stdout and
+stderr to ``<run>.log/``. Each (model, seed) case has its own directory,
+which is the working directory of its commands; before ``design-L`` the
+script writes there ``L.csv``, a p x 2 matrix with rows ``1,i`` for
+i = 1..p, p read from the ``fit`` run's ``theta0.csv`` header. Commands run
+in a fresh interpreter on the ``src/`` beside this file, with relative
+paths, so that two checkouts can be compared byte for byte:
 
     diff -r goldens_before goldens_after
 
@@ -28,7 +31,14 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 MODELS = ("finpop", "lognormal", "qblogit")
 SEEDS = (1, 7, 42)
 N_UNITS = 3000
-DESIGN_CRITERIA = ("A", "D", "phi:5", "E")
+DESIGN_CRITERIA = ("A", "D", "phi:5", "E", "V", "d-kl", "L:@L.csv")
+
+
+def write_l_matrix(case: Path) -> None:
+    """L.csv in the case directory: one row ``1,i`` per model parameter."""
+    header = (case / "fit" / "theta0.csv").read_text().splitlines()[0]
+    p = len(header.split(","))
+    (case / "L.csv").write_text("".join(f"1,{i}\n" for i in range(1, p + 1)))
 
 
 def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
@@ -40,7 +50,7 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
         ("fit", ["fit", *data, "--out", "fit"]),
     ]
     for criterion in DESIGN_CRITERIA:
-        name = "design-" + criterion.replace(":", "")
+        name = "design-" + criterion.partition(":@")[0].replace(":", "")
         out.append((name, ["design", *data, "--criterion", criterion, "--n", "100",
                            "--seed", str(seed), "--out", name]))
     out.append(("evaluate", ["evaluate", *data, "--out", "evaluate"]))
@@ -67,6 +77,8 @@ def main(argv=None) -> int:
             case = root / f"{model}-seed{seed}"
             case.mkdir(parents=True, exist_ok=True)
             for name, cli_args in runs(model, seed):
+                if name == "design-L":
+                    write_l_matrix(case)
                 proc = subprocess.run(
                     [sys.executable, "-m", "subdesign.cli", *cli_args],
                     cwd=case, env=env, capture_output=True, text=True,

@@ -233,6 +233,56 @@ class TestDesign:
         assert code == 2
         assert "without replacement" in capsys.readouterr().err
 
+    def test_relative_l_file_is_read_from_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "data").mkdir()
+        write_pool(str(tmp_path / "data" / "lognormal.csv"), "lognormal",
+                   lognormal_pool(200, seed=6))
+        (tmp_path / "L.csv").write_text("1,0\n0,2\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "design",
+                "--input",
+                "data/lognormal.csv",
+                "--model",
+                "lognormal",
+                "--criterion",
+                "L:@L.csv",
+                "--n",
+                "50",
+                "--out",
+                "out",
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        _, rows = read_rows(tmp_path / "out" / "trace.csv")
+        assert rows[-1][2] == "Converged"
+
+    def test_non_numeric_l_file_exits_2(self, tmp_path, lognormal_csv, capsys):
+        target = tmp_path / "L.csv"
+        target.write_text("1,0\n0,two\n", encoding="utf-8")
+        code = main(
+            [
+                "design",
+                "--input",
+                lognormal_csv,
+                "--model",
+                "lognormal",
+                "--criterion",
+                f"L:@{target}",
+                "--n",
+                "50",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot parse L matrix" in err
+        assert str(target) in err
+
     def test_unknown_criterion_fails_before_load(self, tmp_path, capsys):
         data = tmp_path / "garbage.csv"
         data.write_text("not,a,valid\nschema,at,all\n", encoding="utf-8")
@@ -448,6 +498,37 @@ class TestSequential:
                 float(row[2]) / float(row[1]), rel=1e-12
             )
         assert "mean final/first error ratio" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("replications", ["1", "2"])
+    def test_census_first_stage_gives_nan_ratio(
+        self, tmp_path, lognormal_csv, replications, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "sequential",
+                "--input",
+                lognormal_csv,
+                "--model",
+                "lognormal",
+                "--family",
+                "po-wor",
+                "--stages",
+                "1",
+                "--n",
+                "200",
+                "--replications",
+                replications,
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(out / "learning_curve.csv")
+        assert len(rows) == int(replications)
+        assert all(row[1] == "0" and row[3] == "nan" for row in rows)
 
     def test_replay_is_byte_identical(self, tmp_path, finpop_csv):
         outs = []

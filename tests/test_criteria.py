@@ -583,9 +583,17 @@ class TestParseCriterion:
         assert spec.kind == "L"
         assert spec.l_matrix == pytest.approx(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
-    def test_l_matrix_missing_file(self, tmp_path):
+    def test_l_matrix_missing_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(InvalidInput):
-            parse_criterion("L:@nope.csv", base_dir=str(tmp_path))
+            parse_criterion("L:@nope.csv")
+
+    def test_l_matrix_non_numeric_cell_names_file(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_text("1,0\n0,two\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match="cannot parse L matrix") as info:
+            parse_criterion(f"L:@{path}")
+        assert str(path) in str(info.value)
 
     def test_v_needs_problem(self):
         with pytest.raises(InvalidInput):

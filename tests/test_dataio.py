@@ -217,6 +217,13 @@ class TestWriters:
         assert header == ["replication", "stage1_error", "final_error", "ratio"]
         assert [float(r[3]) for r in rows] == [0.25, 0.25]
 
+    @pytest.mark.filterwarnings("error")
+    def test_learning_curve_zero_first_error_divides_by_ieee_rules(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_learning_curve(str(path), [(0, 0.0, 0.0), (1, 0.0, 0.5)])
+        _, rows = read_rows(str(path))
+        assert [r[3] for r in rows] == ["nan", "inf"]
+
     def test_pool_files_match_schema(self, tmp_path):
         finpop = tmp_path / "finpop.csv"
         write_pool(str(finpop), "finpop", finpop_pool(20, seed=0))

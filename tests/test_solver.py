@@ -364,23 +364,23 @@ def pool_grads(kind, n_units, seed):
     return gradients_at(problem, fit_full(problem).theta0), problem
 
 
-def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3, config=DEFAULT):
+def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3):
     """The fixed-point loop written plainly: Gamma is rebuilt for every use,
     coefficients are row sums, and capping runs the masked loop from the start.
     """
 
     def objective(scheme):
-        return phi_value(spec, gamma(grads, scheme).gamma, grads, config)
+        return phi_value(spec, gamma(grads, scheme).gamma, grads)
 
     def coefs(scheme):
-        phi = phi_matrix_derivative(spec, gamma(grads, scheme).gamma, grads, config)
-        t = grads.psi @ (grads.hessian_inv @ psd_factor(phi, config=config))
+        phi = phi_matrix_derivative(spec, gamma(grads, scheme).gamma, grads)
+        t = grads.psi @ (grads.hessian_inv @ psd_factor(phi))
         return np.sum(t * t, axis=1)
 
     def closed_form(c):
         s = np.sqrt(c / c.max())
         if family is not DesignFamily.PO_WOR:
-            return validate_scheme(n * s / s.sum(), family, n, config)
+            return validate_scheme(n * s / s.sum(), family, n)
         capped = np.zeros(s.shape[0], dtype=bool)
         mu = np.empty(s.shape[0])
         for _ in range(s.shape[0]):
@@ -391,7 +391,7 @@ def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3, config=DEFAU
             if not newly.any():
                 break
             capped |= newly
-        return validate_scheme(mu, family, n, config)
+        return validate_scheme(mu, family, n)
 
     def residual(scheme, c):
         s = np.sqrt(np.maximum(c, 0.0))
@@ -413,20 +413,20 @@ def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3, config=DEFAU
                 threshold_violation = max(0.0, (bar - float(s[capped].min())) / s_max)
         return max(cap_violation, prop_violation, threshold_violation)
 
-    current = uniform_scheme(grads.n_units, n, family, config)
+    current = uniform_scheme(grads.n_units, n, family)
     objs = [objective(current)]
     best_scheme, best_obj = current, objs[0]
     for t in range(1, max_iter + 1):
         scheme = closed_form(coefs(current))
         obj = objective(scheme)
         objs.append(obj)
-        if obj > objs[-2] + config.divergence_slack:
+        if obj > objs[-2] + DEFAULT.divergence_slack:
             return "Diverged", t, objs, best_scheme, None
         if obj < best_obj:
             best_scheme, best_obj = scheme, obj
         if (objs[-2] - obj) / max(abs(objs[-2]), 1e-300) < eps:
             resid = residual(scheme, coefs(scheme))
-            if resid <= config.stationarity_tol:
+            if resid <= DEFAULT.stationarity_tol:
                 return "Converged", t, objs, scheme, resid
         current = scheme
     return "MaxIter", max_iter, objs, current, None
