@@ -6,6 +6,11 @@ the design family: sum(psi psi^T / mu_i) for with-replacement and multinomial
 designs, and sum(psi psi^T (1/mu_i - 1)) without replacement, which vanishes
 at a census.
 
+The gradients are stored column-major: ``GradientSet.psi_t`` is one p x N
+C-contiguous array, and the N x p ``psi`` is a view of it. Passes over the
+units (V(mu) here, the criterion coefficients in ``criteria``) walk it in
+blocks of ``BLOCK_UNITS`` units, reading contiguous rows.
+
 The dispersion matrices defined here turn expected-distance objectives into
 linear trace criteria: minimizing E[d(theta_hat)] is the same as minimizing
 tr(Gamma M) for the matching M.
@@ -14,7 +19,7 @@ tr(Gamma M) for the matching M.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,19 +30,31 @@ from .linalg import as_symmetric, spd_inverse
 from .sampling import DesignFamily, SamplingScheme
 
 
+# Units per block of the passes over the gradients: a p x BLOCK_UNITS slab of
+# psi_t and the block's temporaries stay in cache while every row of the slab
+# is used, and no temporary grows with N.
+BLOCK_UNITS = 1 << 14
+
+
 @dataclass(frozen=True)
 class GradientSet:
     """Per-unit gradients and curvature of a problem at its fitted parameter.
 
-    ``psi`` holds one gradient per row. Construction checks the first-order
-    condition (columns of psi sum to nearly zero) and that the Hessian is
-    positive definite, so downstream covariance algebra can rely on both.
+    The gradients are stored once, as the read-only C-contiguous p x N array
+    ``psi_t`` whose row j holds parameter j's gradient for every unit, so each
+    pass over the units reads contiguous rows. ``psi`` is its transpose, an
+    F-ordered N x p view with one gradient per row, not a second copy; the
+    array passed as ``psi`` is copied into ``psi_t``. Construction checks the
+    first-order condition (columns of psi sum to nearly zero) and that the
+    Hessian is positive definite, so downstream covariance algebra can rely
+    on both.
     """
 
     psi: np.ndarray
     hessian: np.ndarray
     theta0: np.ndarray
     expected_hessian: np.ndarray | None = None
+    psi_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -66,6 +83,10 @@ class GradientSet:
             raise SingularHessian(
                 f"hessian must be positive definite, min eigenvalue {min_eig:.3e}"
             )
+        psi_t = psi.T.copy(order="C")
+        psi_t.flags.writeable = False
+        object.__setattr__(self, "psi_t", psi_t)
+        object.__setattr__(self, "psi", psi_t.T)
 
     @property
     def n_units(self) -> int:
@@ -74,6 +95,10 @@ class GradientSet:
     @property
     def n_params(self) -> int:
         return self.psi.shape[1]
+
+    def blocks(self) -> list[slice]:
+        """Consecutive unit ranges of at most BLOCK_UNITS units covering 0..N-1."""
+        return [slice(s, s + BLOCK_UNITS) for s in range(0, self.n_units, BLOCK_UNITS)]
 
     @cached_property
     def hessian_inv(self) -> np.ndarray:
@@ -113,17 +138,29 @@ def gradients_at(problem, theta0) -> GradientSet:
 
 
 def v_matrix(grads: GradientSet, scheme: SamplingScheme) -> np.ndarray:
-    """Design-dependent middle matrix V(mu; theta0) of the sandwich covariance."""
+    """Design-dependent middle matrix V(mu; theta0) of the sandwich covariance.
+
+    V = sum_i c_i psi_i psi_i^T with c_i = 1/mu_i (1/mu_i - 1 without
+    replacement). Each block of units adds, for every i, the dots of
+    w = psi_t[i] * c with the rows psi_t[i:], which fills row i of the upper
+    triangle; the lower triangle is copied from it, so V is exactly symmetric.
+    """
     if scheme.n_units != grads.n_units:
         raise InvalidInput(
             f"scheme covers {scheme.n_units} units, gradients cover {grads.n_units}"
         )
-    if scheme.family is DesignFamily.PO_WOR:
-        coef = 1.0 / scheme.mu - 1.0
-    else:
-        coef = 1.0 / scheme.mu
-    v = grads.psi.T @ (grads.psi * coef[:, None])
-    return as_symmetric(v)
+    p = grads.n_params
+    v = np.zeros((p, p))
+    for units in grads.blocks():
+        coef = 1.0 / scheme.mu[units]
+        if scheme.family is DesignFamily.PO_WOR:
+            coef -= 1.0
+        block = grads.psi_t[:, units]
+        for i in range(p):
+            v[i, i:] += block[i:] @ (block[i] * coef)
+    lower = np.tril_indices(p, -1)
+    v[lower] = v.T[lower]
+    return v
 
 
 def gamma(grads: GradientSet, scheme: SamplingScheme) -> CovarianceReport:

@@ -312,18 +312,14 @@ def _coefficients_from_phi(
     The fixed-point solver calls this with the phi of the covariance it has
     just computed for the objective, so V(mu) is built once per scheme.
     """
-    ell = psd_factor(phi)
-    t = grads.psi @ (grads.hessian_inv @ ell)
-    k = t.shape[1]
-    if k < 8:
-        # Row sums of fewer than 8 terms are added left to right by np.sum, so
-        # accumulating whole columns gives the same bits in fewer passes.
-        c = t[:, 0] * t[:, 0]
-        for j in range(1, k):
-            c += t[:, j] * t[:, j]
-    else:
-        # From 8 terms np.sum adds pairwise; keep its order.
-        c = np.sum(t * t, axis=1)
+    m_t = (grads.hessian_inv @ psd_factor(phi)).T
+    c = np.empty(grads.n_units)
+    for units in grads.blocks():
+        # t is k x block: column i is L^T H^-1 psi_i, and its squares are
+        # summed row after row, a sequential sum over the k terms.
+        t = m_t @ grads.psi_t[:, units]
+        t *= t
+        t.sum(axis=0, out=c[units])
     return CoefficientSet(c=c, criterion=spec, at_scheme=at)
 
 
@@ -380,11 +376,17 @@ def parse_criterion(token: str, problem=None) -> CriterionSpec:
     if low.startswith("l:@"):
         path = os.path.abspath(text[3:])
         try:
-            mat = np.loadtxt(path, delimiter=",", ndmin=2)
+            # An empty file is reported below; loadtxt's own warning about it
+            # would only repeat that on stderr.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                mat = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError:
             raise InvalidInput(f"cannot read L matrix from {path!r}")
         except ValueError as err:
             raise InvalidInput(f"cannot parse L matrix in {path!r}: {err}")
+        if mat.size == 0:
+            raise InvalidInput(f"L matrix file {path!r} is empty")
         return l_opt(mat)
     if low.startswith("phi:"):
         try:

@@ -107,6 +107,8 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
 
     Raises instead of repairing: a sum that misses the budget or a capped entry
     above one is the caller's bug, and silently renormalizing would mask it.
+    The scheme keeps a read-only copy of ``mu``; a read-only array that owns
+    its data, as the solvers hand over, is kept as it is.
     """
     arr = np.asarray(mu, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
@@ -128,8 +130,9 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     total = float(arr.sum())
     if abs(total - n) > DEFAULT.budget_rtol * max(abs(n), 1.0):
         raise BudgetMismatch(f"sum(mu) = {total!r} does not match budget n = {n!r}")
-    arr = arr.copy()
-    arr.flags.writeable = False
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.flags.writeable = False
     return SamplingScheme(mu=arr, family=family, budget_n=float(n))
 
 
@@ -145,6 +148,7 @@ def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingSche
     # Guarantee the exact budget under the family cap despite division round-off.
     if family is DesignFamily.PO_WOR:
         mu = np.minimum(mu, 1.0)
+    mu.flags.writeable = False
     return validate_scheme(mu, family, n)
 
 

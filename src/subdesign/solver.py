@@ -103,7 +103,9 @@ def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
     mu = n * s / s.sum()
     # This is also the capping loop's first round, so when nothing reaches the
     # cap the loop would return these same bits.
+    # mu is fresh and ours: read-only, it is kept by validate_scheme uncopied.
     if family is not DesignFamily.PO_WOR or mu.max() < 1.0:
+        mu.flags.writeable = False
         return validate_scheme(mu, family, n)
     capped = np.zeros(n_units, dtype=bool)
     mu = np.empty(n_units)
@@ -116,6 +118,7 @@ def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
         if not newly.any():
             break
         capped |= newly
+    mu.flags.writeable = False
     return validate_scheme(mu, family, n)
 
 

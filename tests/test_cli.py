@@ -260,6 +260,31 @@ class TestDesign:
         _, rows = read_rows(tmp_path / "out" / "trace.csv")
         assert rows[-1][2] == "Converged"
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_l_file_exits_2(self, tmp_path, lognormal_csv, capsys):
+        target = tmp_path / "L.csv"
+        target.write_text("", encoding="utf-8")
+        code = main(
+            [
+                "design",
+                "--input",
+                lognormal_csv,
+                "--model",
+                "lognormal",
+                "--criterion",
+                f"L:@{target}",
+                "--n",
+                "50",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is empty" in err
+        assert str(target) in err
+        assert "loadtxt" not in err
+
     def test_non_numeric_l_file_exits_2(self, tmp_path, lognormal_csv, capsys):
         target = tmp_path / "L.csv"
         target.write_text("1,0\n0,two\n", encoding="utf-8")

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdesign.covariance import (
+    BLOCK_UNITS,
     CovarianceReport,
     DispersionKind,
     GradientSet,
@@ -10,7 +15,9 @@ from subdesign.covariance import (
     gradients_at,
     v_matrix,
 )
+from subdesign.criteria import coefficients, parse_criterion
 from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsupported
+from subdesign.linalg import psd_factor
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 
@@ -43,6 +50,19 @@ class TestGradientSet:
     def test_v_theta0_is_gram(self):
         g = make_grads(seed=2)
         assert g.v_theta0 == pytest.approx(g.psi.T @ g.psi)
+
+    def test_one_readonly_p_by_n_array(self):
+        rng = np.random.default_rng(11)
+        psi = balanced_psi(rng, 7, 3)
+        g = GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
+        assert g.psi_t.shape == (3, 7)
+        assert g.psi_t.flags.c_contiguous
+        assert g.psi.flags.f_contiguous
+        assert np.shares_memory(g.psi, g.psi_t)
+        assert not np.shares_memory(g.psi, psi)
+        assert not g.psi.flags.writeable
+        assert not g.psi_t.flags.writeable
+        assert np.array_equal(g.psi, psi)
 
     def test_hessian_inv_cached(self):
         g = make_grads(seed=3)
@@ -104,6 +124,66 @@ class TestVMatrix:
             assert np.linalg.eigvalsh(v).min() >= -1e-9 * max(
                 np.linalg.norm(v, "fro"), 1e-12
             )
+
+    def test_exactly_symmetric(self):
+        g = make_grads(seed=12, n=40, p=5)
+        mu = np.random.default_rng(13).uniform(0.1, 0.9, 40)
+        for family in DesignFamily:
+            scheme = validate_scheme(mu * (20.0 / mu.sum()), family, 20.0)
+            v = v_matrix(g, scheme)
+            assert np.array_equal(v, v.T)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(1, 9),
+        n_units=st.integers(12, 400),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(list(DesignFamily)),
+    )
+    def test_matches_row_major_product(self, p, n_units, seed, family):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((n_units, p)) * rng.lognormal(0.0, 2.0, (n_units, 1))
+        psi -= psi.mean(axis=0)
+        g = GradientSet(psi=psi, hessian=np.eye(p), theta0=np.zeros(p))
+        w = rng.uniform(0.2, 1.0, n_units)
+        n = n_units // 10
+        scheme = validate_scheme(n * w / w.sum(), family, n)
+        coef = 1.0 / scheme.mu - (1.0 if family is DesignFamily.PO_WOR else 0.0)
+        expected = psi.T @ (psi * coef[:, None])
+        # V is PSD, so |V_jk| <= sqrt(V_jj V_kk), the scale of entry jk's
+        # round-off.
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.all(np.abs(v_matrix(g, scheme) - expected) <= 1e-13 * scale)
+
+    def test_blocks_cover_every_unit(self):
+        rng = np.random.default_rng(14)
+        n_units = 2 * BLOCK_UNITS + 123
+        psi = balanced_psi(rng, n_units, 3)
+        g = GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
+        blocks = g.blocks()
+        assert len(blocks) == 3
+        units = np.arange(n_units)
+        assert np.array_equal(np.concatenate([units[b] for b in blocks]), units)
+        mu = rng.uniform(0.1, 0.9, n_units)
+        scheme = validate_scheme(mu, DesignFamily.PO_WR, mu.sum())
+        expected = psi.T @ (psi / scheme.mu[:, None])
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.all(np.abs(v_matrix(g, scheme) - expected) <= 1e-13 * scale)
+        t = g.psi @ (g.hessian_inv @ psd_factor(np.eye(3) / 3))
+        c = coefficients(parse_criterion("A"), g).c
+        assert np.array_equal(c, np.sum(t * t, axis=1))
+
+    def test_no_n_by_p_temporary(self):
+        n_units = 100_000
+        g = make_grads(seed=15, n=n_units, p=3)
+        scheme = uniform_scheme(n_units, 1000, DesignFamily.PO_WOR)
+        tracemalloc.start()
+        try:
+            v_matrix(g, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n_units * 8
 
     def test_length_mismatch(self):
         g = make_grads(seed=9, n=5)

@@ -58,6 +58,25 @@ class TestValidateScheme:
         with pytest.raises(ValueError):
             scheme.mu[0] = 9.0
 
+    def test_writeable_caller_array_is_copied(self):
+        mu = np.array([0.25, 0.75])
+        scheme = validate_scheme(mu, DesignFamily.PO_WR, 1)
+        mu[0] = 9.0
+        assert scheme.mu.tolist() == [0.25, 0.75]
+
+    def test_readonly_view_is_copied(self):
+        base = np.array([0.25, 0.75, 0.5])
+        view = base[:2]
+        view.flags.writeable = False
+        scheme = validate_scheme(view, DesignFamily.PO_WR, 1)
+        base[0] = 9.0
+        assert scheme.mu.tolist() == [0.25, 0.75]
+
+    def test_readonly_owned_array_is_kept(self):
+        mu = np.array([0.25, 0.75])
+        mu.flags.writeable = False
+        assert validate_scheme(mu, DesignFamily.PO_WR, 1).mu is mu
+
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             validate_scheme([np.nan, 1.0], DesignFamily.PO_WR, 1)
