@@ -8,18 +8,23 @@ order, and cells are parsed one column group at a time in the same order.
 Unknown columns are rejected rather than ignored so that a typo in a header
 fails loudly instead of silently dropping data.
 
-``csv`` tokenises the input; the numbers are then parsed a column at a time.
-Parsing cell by cell runs only when a file is malformed, to name the first
-bad row and column. The unit tables (scheme, gradients, synthetic pools) are
-written a chunk of rows at a time through one printf-style row template,
-which gives the same bytes as ``csv.writer`` with ``format(v, ".17g")``.
+One ``np.loadtxt`` call reads the table into a record array (``id`` as text,
+the other columns as the float64 bits ``float()`` gives, every row as wide as
+the header). Any other table (malformed, header only, or holding ``1_000``
+or another numeral or padding that only one of numpy and ``float()`` takes)
+goes through ``csv`` and a cell-by-cell parse, which names the first bad row
+and column. The unit tables (scheme, gradients, synthetic pools) are written
+a chunk of rows at a time through one printf-style row template, which gives
+the same bytes as ``csv.writer`` with ``format(v, ".17g")``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import mmap
 import re
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -46,21 +51,40 @@ class LoadedData:
     groups: np.ndarray | None = None
 
 
-def _read_rows(path: str) -> tuple[list[str], list[tuple[str, ...]]]:
+def _read_table(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The header and the data as one record array, or None if numpy refuses them.
+
+    A file holding one of U+001C-U+001F is left to the csv path: numpy strips
+    them around a number, ``float()`` does not.
+    """
+    try:
+        with open(path, "rb") as raw, mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            if any(m.find(bytes([c])) >= 0 for c in range(0x1C, 0x20)):
+                return None
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader(fh))]
+            dtype = [(name, object if name == "id" else float) for name in header]
+            with warnings.catch_warnings():  # a header-only file: the csv path names it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+    except (OSError, StopIteration, ValueError):
+        return None
+    return (header, table) if len(table) else None
+
+
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InvalidData(f"{path} is empty") from None
-            # Tuples of strings leave the garbage collector's tracking at its
-            # next pass; a list per row would be walked by every full pass.
-            rows = [tuple(row) for row in reader if row]
+            header = next(reader, None)
+            if header is None:
+                raise InvalidData(f"{path} is empty")
+            rows = [row for row in reader if row]
     except OSError as err:
         raise InvalidData(f"cannot read {path}: {err}") from err
-    header = [h.strip() for h in header]
-    return header, rows
+    return [h.strip() for h in header], rows
 
 
 def _numbered(header: list[str], prefix: str) -> list[str]:
@@ -87,7 +111,7 @@ def _ragged(path, r, row, header) -> InvalidData:
 
 
 def _parse_cells(rows, header, names, path):
-    """Parse the named columns row by row; runs only to report the first error."""
+    """Parse the named columns row by row, naming the first bad cell or row."""
     idx = [header.index(name) for name in names]
     out = np.empty((len(rows), len(names)))
     for r, row in enumerate(rows):
@@ -104,31 +128,13 @@ def _parse_cells(rows, header, names, path):
     return out
 
 
-def _column_matrix(rows, header, names, path):
-    """Parse the named columns of a rectangular table, one column at a time.
-
-    ``float`` parses every cell, as in :func:`_parse_cells`, so the values are
-    the same bits; on an unparsable cell the per-row parser names it.
-    """
-    n = len(rows)
-    out = np.empty((n, len(names)))
-    try:
-        for c, name in enumerate(names):
-            cells = map(itemgetter(header.index(name)), rows)
-            out[:, c] = np.fromiter(map(float, cells), float, count=n)
-    except ValueError:
-        _parse_cells(rows, header, names, path)
-        raise
-    return out
-
-
 def load_problem(path: str, kind: str) -> LoadedData:
     """Parse an input CSV into the model object for its kind."""
     spec = MODELS.get(kind)
     if spec is None:
         raise InvalidData(f"unknown model kind {kind!r}")
-    header, rows = _read_rows(path)
-    if not rows:
+    header, rows = _read_table(path) or _read_rows(path)
+    if len(rows) == 0:
         raise InvalidData(f"{path} has a header but no data rows")
     if len(set(header)) != len(header):
         raise InvalidData(f"{path} has duplicate columns")
@@ -141,22 +147,22 @@ def load_problem(path: str, kind: str) -> LoadedData:
                 )
 
     require("id")
-    id_col = header.index("id")
-    if set(map(len, rows)) == {len(header)}:
-        parse = _column_matrix
-    else:
-        # A ragged table: the per-row parser reports its first bad row, or an
-        # earlier bad cell, once the header checks below have passed.
-        parse = _parse_cells
-        if any(len(row) <= id_col for row in rows):
-            r, row = next(
-                (r, row) for r, row in enumerate(rows) if len(row) != len(header)
-            )
-            raise _ragged(path, r, row, header)
-    ids = tuple(map(itemgetter(id_col), rows))
+    if isinstance(rows, np.ndarray):
+        ids = tuple(rows["id"])
 
-    def matrix(names):
-        return parse(rows, header, names, path)
+        def matrix(names):
+            return np.column_stack([rows[name] for name in names])
+
+    else:
+        # The per-cell parser names a bad cell or ragged row after the header checks.
+        id_col = header.index("id")
+        if any(len(row) <= id_col for row in rows):
+            r = next(r for r, row in enumerate(rows) if len(row) != len(header))
+            raise _ragged(path, r, rows[r], header)
+        ids = tuple(map(itemgetter(id_col), rows))
+
+        def matrix(names):
+            return _parse_cells(rows, header, names, path)
 
     if len(set(ids)) < len(ids):
         seen = set()

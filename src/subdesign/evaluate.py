@@ -32,7 +32,13 @@ from .errors import (
 # loop calls its support-only core directly, but the name stays importable
 # from this module, as callers and the benchmark's tracer expect.
 from .models import MODELS, RiskProblem, _fit_on_support, fit_full, weighted_fit  # noqa: F401
-from .sampling import DesignFamily, SamplingScheme, derive_seed, draw, validate_scheme
+from .sampling import (
+    DesignFamily,
+    SamplingScheme,
+    _draw_support,
+    derive_seed,
+    validate_scheme,
+)
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
 MAX_GRID_ROWS = 20_000_000
@@ -287,8 +293,10 @@ def monte_carlo_covariance(
     """Estimate the covariance of the weighted estimator by simulation.
 
     Each replicate is the ``weighted_fit`` of one draw, run straight on the
-    draw's support: counts that ``draw`` produced need none of the full-length
-    checks, so a replicate costs in the sample size, not the population.
+    draw's support: the loop takes the drawn units and their counts from the
+    random core of ``draw``, builds no N-length ``counts`` and skips the
+    full-length checks, so a replicate's fit costs in the sample size, not the
+    population.
     Replicates that fail to fit (an empty draw raises EmptySample) are dropped
     and counted by exception class; the run aborts when more than
     max_failure_rate of them do, since the surviving replicates would be a
@@ -303,11 +311,10 @@ def monte_carlo_covariance(
     thetas = []
     failures: dict[str, int] = {}
     for r in range(R):
-        result = draw(scheme, derive_seed(seed, r))
-        support = result.support
+        support, support_counts = _draw_support(scheme, derive_seed(seed, r))
         try:
             fit = _fit_on_support(
-                problem, support, result.support_counts / scheme.mu[support],
+                problem, support, support_counts / scheme.mu[support],
                 tol=tol, max_iter=max_iter,
             )
         except FIT_ERRORS as err:

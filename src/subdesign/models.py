@@ -54,10 +54,11 @@ from .sampling import SamplingScheme
 
 P_CLAMP = 1e-12
 
-# A Hessian whose smallest eigenvalue falls this far below the largest
-# curvature scale seen during a fit is treated as singular. Catches both
-# rank-deficient designs and complete separation, where the curvature decays
-# exponentially along the Newton path while the gradient does the same.
+# A Hessian whose smallest eigenvalue, with each parameter measured in units
+# of the largest curvature seen for it during a fit, falls to this is treated
+# as singular. Catches both rank-deficient designs and complete separation,
+# where the curvature decays exponentially along the Newton path while the
+# gradient does the same.
 CURVATURE_RTOL = 1e-8
 
 
@@ -334,10 +335,10 @@ def _newton(
     risk = total_loss(theta)
     grad = total_grad(theta)
     hess = problem.hessian(theta, u)
-    h_ref = float(np.linalg.norm(hess, "fro"))
+    d_ref = np.diag(hess)
     for iteration in range(max_iter):
-        h_ref = max(h_ref, float(np.linalg.norm(hess, "fro")))
-        _require_pd(hess, h_ref)
+        d_ref = np.maximum(d_ref, np.diag(hess))
+        _require_pd(hess, d_ref)
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
             return FitResult(
@@ -366,7 +367,7 @@ def _newton(
         hess = problem.hessian(theta, u)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= tol:
-        _require_pd(hess, max(h_ref, float(np.linalg.norm(hess, "fro"))))
+        _require_pd(hess, np.maximum(d_ref, np.diag(hess)))
         return FitResult(
             theta0=theta,
             iterations=max_iter,
@@ -378,12 +379,28 @@ def _newton(
     )
 
 
-def _require_pd(hess: np.ndarray, scale: float) -> None:
-    min_eig = float(np.linalg.eigvalsh(hess)[0])
-    if scale <= 0.0 or min_eig <= CURVATURE_RTOL * scale:
+def _require_pd(hess: np.ndarray, d_ref: np.ndarray) -> None:
+    """Raise SingularHessian unless the Hessian is positive definite in scaled terms.
+
+    The test matrix is the Jacobi scaling D^-1/2 H D^-1/2 with D = diag(d_ref),
+    the largest diagonal seen for each parameter along the fit, so changing a
+    parameter's units changes nothing. A zero or negative diagonal entry is
+    singular. The smallest eigenvalue of H is at most that of the test matrix
+    times max(d_ref), which is at most the largest Frobenius norm of H along
+    the fit, so every Hessian rejected here also fails the unscaled test
+    against that norm.
+    """
+    diag = np.diag(hess)
+    if not np.all(diag > 0.0):
+        raise SingularHessian(
+            f"Hessian is singular to working precision (diagonal entry {diag.min():.3e})"
+        )
+    scale = 1.0 / np.sqrt(d_ref)
+    min_eig = float(np.linalg.eigvalsh(hess * np.outer(scale, scale))[0])
+    if min_eig <= CURVATURE_RTOL:
         raise SingularHessian(
             f"Hessian is singular to working precision (min eigenvalue {min_eig:.3e} "
-            f"against curvature scale {scale:.3e})"
+            "of the Jacobi-scaled Hessian)"
         )
 
 

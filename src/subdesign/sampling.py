@@ -162,6 +162,38 @@ def derive_seed(*keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _draw_support(scheme: SamplingScheme, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units :func:`draw` selects, in increasing order, and their counts.
+
+    Every random step of a draw happens here; callers that read only the
+    sample skip the N-length ``counts``.
+    """
+    if seed < 0 or seed > np.iinfo(np.uint64).max:
+        raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    mu = scheme.mu
+    if scheme.family is DesignFamily.PO_WOR:
+        support = np.flatnonzero(rng.random(mu.shape[0]) < mu)
+        return support, np.ones(support.shape[0], dtype=np.int64)
+    cdf = scheme.cdf
+    total = cdf[-1]
+    if scheme.family is DesignFamily.PO_WR:
+        k = int(rng.poisson(total))
+    else:
+        k = int(round(scheme.budget_n))
+    # Sorted targets let each binary search start where the last one
+    # ended; the order of the K draws does not change the counts.
+    uniforms = rng.random(k)
+    uniforms.sort()
+    # Unit i takes the targets in [cdf[i-1], cdf[i]). A uniform below one
+    # times cdf[-1] stays below cdf[-1] under round-to-nearest; a target
+    # reaching it would map to index N, so it is clamped to the last unit.
+    units = np.searchsorted(cdf, uniforms * total, side="right")
+    units = np.minimum(units, mu.shape[0] - 1)
+    support, support_counts = np.unique(units, return_counts=True)
+    return support, support_counts.astype(np.int64, copy=False)
+
+
 def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
     """One seeded draw of selection counts from the scheme's distribution.
 
@@ -170,34 +202,9 @@ def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
     scheme's cached running sum (see the module docstring). po-wor draws one
     Bernoulli(mu_i) indicator per unit.
     """
-    if seed < 0 or seed > np.iinfo(np.uint64).max:
-        raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    mu = scheme.mu
-    if scheme.family is DesignFamily.PO_WOR:
-        counts = (rng.random(mu.shape[0]) < mu).astype(np.int64)
-        support = np.flatnonzero(counts)
-        support_counts = counts[support]
-    else:
-        cdf = scheme.cdf
-        total = cdf[-1]
-        if scheme.family is DesignFamily.PO_WR:
-            k = int(rng.poisson(total))
-        else:
-            k = int(round(scheme.budget_n))
-        # Sorted targets let each binary search start where the last one
-        # ended; the order of the K draws does not change the counts.
-        uniforms = rng.random(k)
-        uniforms.sort()
-        # Unit i takes the targets in [cdf[i-1], cdf[i]). A uniform below one
-        # times cdf[-1] stays below cdf[-1] under round-to-nearest; a target
-        # reaching it would map to index N, so it is clamped to the last unit.
-        units = np.searchsorted(cdf, uniforms * total, side="right")
-        units = np.minimum(units, mu.shape[0] - 1)
-        support, support_counts = np.unique(units, return_counts=True)
-        support_counts = support_counts.astype(np.int64, copy=False)
-        counts = np.zeros(mu.shape[0], dtype=np.int64)
-        counts[support] = support_counts
+    support, support_counts = _draw_support(scheme, seed)
+    counts = np.zeros(scheme.n_units, dtype=np.int64)
+    counts[support] = support_counts
     for arr in (counts, support, support_counts):
         arr.flags.writeable = False
     return DrawResult(

@@ -11,7 +11,12 @@ output files to a directory named after it, and its exit code, stdout and
 stderr to ``<run>.log/``. Each (model, seed) case has its own directory,
 which is the working directory of its commands; before ``design-L`` the
 script writes there ``L.csv``, a p x 2 matrix with rows ``1,i`` for
-i = 1..p, p read from the ``fit`` run's ``theta0.csv`` header. Commands run
+i = 1..p, p read from the ``fit`` run's ``theta0.csv`` header. For
+lognormal seed 1, ``fit-quoted`` fits ``quoted.csv``, the synth table that
+the script rewrites with LF line endings, a blank line after the header and
+each id ``<id>`` replaced by the text ``u,<id>`` plus a double quote, written
+quoted with that quote doubled, so that the loader's quoting and the id
+quoting of ``gradients.csv`` are covered too. Commands run
 in a fresh interpreter on the ``src/`` beside this file, with relative
 paths, so that two checkouts can be compared byte for byte:
 
@@ -32,6 +37,7 @@ MODELS = ("finpop", "lognormal", "qblogit")
 SEEDS = (1, 7, 42)
 N_UNITS = 3000
 DESIGN_CRITERIA = ("A", "D", "phi:5", "E", "V", "d-kl", "L:@L.csv")
+QUOTED_CASE = ("lognormal", 1)
 
 
 def write_l_matrix(case: Path) -> None:
@@ -39,6 +45,13 @@ def write_l_matrix(case: Path) -> None:
     header = (case / "fit" / "theta0.csv").read_text().splitlines()[0]
     p = len(header.split(","))
     (case / "L.csv").write_text("".join(f"1,{i}\n" for i in range(1, p + 1)))
+
+
+def write_quoted_input(case: Path, model: str) -> None:
+    """quoted.csv in the case directory: the synth table with quoted ids."""
+    header, *rows = (case / "synth" / f"{model}.csv").read_text().splitlines()
+    body = [f'"u,{uid}""",{rest}' for uid, rest in (row.split(",", 1) for row in rows)]
+    (case / "quoted.csv").write_text("\n".join([header, "", *body]) + "\n", newline="")
 
 
 def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
@@ -49,6 +62,9 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
                    "--seed", str(seed), "--out", "synth"]),
         ("fit", ["fit", *data, "--out", "fit"]),
     ]
+    if (model, seed) == QUOTED_CASE:
+        out.append(("fit-quoted", ["fit", "--input", "quoted.csv", "--model", model,
+                                   "--out", "fit-quoted"]))
     for criterion in DESIGN_CRITERIA:
         name = "design-" + criterion.partition(":@")[0].replace(":", "")
         out.append((name, ["design", *data, "--criterion", criterion, "--n", "100",
@@ -79,6 +95,8 @@ def main(argv=None) -> int:
             for name, cli_args in runs(model, seed):
                 if name == "design-L":
                     write_l_matrix(case)
+                if name == "fit-quoted":
+                    write_quoted_input(case, model)
                 proc = subprocess.run(
                     [sys.executable, "-m", "subdesign.cli", *cli_args],
                     cwd=case, env=env, capture_output=True, text=True,

@@ -18,7 +18,7 @@ from subdesign.dataio import (
     write_theta,
     write_trace,
 )
-from subdesign.errors import InvalidData
+from subdesign.errors import InvalidData, InvalidWeights
 from subdesign.models import fit_full, lognormal_problem
 from subdesign.sampling import DesignFamily, uniform_scheme
 from subdesign.sequential import run_k_stages
@@ -508,6 +508,7 @@ class TestNoPerCellLoop:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-cell path used on a valid table")
 
+        monkeypatch.setattr(dataio, "_read_rows", forbidden)
         monkeypatch.setattr(dataio, "_parse_cells", forbidden)
         monkeypatch.setattr(dataio, "_fmt", forbidden)
         data = load_problem(str(path), kind)
@@ -517,6 +518,103 @@ class TestNoPerCellLoop:
         write_scheme(str(tmp_path / "s.csv"), data.ids, scheme)
         write_pool(str(tmp_path / "again.csv"), kind, pools[kind](1000, seed=4))
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+# (lognormal CSV text, exact message or None; {path} stands for the file).
+# With None, the outcome must be that of csv.reader plus float(): the same
+# ids and bits, or the same message for a malformed file.
+LOADER_EDGES = {
+    "trailing extra field": ("id,w,y\na,1,2,\nb,1,3\n", None),
+    "whitespace-only line": ("id,w,y\na,1,2\n   \nb,1,3\n", None),
+    "form-feed line": ("id,w,y\na,1,2\n\f\nb,1,3\n", None),
+    "lone CR line endings": ("id,w,y\ra,1,2\rb,1,3\r", None),
+    "quoted ids": ('id,w,y\n"a,b",1,2\n"q""t",1,3\n"line\nbreak",1,4\n"cr\r\nlf",1,5\n', None),
+    "padded ids": ("id,w,y\n lead,1,2\ntrail ,1,3\n both ,1,4\n", None),
+    "padded and quoted cells": ('id,w,y\na, 1.5 ,"2"\nb,"3", 4e-1\n', None),
+    "header only": ("id,w,y\n", "{path} has a header but no data rows"),
+    "header and blank lines": ("id,w,y\r\n\r\n\r\n", "{path} has a header but no data rows"),
+    "BOM header": (
+        "\ufeffid,w,y\na,1,2\n", "missing column 'id' (schema for lognormal: id,w,y[,z1..zk])"
+    ),
+    "underscore numeral": ("id,w,y\na,1,1_000\nb,1,3\n", None),
+    "Arabic-Indic digit": ("id,w,y\na,1,\u0661\nb,1,3\n", None),
+    "separator-padded cell": ("id,w,y\na,1,2\x1f\nb,1,3\n", None),
+    "separator in an id": ("id,w,y\na\x1cb,1,2\nb,1,3\n", None),
+}
+# Numerals that float() reads and numpy does not, and files holding one of
+# the separators U+001C-U+001F: these load cell by cell.
+CSV_ONLY = {"underscore numeral", "Arabic-Indic digit", "separator in an id"}
+
+
+@pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
+class TestLoaderEdges:
+    @pytest.mark.parametrize("case", sorted(LOADER_EDGES))
+    def test_matches_csv_and_float(self, tmp_path, case, monkeypatch):
+        text, message = LOADER_EDGES[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        calls = []
+        parse_cells = dataio._parse_cells
+
+        def counted(*args):
+            calls.append(args)
+            return parse_cells(*args)
+
+        monkeypatch.setattr(dataio, "_parse_cells", counted)
+        if message is not None:
+            message = message.format(path=path)
+        else:
+            try:
+                ids, (w, y, _) = reference_parse(str(path), "lognormal")
+            except InvalidData as err:
+                message = str(err)
+        if message is not None:
+            with pytest.raises(InvalidData) as got:
+                load_problem(str(path), "lognormal")
+            assert str(got.value) == message
+            return
+        loaded = load_problem(str(path), "lognormal")
+        assert loaded.ids == ids
+        assert same_bits(loaded.problem.data["y"], y[:, 0])
+        assert same_bits(loaded.problem.weights, lognormal_problem(y[:, 0], w[:, 0]).weights)
+        assert bool(calls) == (case in CSV_ONLY)
+
+
+ODD_CELLS = [
+    "1", "2.5", " 0.25 ", '"3"', "1e3", "1_000", "\u0661", "nan", "-inf",
+    "", "x", "0x10", "1e", '"1"x', '"4,5"', '"6\n"', "7\x1c", "\x1f8",
+]
+ODD_IDS = ["u{}", '"u,{}"', '"q""{}"', '"l\r\n{}"', " u{} ", "{}"]
+
+
+@pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
+class TestReaderParityOnOddText:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_outcome_matches_csv_and_float(self, tmp_path_factory, data, newline):
+        lines = ["id,w,y"]
+        for i in range(data.draw(st.integers(1, 6))):
+            width = data.draw(st.sampled_from([3, 3, 3, 3, 2, 4]))
+            cells = [data.draw(st.sampled_from(ODD_IDS)).format(i)]
+            cells += [data.draw(st.sampled_from(ODD_CELLS)) for _ in range(width - 1)]
+            lines.append(",".join(cells))
+            # Blank lines are skipped; whitespace lines are one-field rows,
+            # kept distinct since the reference does not check ids.
+            lines += data.draw(st.sampled_from([[], [""], [" " * (i + 1)], ["\f" * (i + 1)]]))
+        path = tmp_path_factory.mktemp("odd") / "d.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        try:
+            ids, (w, y, _) = reference_parse(str(path), "lognormal")
+            expected = lognormal_problem(y[:, 0], w[:, 0])
+        except (InvalidData, InvalidWeights) as err:
+            with pytest.raises(type(err)) as got:
+                load_problem(str(path), "lognormal")
+            assert str(got.value) == str(err)
+            return
+        loaded = load_problem(str(path), "lognormal")
+        assert loaded.ids == ids
+        assert same_bits(loaded.problem.data["y"], expected.data["y"])
+        assert same_bits(loaded.problem.weights, expected.weights)
 
 
 FINPOP_SCHEMA = "(schema for finpop: id,w,y1..ym[,g])"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,23 @@ class TestMonteCarloCost:
         assert newton_sizes == supports
         assert max(newton_sizes) < n_units
         assert poisson_sizes == [1] * 1000
+
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
+    def test_no_population_length_array_per_replicate(self, family):
+        n_units = 100_000
+        problem = lognormal_example(seed=16, n=n_units)
+        scheme = uniform_scheme(n_units, 50.0, family)
+        scheme.cdf  # built once per scheme, before the loop
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_covariance(problem, scheme, R=1000, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mc.n_failed == 0
+        # Half of one N-length int64 count array; the replicates' own thetas
+        # take about 0.2 MB at R = 1000.
+        assert peak < 4 * n_units
 
     def test_empty_draws_count_as_empty_sample(self):
         problem = finpop_example(seed=15, n=50)

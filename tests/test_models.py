@@ -188,6 +188,28 @@ class TestQblogit:
         fit = fit_full(qblogit_problem(x, y))
         assert fit.theta0 == pytest.approx(beta, abs=0.15)
 
+    @pytest.mark.parametrize("factor", [1e-4, 1e4])
+    def test_covariate_units_do_not_make_the_hessian_singular(self, factor):
+        # The same covariate in other units is the same fit with its
+        # coefficient divided by the factor. The gradient tolerance is still
+        # absolute, so it is converted to the new units too.
+        pool = make_pool("qblogit", 100_000, seed=3)
+        fit = fit_full(pool_problem("qblogit", pool))
+        x = pool["X"].copy()
+        x[:, 1] *= factor
+        scaled = fit_full(qblogit_problem(x, pool["y"]), tol=1e-10 * max(factor, 1.0))
+        expected = fit.theta0.copy()
+        expected[1] /= factor
+        assert scaled.theta0 == pytest.approx(expected, rel=1e-9)
+
+    def test_collinear_covariates_stay_singular(self):
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(200), rng.standard_normal(200)])
+        x = np.column_stack([x, 1e4 * x[:, 1]])
+        y = rng.uniform(0.1, 0.9, 200)
+        with pytest.raises(SingularHessian):
+            fit_full(qblogit_problem(x, y))
+
 
 class TestGradientConsistency:
     def sample_theta(self, kind, rng):

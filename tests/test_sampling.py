@@ -4,6 +4,7 @@ import pytest
 from subdesign.errors import BudgetMismatch, InvalidBudget, InvalidInput, OutOfDomain
 from subdesign.sampling import (
     DesignFamily,
+    _draw_support,
     DrawResult,
     SamplingScheme,
     derive_seed,
@@ -214,6 +215,22 @@ def unequal_scheme(family, n=6.0):
     return validate_scheme(mu / mu.sum() * n, family, n)
 
 
+def reference_counts(scheme, seed):
+    """The counts of one draw, built densely by the same Philox steps."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    mu = scheme.mu
+    if scheme.family is DesignFamily.PO_WOR:
+        return (rng.random(mu.shape[0]) < mu).astype(np.int64)
+    cdf = np.cumsum(mu)
+    if scheme.family is DesignFamily.PO_WR:
+        k = int(rng.poisson(cdf[-1]))
+    else:
+        k = int(round(scheme.budget_n))
+    uniforms = np.sort(rng.random(k))
+    units = np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), len(mu) - 1)
+    return np.bincount(units, minlength=len(mu)).astype(np.int64)
+
+
 def draw_matrix(scheme, reps=10_000):
     return np.array([draw(scheme, derive_seed(11, r)).counts for r in range(reps)])
 
@@ -285,6 +302,24 @@ class TestSplittingDistribution:
             assert result.support_counts.sum() == result.realized_size
             assert not support.flags.writeable
             assert not result.support_counts.flags.writeable
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_support_core_matches_the_dense_reference(self, family):
+        mu = np.random.default_rng(15).uniform(0.05, 0.9, 500)
+        scheme = validate_scheme(mu / mu.sum() * 200, family, 200)
+        for r in range(100):
+            seed = derive_seed(15, r)
+            expected = reference_counts(scheme, seed)
+            support, support_counts = _draw_support(scheme, seed)
+            result = draw(scheme, seed)
+            assert result.counts.dtype == np.int64
+            assert np.array_equal(result.counts, expected)
+            for got in (support, result.support):
+                assert got.dtype == np.intp
+                assert np.array_equal(got, np.flatnonzero(expected))
+            for got in (support_counts, result.support_counts):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected[expected > 0])
 
     @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
     def test_target_at_the_total_maps_to_the_last_unit(self, family, monkeypatch):
