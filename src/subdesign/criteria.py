@@ -72,22 +72,14 @@ class CriterionSpec:
 class CoefficientSet:
     """Per-unit coefficients c_i driving the optimal allocation mu ~ sqrt(c).
 
-    Coefficients are kept on their raw scale (the solver normalizes); zero
-    entries are flagged because they make the optimal scheme infeasible,
-    pushing the corresponding expected count to zero.
+    Coefficients are kept on their raw scale (the solver normalizes); a zero
+    entry makes the optimal scheme infeasible, since it would push that unit's
+    expected count to zero (the solver names such units).
     """
 
     c: np.ndarray
     criterion: CriterionSpec
     at_scheme: SamplingScheme | None = None
-
-    @property
-    def zero_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.c == 0.0))
-
-    @property
-    def has_zeros(self) -> bool:
-        return bool(np.any(self.c == 0.0))
 
 
 def a_opt() -> CriterionSpec:

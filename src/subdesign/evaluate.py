@@ -354,10 +354,6 @@ class Reparameterization:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        return self.matrix
-
 
 def reparam_invariance(
     problem: RiskProblem,

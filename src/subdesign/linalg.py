@@ -46,14 +46,6 @@ class EigenPair:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.vectors
-        return (q * self.values) @ q.T
-
 
 def sym_eigen(m) -> EigenPair:
     """Full eigendecomposition of a symmetric matrix, descending order.
@@ -120,9 +112,5 @@ def spd_inverse(m) -> np.ndarray:
 
 def logistic(t: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) evaluated without overflow on either tail."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -113,16 +113,18 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     arr = np.asarray(mu, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInput(f"mu must be a non-empty 1-d sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    top = arr.max()  # NaN fails both bounds: the per-entry passes below only raise
+    in_domain = arr.min() > 0.0 and (top <= 1.0 if family is DesignFamily.PO_WOR else top < np.inf)
+    if not in_domain and not np.all(np.isfinite(arr)):
         raise InvalidInput("mu has non-finite entries")
     if not np.isfinite(n) or n <= 0:
         raise InvalidBudget(f"budget n must be positive and finite, got {n}")
     if family is DesignFamily.MULTI and abs(n - round(n)) > 0:
         raise InvalidBudget(f"multinomial designs need an integer budget, got {n}")
-    if np.any(arr <= 0.0):
+    if not in_domain and np.any(arr <= 0.0):
         bad = int(np.argmin(arr))
         raise OutOfDomain(f"mu[{bad}] = {arr[bad]} is not strictly positive")
-    if family is DesignFamily.PO_WOR and np.any(arr > 1.0):
+    if not in_domain and family is DesignFamily.PO_WOR and np.any(arr > 1.0):
         bad = int(np.argmax(arr))
         raise OutOfDomain(
             f"mu[{bad}] = {arr[bad]} exceeds 1; without-replacement schemes are capped at 1"

@@ -9,6 +9,11 @@ first-order stationarity conditions; it stops with a Diverged status the
 moment the objective strictly increases, keeping the best scheme seen. The
 iteration has no general convergence guarantee, so the status field is the
 honest record of what happened.
+
+The stationarity check of a scheme mu solves for the next scheme mu' at once:
+with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
+which is ``stationarity_residual`` up to rounding, and otherwise it is
+``stationarity_residual``. A scheme that fails the check steps to that mu'.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .criteria import (
     phi_matrix_derivative,
     phi_value,
 )
-from .errors import Infeasible, InvalidBudget, InvalidInput
+from .errors import Infeasible, InvalidBudget, InvalidInput, SubdesignError
 from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
 
 CAP_TOL = 1e-12
@@ -81,7 +86,8 @@ def _sqrt_coefficients(c) -> np.ndarray:
         )
     # Coefficients only matter through ratios of square roots; normalizing by
     # the maximum keeps the arithmetic in a safe range.
-    return np.sqrt(arr / top)
+    s = arr / top
+    return np.sqrt(s, out=s)
 
 
 def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
@@ -100,11 +106,13 @@ def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
         raise InvalidBudget(
             f"expected size {n} exceeds the {n_units} available units"
         )
-    mu = n * s / s.sum()
-    # This is also the capping loop's first round, so when nothing reaches the
-    # cap the loop would return these same bits.
-    # mu is fresh and ours: read-only, it is kept by validate_scheme uncopied.
-    if family is not DesignFamily.PO_WOR or mu.max() < 1.0:
+    total = s.sum()
+    # n * s / total is the capping loop's first round, which it returns when
+    # nothing reaches the cap; s.max() is exactly 1 (top / top), so by monotone
+    # rounding its largest entry is n / total. mu reuses s, fresh and ours:
+    # read-only, validate_scheme keeps it uncopied.
+    if family is not DesignFamily.PO_WOR or n / total < 1.0:
+        mu = np.divide(np.multiply(n, s, out=s), total, out=s)
         mu.flags.writeable = False
         return validate_scheme(mu, family, n)
     capped = np.zeros(n_units, dtype=bool)
@@ -170,6 +178,19 @@ def stationarity_residual(
     return max(cap_violation, prop_violation, threshold_violation)
 
 
+def _residual_and_next(scheme, cs, n, family) -> tuple[float, SamplingScheme | None]:
+    """Residual of ``scheme`` and the closed form of ``cs``, None if that raises."""
+    try:
+        nxt = l_optimal_scheme(cs, n, family)
+    except SubdesignError:  # the next refinement raises it again
+        return stationarity_residual(scheme, cs, family), None
+    top = float(nxt.mu.max())
+    if family is DesignFamily.PO_WOR and (top >= 1.0 or scheme.mu.max() >= 1.0 - CAP_TOL):
+        return stationarity_residual(scheme, cs, family), nxt
+    diff = scheme.mu - nxt.mu
+    return float(np.abs(diff, out=diff).max()) / top, nxt
+
+
 def _capped_count(scheme: SamplingScheme) -> int:
     if scheme.family is not DesignFamily.PO_WOR:
         return 0
@@ -189,10 +210,10 @@ def fixed_point_solve(
 
     Linear criteria are exact after a single refinement. For the others each
     pass computes coefficients at the current scheme and jumps to their
-    closed-form optimum; see the module docstring for the stopping rules.
-    The covariance Gamma = H^-1 V(mu) H^-1 is computed once per scheme: the
-    one behind a scheme's objective is reused to linearize at that scheme,
-    so each iteration makes a single pass over the units to build V(mu).
+    closed-form optimum, which also gives the stationarity residual; see the
+    module docstring for the stopping rules. The covariance Gamma =
+    H^-1 V(mu) H^-1 of a scheme's objective is reused to linearize at that
+    scheme, so each iteration makes a single pass over the units for V(mu).
     """
     if mu0 is None:
         mu0 = uniform_scheme(grads.n_units, n, family)
@@ -226,26 +247,27 @@ def fixed_point_solve(
         except Infeasible as exc:
             return infeasible_trace(exc, objs, mu0, 0)
         objs.append(objective(scheme)[0])
-        resid = stationarity_residual(scheme, cs, family)
         return SolveTrace(
             status=SolveStatus.CONVERGED,
             iterations=1,
             objective_per_iter=tuple(objs),
             final_scheme=scheme,
             capped_set_size=_capped_count(scheme),
-            stationarity=resid,
+            stationarity=stationarity_residual(scheme, cs, family),
         )
 
     current = mu0
     best_scheme, best_obj = mu0, objs[0]
     cs_current: CoefficientSet | None = None
+    scheme: SamplingScheme | None = None  # the next scheme, once a failed check built it
     for t in range(1, max_iter + 1):
-        if cs_current is None:
-            cs_current = linearize(current, gam_current)
-        try:
-            scheme = l_optimal_scheme(cs_current, n, family)
-        except Infeasible as exc:
-            return infeasible_trace(exc, objs, current, t - 1)
+        if scheme is None:
+            if cs_current is None:
+                cs_current = linearize(current, gam_current)
+            try:
+                scheme = l_optimal_scheme(cs_current, n, family)
+            except Infeasible as exc:
+                return infeasible_trace(exc, objs, current, t - 1)
         obj, gam = objective(scheme)
         objs.append(obj)
         if obj > objs[-2] + DEFAULT.divergence_slack:
@@ -259,21 +281,21 @@ def fixed_point_solve(
         if obj < best_obj:
             best_scheme, best_obj = scheme, obj
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
+        current, gam_current, scheme = scheme, gam, None
         if improvement < eps:
-            cs_current = linearize(scheme, gam)
-            resid = stationarity_residual(scheme, cs_current, family)
+            cs_current = linearize(current, gam)
+            resid, scheme = _residual_and_next(current, cs_current, n, family)
             if resid <= DEFAULT.stationarity_tol:
                 return SolveTrace(
                     status=SolveStatus.CONVERGED,
                     iterations=t,
                     objective_per_iter=tuple(objs),
-                    final_scheme=scheme,
-                    capped_set_size=_capped_count(scheme),
+                    final_scheme=current,
+                    capped_set_size=_capped_count(current),
                     stationarity=resid,
                 )
         else:
             cs_current = None
-        current, gam_current = scheme, gam
     return SolveTrace(
         status=SolveStatus.MAX_ITER,
         iterations=max_iter,

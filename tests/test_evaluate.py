@@ -427,4 +427,4 @@ class TestReparameterization:
 
     def test_jacobian_is_the_map(self):
         a = np.array([[2.0, 0.0], [0.5, 1.0]])
-        assert np.array_equal(Reparameterization(a).jacobian, a)
+        assert np.array_equal(Reparameterization(a).matrix, a)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdesign.errors import InvalidInput, NotPSD, SingularMatrix
 from subdesign.linalg import (
@@ -38,7 +40,8 @@ class TestSymEigen:
             b = rng.standard_normal((p, p))
             m = 0.5 * (b + b.T)
             pair = sym_eigen(m)
-            err = np.linalg.norm(pair.reconstruct() - m, "fro")
+            q = pair.vectors
+            err = np.linalg.norm((q * pair.values) @ q.T - m, "fro")
             scale = max(np.linalg.norm(m, "fro"), 1.0)
             assert err <= 1e-10 * scale
             gram = pair.vectors.T @ pair.vectors
@@ -113,7 +116,35 @@ class TestSpdInverse:
         assert abs(exc.value.min_eigenvalue) < 1e-12
 
 
+def masked_logistic(t):
+    """The two-branch form: exp of -t on t >= 0 and of t elsewhere."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+SPECIAL_T = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, 710.5, -710.5, 746.0, -746.0, 1e308]
+
+
 class TestLogistic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_T)),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_matches_the_masked_form_bit_for_bit(self, values):
+        t = np.array(values + SPECIAL_T)
+        got, want = logistic(t), masked_logistic(t)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
     def test_matches_the_textbook_formula(self):
         t = np.linspace(-30.0, 30.0, 601)
         assert logistic(t) == pytest.approx(1.0 / (1.0 + np.exp(-t)), rel=1e-15)
@@ -132,4 +163,4 @@ def test_as_symmetric_symmetrizes():
 
 def test_eigenpair_dim():
     pair = EigenPair(values=np.ones(3), vectors=np.eye(3))
-    assert pair.dim == 3
+    assert pair.values.shape[0] == 3

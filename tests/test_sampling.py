@@ -100,6 +100,31 @@ class TestValidateScheme:
         ):
             validate_scheme([0.5, 1.25, 1.0 + 1e-15, 0.25], DesignFamily.PO_WOR, 3.0)
 
+    @pytest.mark.parametrize(
+        "mu, family, n, exc, message",
+        [
+            ([0.5, np.nan, 0.5], DesignFamily.MULTI, 1.5, InvalidInput,
+             r"^mu has non-finite entries$"),
+            ([np.nan, 0.0, 2.0], DesignFamily.PO_WOR, -1.0, InvalidInput,
+             r"^mu has non-finite entries$"),
+            ([0.5, 0.0, 0.5], DesignFamily.PO_WOR, 1.0, OutOfDomain,
+             r"^mu\[1\] = 0\.0 is not strictly positive$"),
+            ([1.5, 0.0, 0.5], DesignFamily.PO_WOR, 2.0, OutOfDomain,
+             r"^mu\[1\] = 0\.0 is not strictly positive$"),
+            ([0.5, np.inf], DesignFamily.PO_WR, 1.0, InvalidInput,
+             r"^mu has non-finite entries$"),
+            ([0.25, 1.5, 0.25], DesignFamily.PO_WOR, 2.0, OutOfDomain,
+             r"^mu\[1\] = 1\.5 exceeds 1; without-replacement schemes are capped at 1$"),
+            ([0.25, 1.5, 0.25], DesignFamily.PO_WR, 3.0, BudgetMismatch,
+             r"^sum\(mu\) = 2\.0 does not match budget n = 3\.0$"),
+        ],
+        ids=["nan-bad-budget", "nan-zero-bad-budget", "zero", "zero-before-cap",
+             "inf-po-wr", "above-cap-po-wor", "above-one-po-wr"],
+    )
+    def test_message_and_order_pins(self, mu, family, n, exc, message):
+        with pytest.raises(exc, match=message):
+            validate_scheme(mu, family, n)
+
     def test_domain_checks_follow_budget_checks(self):
         with pytest.raises(InvalidBudget):
             validate_scheme([0.0, 1.0], DesignFamily.PO_WR, np.inf)

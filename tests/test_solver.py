@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from subdesign import covariance
+from subdesign import covariance, solver
 from subdesign.config import DEFAULT
 from subdesign.covariance import GradientSet, gamma, gradients_at
 from subdesign.criteria import (
@@ -134,6 +136,25 @@ class TestLOptimalScheme:
         assert scheme.mu[2:] == pytest.approx(np.ones(3) / 3)
         # Uncapped entries still proportional to sqrt(c).
         assert np.ptp(scheme.mu[2:] / s[2:]) <= 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_units=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(list(DesignFamily)),
+        load=st.floats(0.0, 1.0),
+    )
+    def test_uncapped_scheme_is_the_plain_arithmetic(self, n_units, seed, family, load):
+        rng = np.random.default_rng(seed)
+        c = rng.lognormal(0.0, 2.0, n_units)
+        n = max(1, round(load * n_units))
+        s = np.sqrt(c / c.max())
+        plain = n * s / s.sum()
+        mu = l_optimal_scheme(c, n, family).mu
+        if family is not DesignFamily.PO_WOR or plain.max() < 1.0:
+            assert np.array_equal(mu, plain)
+        else:
+            assert mu.max() == 1.0
 
     def test_grid_oracle_po_wr(self):
         rng = np.random.default_rng(21)
@@ -366,7 +387,8 @@ def pool_grads(kind, n_units, seed):
 
 def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3):
     """The fixed-point loop written plainly: Gamma is rebuilt for every use,
-    coefficients are row sums, and capping runs the masked loop from the start.
+    coefficients are row sums, capping runs the masked loop from the start,
+    and every refinement solves the closed form afresh.
     """
 
     def objective(scheme):
@@ -394,24 +416,13 @@ def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3):
         return validate_scheme(mu, family, n)
 
     def residual(scheme, c):
-        s = np.sqrt(np.maximum(c, 0.0))
-        s_max = float(s.max())
-        mu = scheme.mu
-        if family is not DesignFamily.PO_WOR:
-            return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
-        capped = mu >= 1.0 - CAP_TOL
-        free = ~capped
-        cap_violation = max(0.0, float(mu.max()) - 1.0)
-        prop_violation = threshold_violation = 0.0
-        if free.any():
-            n_free = n - float(capped.sum())
-            prop_violation = float(
-                np.max(np.abs(mu[free] * s[free].sum() / n_free - s[free])) / s_max
-            )
-            if capped.any():
-                bar = float(np.max(s[free] / mu[free]))
-                threshold_violation = max(0.0, (bar - float(s[capped].min())) / s_max)
-        return max(cap_violation, prop_violation, threshold_violation)
+        # The solver's check: the gap to the closed form of c when neither
+        # scheme reaches the cap, the public residual otherwise.
+        nxt = l_optimal_scheme(c, n, family)
+        top = float(nxt.mu.max())
+        if family is DesignFamily.PO_WOR and (top >= 1.0 or scheme.mu.max() >= 1.0 - CAP_TOL):
+            return stationarity_residual(scheme, c, family)
+        return float(np.max(np.abs(scheme.mu - nxt.mu))) / top
 
     current = uniform_scheme(grads.n_units, n, family)
     objs = [objective(current)]
@@ -480,3 +491,134 @@ class TestFixedPointMatchesReference:
             calls.clear()
             trace = fixed_point_solve(parse_criterion(token, problem), grads, family, n)
             assert len(calls) == len(trace.objective_per_iter), (token, family)
+
+
+class TestResidualFromNextScheme:
+    """The stationarity check reads its residual off the next closed form."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_units=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(list(DesignFamily)),
+        log_spread=st.floats(0.0, 3.0),
+        log_noise=st.floats(-12.0, -1.0),
+    )
+    def test_matches_public_residual_when_uncapped(
+        self, n_units, seed, family, log_spread, log_noise
+    ):
+        rng = np.random.default_rng(seed)
+        c = rng.lognormal(0.0, log_spread, n_units) * rng.lognormal(0.0, 4.0)
+        n = max(1, n_units // 8)
+        nxt = l_optimal_scheme(c, n, family)
+        # Schemes from 10 % off the optimum down to well below the
+        # stationarity tolerance.
+        w = nxt.mu * np.exp(10.0**log_noise * rng.standard_normal(n_units))
+        mu = w * (n / w.sum())
+        capped = max(mu.max(), nxt.mu.max()) >= 1.0 - CAP_TOL
+        assume(family is not DesignFamily.PO_WOR or not capped)
+        scheme = validate_scheme(mu, family, n)
+        resid, got = solver._residual_and_next(scheme, CoefficientSet(c, a_opt()), n, family)
+        assert np.array_equal(got.mu, nxt.mu)
+        assert abs(resid - stationarity_residual(scheme, c)) <= 1e-14
+
+    def test_closed_form_error_leaves_the_public_residual(self):
+        scheme = uniform_scheme(4, 2, DesignFamily.PO_WR)
+        c = np.array([1.0, 0.0, 4.0, 1.0])
+        resid, got = solver._residual_and_next(scheme, c, 2, DesignFamily.PO_WR)
+        assert got is None
+        assert resid == stationarity_residual(scheme, c)
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"closed_form": 0, "residual": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            solver, "l_optimal_scheme", counting("closed_form", solver.l_optimal_scheme)
+        )
+        monkeypatch.setattr(
+            solver,
+            "stationarity_residual",
+            counting("residual", solver.stationarity_residual),
+        )
+        return calls
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_uncapped_solve_solves_once_per_refinement(self, family, monkeypatch):
+        calls = self.spy(monkeypatch)
+        grads, problem = pool_grads("lognormal", 1500, seed=11)
+        trace = fixed_point_solve(parse_criterion("D", problem), grads, family, 60)
+        assert trace.status is SolveStatus.CONVERGED and trace.capped_set_size == 0
+        # One closed form per refinement taken, plus the one the converging
+        # check compared against.
+        assert calls == {"closed_form": trace.iterations + 1, "residual": 0}
+
+    def test_capped_solve_falls_back_to_public_residual(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        grads, problem = pool_grads("lognormal", 1500, seed=11)
+        trace = fixed_point_solve(
+            parse_criterion("D", problem), grads, DesignFamily.PO_WOR, 900
+        )
+        assert trace.status is SolveStatus.CONVERGED and trace.capped_set_size > 0
+        assert 1 <= calls["residual"] <= trace.iterations
+        assert calls["closed_form"] == trace.iterations + 1
+
+
+class TestBadCoefficientsAfterFailedCheck:
+    """Coefficients that turn zero or negative at a scheme whose stationarity
+    check fails are reported as they were before the check built the next
+    scheme: by the next refinement, or not at all when none follows."""
+
+    @staticmethod
+    def solve(monkeypatch, bad, max_iter):
+        real = solver._coefficients_from_phi
+        linearized = []
+
+        def spoiled(spec, grads, phi, scheme):
+            cs = real(spec, grads, phi, scheme)
+            linearized.append(cs)
+            if len(linearized) == 1:
+                return cs
+            c = cs.c.copy()
+            c[[3, 7]] = bad
+            return CoefficientSet(c, cs.criterion, cs.at_scheme)
+
+        monkeypatch.setattr(solver, "_coefficients_from_phi", spoiled)
+        grads, problem = pool_grads("lognormal", 300, seed=4)
+        # eps = inf checks stationarity after every refinement.
+        trace = fixed_point_solve(
+            parse_criterion("D", problem), grads, DesignFamily.PO_WR, 30,
+            max_iter=max_iter, eps=np.inf,
+        )
+        first = l_optimal_scheme(linearized[0], 30, DesignFamily.PO_WR)
+        return trace, first
+
+    def test_zero_coefficients_stop_as_infeasible(self, monkeypatch):
+        trace, first = self.solve(monkeypatch, 0.0, 100)
+        assert trace.status is SolveStatus.INFEASIBLE
+        assert trace.iterations == 1
+        assert len(trace.objective_per_iter) == 2
+        assert np.array_equal(trace.final_scheme.mu, first.mu)
+        assert trace.zero_ids == (3, 7)
+        assert trace.stationarity is None
+
+    def test_negative_coefficients_raise(self, monkeypatch):
+        with pytest.raises(
+            InvalidInput, match="^coefficients must be finite and non-negative$"
+        ):
+            self.solve(monkeypatch, -1.0, 100)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_no_refinement_left_stops_at_max_iter(self, bad, monkeypatch):
+        trace, first = self.solve(monkeypatch, bad, 1)
+        assert trace.status is SolveStatus.MAX_ITER
+        assert trace.iterations == 1
+        assert np.array_equal(trace.final_scheme.mu, first.mu)
+        assert trace.zero_ids == ()
