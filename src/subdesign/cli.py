@@ -50,7 +50,7 @@ class RunConfig:
     eps: float
     out: str
     criteria: tuple[str, ...] = ()
-    stages: int | None = None
+    batch_sizes: tuple[int, ...] = ()
     replications: int = 1
     n_units: int | None = None
 
@@ -208,10 +208,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise InvalidInput("--n is required for design")
     if command == "sequential" and n_token is None:
         raise InvalidInput("--n is required for sequential")
+    batch_sizes = ()
     if n_token is not None:
         if command == "sequential":
-            for part in str(n_token).split(","):
+            batch_sizes = tuple(
                 _parse_budget(part, "each stage size")
+                for part in str(n_token).split(",")
+            )
         else:
             _parse_budget(str(n_token), "--n")
 
@@ -241,6 +244,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidInput(
                 f"--replications must be at least 1, got {replications}"
             )
+        if stages is not None and len(batch_sizes) == 1:
+            batch_sizes *= stages
+        if stages is not None and len(batch_sizes) != stages:
+            raise InvalidInput(
+                f"--stages says {stages} but --n lists {len(batch_sizes)} batch sizes"
+            )
 
     n_units = _merge(args, file_opts, "n_units")
     if command == "synth":
@@ -262,7 +271,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         eps=eps,
         out=_merge(args, file_opts, "out", default="."),
         criteria=criteria,
-        stages=stages,
+        batch_sizes=batch_sizes,
         replications=replications,
         n_units=n_units,
     )
@@ -351,20 +360,6 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _batch_sizes(config: RunConfig) -> list[int]:
-    sizes = [
-        _parse_budget(part, "each stage size") for part in config.n.split(",")
-    ]
-    stages = config.stages if config.stages is not None else len(sizes)
-    if len(sizes) == 1 and stages > 1:
-        sizes = sizes * stages
-    if len(sizes) != stages:
-        raise InvalidInput(
-            f"--stages says {stages} but --n lists {len(sizes)} batch sizes"
-        )
-    return sizes
-
-
 def _write_stage_outputs(config: RunConfig, data, records) -> None:
     scheme_files = []
     for rec in records:
@@ -379,7 +374,7 @@ def _write_stage_outputs(config: RunConfig, data, records) -> None:
 def cmd_sequential(config: RunConfig) -> int:
     data = _load(config)
     family = DesignFamily.from_token(config.family)
-    sizes = _batch_sizes(config)
+    sizes = config.batch_sizes
     criterion = (
         parse_criterion(config.criterion, data.problem)
         if config.criterion is not None

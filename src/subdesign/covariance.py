@@ -114,18 +114,14 @@ class GradientSet:
 class CovarianceReport:
     v: np.ndarray
     gamma: np.ndarray
-    family: DesignFamily
 
 
 class DispersionKind(enum.Enum):
     """Which matrix turns an expected distance into a trace objective."""
 
     ER = "d-er"
-    OBSERVED_INFO = "observed-info"
     KL = "d-kl"
-    EXPECTED_INFO = "expected-info"
     SANDWICH = "d-s"
-    EXPLICIT = "explicit"
 
 
 def gradients_at(problem, theta0) -> GradientSet:
@@ -168,24 +164,20 @@ def gamma(grads: GradientSet, scheme: SamplingScheme) -> CovarianceReport:
     v = v_matrix(grads, scheme)
     hinv = grads.hessian_inv
     g = as_symmetric(hinv @ v @ hinv)
-    return CovarianceReport(v=v, gamma=g, family=scheme.family)
+    return CovarianceReport(v=v, gamma=g)
 
 
-def dispersion_matrix(
-    kind: DispersionKind,
-    grads: GradientSet,
-    explicit_sigma=None,
-) -> np.ndarray:
+def dispersion_matrix(kind: DispersionKind, grads: GradientSet) -> np.ndarray:
     """Matrix M with E[distance] proportional to tr(Gamma M).
 
-    ER and observed-information distances use the Hessian; KL and expected
-    information use the model-based Hessian; the sandwich distance uses
-    H V(theta0)^-1 H, the inverse of the robust covariance; an explicit
-    dispersion matrix Sigma contributes its inverse.
+    The ER distance uses the Hessian, KL the model-based Hessian, and the
+    sandwich distance H V(theta0)^-1 H, the inverse of the robust covariance.
+    A distance for a dispersion matrix Sigma of one's own is the L criterion
+    with L L^T = Sigma^-1.
     """
-    if kind in (DispersionKind.ER, DispersionKind.OBSERVED_INFO):
+    if kind is DispersionKind.ER:
         return as_symmetric(grads.hessian)
-    if kind in (DispersionKind.KL, DispersionKind.EXPECTED_INFO):
+    if kind is DispersionKind.KL:
         if grads.expected_hessian is None:
             raise Unsupported(
                 f"{kind.value} dispersion needs an expected Hessian, which this "
@@ -196,8 +188,4 @@ def dispersion_matrix(
         v0_inv = spd_inverse(grads.v_theta0)
         h = grads.hessian
         return as_symmetric(h @ v0_inv @ h)
-    if kind is DispersionKind.EXPLICIT:
-        if explicit_sigma is None:
-            raise InvalidInput("explicit dispersion requires the Sigma matrix")
-        return spd_inverse(as_symmetric(explicit_sigma))
     raise InvalidInput(f"unknown dispersion kind {kind!r}")

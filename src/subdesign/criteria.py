@@ -40,7 +40,7 @@ class CriterionSpec:
 
     Exactly the fields relevant to ``kind`` are set: a target vector for C,
     a p x m target matrix for L, a feature Gram matrix for V, the exponent for
-    PhiQ, and a dispersion kind (plus optional explicit Sigma) for Distance.
+    PhiQ, and a dispersion kind for Distance.
     """
 
     kind: str
@@ -49,7 +49,6 @@ class CriterionSpec:
     gram: np.ndarray | None = None
     q: float | None = None
     dispersion: DispersionKind | None = None
-    explicit_sigma: np.ndarray | None = None
 
     @property
     def is_linear(self) -> bool:
@@ -62,8 +61,6 @@ class CriterionSpec:
         if self.kind == "PhiQ":
             return f"phi:{self.q:g}"
         if self.kind == "Distance":
-            if self.dispersion is DispersionKind.EXPLICIT:
-                return "d-explicit"
             return self.dispersion.value
         return self.kind
 
@@ -132,16 +129,8 @@ def phi_q(q: float) -> CriterionSpec:
     return CriterionSpec(kind="PhiQ", q=float(q))
 
 
-def distance_opt(kind: DispersionKind, explicit_sigma=None) -> CriterionSpec:
+def distance_opt(kind: DispersionKind) -> CriterionSpec:
     """Expected-distance criterion tr(Gamma M)/p for the dispersion matrix M."""
-    if kind is DispersionKind.EXPLICIT:
-        if explicit_sigma is None:
-            raise InvalidInput("explicit dispersion requires the Sigma matrix")
-        return CriterionSpec(
-            kind="Distance",
-            dispersion=kind,
-            explicit_sigma=as_symmetric(explicit_sigma),
-        )
     return CriterionSpec(kind="Distance", dispersion=kind)
 
 
@@ -169,8 +158,7 @@ def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.nd
                 f"{spec.label} needs the problem's gradients to build its "
                 "dispersion matrix"
             )
-        m = dispersion_matrix(spec.dispersion, grads, spec.explicit_sigma)
-        return m / p
+        return dispersion_matrix(spec.dispersion, grads) / p
     raise InvalidInput(f"{spec.kind} has no constant derivative matrix")
 
 
@@ -216,8 +204,9 @@ def objective_for_derivative(
     """The objective whose gradient the coefficients represent.
 
     Identical to ``phi_value`` except for D, where the derivative matrix
-    Gamma^-1 belongs to the log-determinant form; both forms share their
-    minimizer, so the solver tracks this one.
+    Gamma^-1 belongs to log det(Gamma), not to det(Gamma)^(1/p). The two
+    share their minimizer; ``fixed_point_solve`` tracks ``phi_value``, and the
+    finite-difference checks of the coefficients differentiate this one.
     """
     if spec.kind == "D":
         pair = _positive_spectrum(as_symmetric(gam), "D-optimality")

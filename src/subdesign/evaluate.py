@@ -42,6 +42,9 @@ from .sampling import (
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
 MAX_GRID_ROWS = 20_000_000
+# Above this share of failed replicates a Monte-Carlo run is refused: the
+# surviving replicates would be a biased selection.
+MAX_FAILURE_RATE = 0.05
 FIT_ERRORS = (EmptySample, SingularHessian, NoConvergence, SingularMatrix, OutOfDomain)
 
 
@@ -76,12 +79,6 @@ class EfficiencyTable:
     cells: tuple[tuple[float | None, ...], ...]
     statuses: tuple[SolveStatus, ...]
     iterations: tuple[int, ...]
-    schemes: tuple[SamplingScheme, ...]
-
-    def cell(self, row_label: str, col_label: str) -> float | None:
-        i = self.row_labels.index(row_label)
-        j = self.col_labels.index(col_label)
-        return self.cells[i][j]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -171,24 +168,6 @@ def efficiency_table_from_gradients(
         cells=tuple(cells),
         statuses=tuple(traces[s.label].status for s in row_specs),
         iterations=tuple(traces[s.label].iterations for s in row_specs),
-        schemes=tuple(traces[s.label].final_scheme for s in row_specs),
-    )
-
-
-def efficiency_table(
-    problem: RiskProblem,
-    family: DesignFamily,
-    n: float,
-    row_specs,
-    col_specs,
-    max_iter: int = 100,
-    eps: float = 1e-3,
-) -> EfficiencyTable:
-    """Fit the full-data parameter, then cross-evaluate optimal schemes."""
-    fit = fit_full(problem)
-    grads = gradients_at(problem, fit.theta0)
-    return efficiency_table_from_gradients(
-        grads, family, n, row_specs, col_specs, max_iter=max_iter, eps=eps
     )
 
 
@@ -288,7 +267,6 @@ def monte_carlo_covariance(
     seed: int,
     tol: float = 1e-10,
     max_iter: int = 60,
-    max_failure_rate: float = 0.05,
 ) -> MonteCarloCovariance:
     """Estimate the covariance of the weighted estimator by simulation.
 
@@ -299,8 +277,7 @@ def monte_carlo_covariance(
     population.
     Replicates that fail to fit (an empty draw raises EmptySample) are dropped
     and counted by exception class; the run aborts when more than
-    max_failure_rate of them do, since the surviving replicates would be a
-    biased selection.
+    MAX_FAILURE_RATE of them do.
     """
     if R < 1000:
         raise InvalidInput("need at least 1000 replicates for a stable covariance")
@@ -323,7 +300,7 @@ def monte_carlo_covariance(
             continue
         thetas.append(fit.theta0)
     failed = sum(failures.values())
-    if failed > max_failure_rate * R:
+    if failed > MAX_FAILURE_RATE * R:
         reasons = ", ".join(f"{name}: {k}" for name, k in sorted(failures.items()))
         raise UnreliableEstimate(
             f"{failed} of {R} replicates failed to fit ({reasons})",
@@ -361,8 +338,6 @@ def reparam_invariance(
     spec: CriterionSpec,
     family: DesignFamily,
     n: float,
-    max_iter: int = 100,
-    eps: float = 1e-3,
 ) -> tuple[SamplingScheme, SamplingScheme, float]:
     """Optimal schemes before and after a linear reparameterization.
 
@@ -386,7 +361,7 @@ def reparam_invariance(
     for prob in (problem, transformed):
         fit = fit_full(prob)
         grads = gradients_at(prob, fit.theta0)
-        trace = fixed_point_solve(spec, grads, family, n, max_iter=max_iter, eps=eps)
+        trace = fixed_point_solve(spec, grads, family, n)
         schemes.append(trace.final_scheme)
     sup_diff = float(np.max(np.abs(schemes[0].mu - schemes[1].mu)))
     return schemes[0], schemes[1], sup_diff

@@ -73,18 +73,14 @@ class StageRecord:
         object.__setattr__(self, "theta_hat", theta)
 
 
-def stage_seed(master_seed: int, k: int) -> int:
-    """Deterministic per-stage seed derived from the master seed."""
-    return derive_seed(master_seed, k)
-
-
 def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
     """Units drawn in some stage, in increasing order, and their pooled multipliers.
 
     Each stage contributes its inverse-probability multipliers S_i / mu_i,
-    weighted by that stage's share n_j / m_k of the cumulative budget. The
-    sums are taken in stage order, as over the full population, so every
-    multiplier is the same float as in the dense vector.
+    weighted by that stage's share n_j / m_k of the cumulative budget; units
+    no stage drew have multiplier zero and are left out. The sums are taken
+    in stage order, so every multiplier is the same float as in a sum over
+    the full population.
     """
     if not records:
         raise InvalidInput("need at least one stage record")
@@ -98,19 +94,6 @@ def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
             (n_j / m_k) * rec.draw.support_counts / rec.scheme.mu[drawn]
         )
     return support, u
-
-
-def pooled_multipliers(records) -> np.ndarray:
-    """Aggregate stage draws into one weight vector over all units.
-
-    Each stage contributes its inverse-probability multipliers S_i / mu_i,
-    weighted by that stage's share n_j / m_k of the cumulative budget; units
-    no stage drew get zero.
-    """
-    support, u_support = _pooled_support(records)
-    u = np.zeros(records[0].scheme.n_units)
-    u[support] = u_support
-    return u
 
 
 def pooled_risk(records, problem: RiskProblem, theta) -> float:
@@ -209,7 +192,7 @@ def run_k_stages(
                 scheme = uniform_scheme(problem.n_units, n_k, family)
             else:
                 scheme, _ = anticipate_scheme(records, problem, n_k, family, aux_config)
-            result = draw(scheme, stage_seed(seed, k))
+            result = draw(scheme, derive_seed(seed, k))
             records.append(
                 StageRecord(
                     k=k,

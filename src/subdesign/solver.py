@@ -202,24 +202,19 @@ def fixed_point_solve(
     grads: GradientSet,
     family: DesignFamily,
     n: float,
-    mu0: SamplingScheme | None = None,
     max_iter: int = 100,
     eps: float = 1e-3,
 ) -> SolveTrace:
     """Optimal scheme for any criterion via linearize-and-solve iteration.
 
-    Linear criteria are exact after a single refinement. For the others each
-    pass computes coefficients at the current scheme and jumps to their
-    closed-form optimum, which also gives the stationarity residual; see the
-    module docstring for the stopping rules. The covariance Gamma =
-    H^-1 V(mu) H^-1 of a scheme's objective is reused to linearize at that
-    scheme, so each iteration makes a single pass over the units for V(mu).
+    The iteration starts from the uniform scheme. Linear criteria are exact
+    after a single refinement. For the others each pass computes coefficients
+    at the current scheme and jumps to their closed-form optimum, which also
+    gives the stationarity residual; see the module docstring for the
+    stopping rules. The covariance Gamma = H^-1 V(mu) H^-1 of a scheme's
+    objective is reused to linearize at that scheme, so each iteration makes
+    a single pass over the units for V(mu).
     """
-    if mu0 is None:
-        mu0 = uniform_scheme(grads.n_units, n, family)
-    elif mu0.n_units != grads.n_units or mu0.family is not family:
-        raise InvalidInput("mu0 does not match the problem size or design family")
-
     def objective(scheme):
         gam = gamma(grads, scheme).gamma
         return phi_value(spec, gam, grads), gam
@@ -238,6 +233,7 @@ def fixed_point_solve(
             zero_ids=exc.zero_ids,
         )
 
+    mu0 = uniform_scheme(grads.n_units, n, family)
     obj0, gam_current = objective(mu0)
     objs = [obj0]
     if spec.is_linear:

@@ -491,6 +491,18 @@ class TestSequential:
         assert code == 2
         assert "batch sizes" in capsys.readouterr().err
 
+    def test_stage_count_mismatch_fails_before_load(self, finpop_csv, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("input loaded before the stage count was checked")
+
+        monkeypatch.setattr(cli.dataio, "load_problem", fail)
+        code = main(
+            ["sequential", "--input", finpop_csv, "--model", "finpop",
+             "--stages", "3", "--n", "10,20"]
+        )
+        assert code == 2
+        assert "batch sizes" in capsys.readouterr().err
+
     def test_replications_write_learning_curve(self, tmp_path, finpop_csv, capsys):
         out = tmp_path / "out"
         code = main(

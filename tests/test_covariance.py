@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from subdesign.covariance import (
     BLOCK_UNITS,
-    CovarianceReport,
     DispersionKind,
     GradientSet,
     dispersion_matrix,
@@ -15,7 +14,7 @@ from subdesign.covariance import (
     gradients_at,
     v_matrix,
 )
-from subdesign.criteria import coefficients, parse_criterion
+from subdesign.criteria import coefficients, l_opt, parse_criterion
 from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsupported
 from subdesign.linalg import psd_factor
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
@@ -245,9 +244,6 @@ class TestDispersionMatrix:
     def test_er_is_hessian(self):
         g = make_grads(seed=14)
         assert dispersion_matrix(DispersionKind.ER, g) == pytest.approx(g.hessian)
-        assert dispersion_matrix(DispersionKind.OBSERVED_INFO, g) == pytest.approx(
-            g.hessian
-        )
 
     def test_kl_needs_expected_hessian(self):
         g = make_grads(seed=15)
@@ -266,9 +262,6 @@ class TestDispersionMatrix:
         assert dispersion_matrix(DispersionKind.KL, g) == pytest.approx(
             np.diag([2.0, 3.0])
         )
-        assert dispersion_matrix(DispersionKind.EXPECTED_INFO, g) == pytest.approx(
-            np.diag([2.0, 3.0])
-        )
 
     def test_sandwich_formula(self):
         g = make_grads(seed=17, n=40)
@@ -283,17 +276,24 @@ class TestDispersionMatrix:
         with pytest.raises(SingularMatrix):
             dispersion_matrix(DispersionKind.SANDWICH, g)
 
-    def test_explicit_inverse(self):
+    def test_own_sigma_distance_is_l_criterion(self):
+        # The distance for a dispersion matrix Sigma is tr(Gamma Sigma^-1)/p,
+        # the L criterion with L L^T = Sigma^-1.
         g = make_grads(seed=18)
-        m = dispersion_matrix(
-            DispersionKind.EXPLICIT, g, explicit_sigma=np.diag([4.0, 1.0, 2.0])
-        )
-        assert m == pytest.approx(np.diag([0.25, 1.0, 0.5]))
+        b = np.random.default_rng(18).standard_normal((3, 3))
+        sigma = b @ b.T + np.diag([4.0, 1.0, 2.0])
+        l_mat = np.linalg.cholesky(np.linalg.inv(sigma))
+        cs = coefficients(l_opt(l_mat), g)
+        t = np.linalg.solve(g.hessian, g.psi.T).T @ l_mat
+        expected = np.sum(t * t, axis=1) / 3
+        assert np.allclose(cs.c, expected, rtol=1e-12, atol=0.0)
 
-    def test_explicit_requires_sigma(self):
-        g = make_grads(seed=19)
+    def test_kinds_are_the_parsed_distance_labels(self):
+        assert {k.value for k in DispersionKind} == {"d-er", "d-kl", "d-s"}
+        for kind in DispersionKind:
+            assert parse_criterion(kind.value).label == kind.value
         with pytest.raises(InvalidInput):
-            dispersion_matrix(DispersionKind.EXPLICIT, g)
+            parse_criterion("d-explicit")
 
     def test_er_equals_kl_for_canonical_models(self):
         rng = np.random.default_rng(20)
@@ -308,9 +308,3 @@ class TestDispersionMatrix:
         kl = dispersion_matrix(DispersionKind.KL, g)
         assert er == pytest.approx(kl, rel=1e-12)
 
-
-def test_covariance_report_fields():
-    report = CovarianceReport(
-        v=np.eye(2), gamma=np.eye(2), family=DesignFamily.PO_WR
-    )
-    assert report.family is DesignFamily.PO_WR

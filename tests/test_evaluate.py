@@ -26,7 +26,6 @@ from subdesign.evaluate import (
     MonteCarloCovariance,
     Reparameterization,
     brute_force_l_optimal,
-    efficiency_table,
     efficiency_table_from_gradients,
     monte_carlo_covariance,
     rel_efficiency,
@@ -65,6 +64,10 @@ def qblogit_example(seed=0, n=250, p=3):
     prob = 1.0 / (1.0 + np.exp(-x @ beta))
     y = np.clip(prob + rng.normal(0.0, 0.08, n), 0.0, 1.0)
     return qblogit_problem(x, y)
+
+
+def full_fit_grads(problem):
+    return gradients_at(problem, fit_full(problem).theta0)
 
 
 def paired_two_group_grads(seed=0, half=8, a_scale=1.4, b_scale=1.0, delta=0.05):
@@ -111,21 +114,27 @@ class TestRelEfficiency:
 class TestEfficiencyTable:
     def test_single_a_cell(self):
         problem = lognormal_example(seed=2)
-        table = efficiency_table(problem, DesignFamily.PO_WR, 30.0, [a_opt()], [a_opt()])
-        assert table.cell("A", "A") == pytest.approx(1.0, abs=1e-9)
+        table = efficiency_table_from_gradients(
+            full_fit_grads(problem), DesignFamily.PO_WR, 30.0, [a_opt()], [a_opt()]
+        )
+        assert table.cells[0][0] == pytest.approx(1.0, abs=1e-9)
         assert table.statuses[0] is SolveStatus.CONVERGED
 
     def test_finpop_a_and_er_rows_identical(self):
         problem = finpop_example(seed=3)
         specs = [a_opt(), distance_opt(DispersionKind.ER)]
         cols = [a_opt(), d_opt()]
-        table = efficiency_table(problem, DesignFamily.PO_WR, 25.0, specs, cols)
+        table = efficiency_table_from_gradients(
+            full_fit_grads(problem), DesignFamily.PO_WR, 25.0, specs, cols
+        )
         assert table.cells[0] == pytest.approx(table.cells[1], abs=1e-12)
 
     def test_competing_c_targets_penalize_each_other(self):
         problem = lognormal_example(seed=4)
         specs = [c_opt([1.0, 0.0]), c_opt([0.0, 1.0])]
-        table = efficiency_table(problem, DesignFamily.PO_WR, 30.0, specs, specs)
+        table = efficiency_table_from_gradients(
+            full_fit_grads(problem), DesignFamily.PO_WR, 30.0, specs, specs
+        )
         assert table.cells[0][0] == pytest.approx(1.0, abs=1e-9)
         assert table.cells[1][1] == pytest.approx(1.0, abs=1e-9)
         assert table.cells[0][1] < 0.95
@@ -135,7 +144,9 @@ class TestEfficiencyTable:
         problem = lognormal_example(seed=5)
         specs = [a_opt(), c_opt([1.0, 0.0]), d_opt(), phi_q(2.0),
                  distance_opt(DispersionKind.ER)]
-        table = efficiency_table(problem, DesignFamily.PO_WOR, 40.0, specs, specs)
+        table = efficiency_table_from_gradients(
+            full_fit_grads(problem), DesignFamily.PO_WOR, 40.0, specs, specs
+        )
         for i, row in enumerate(table.cells):
             assert table.statuses[i] is SolveStatus.CONVERGED
             for v in row:
@@ -168,9 +179,17 @@ class TestEfficiencyTable:
         assert "criterion" in rendered.splitlines()[0]
 
     def test_cell_lookup(self):
-        problem = lognormal_example(seed=6)
-        table = efficiency_table(problem, DesignFamily.PO_WR, 20.0, [a_opt()], [d_opt()])
-        assert table.cell("A", "D") == table.cells[0][0]
+        grads = full_fit_grads(lognormal_example(seed=6))
+        table = efficiency_table_from_gradients(
+            grads, DesignFamily.PO_WR, 20.0, [a_opt()], [d_opt()]
+        )
+        assert table.row_labels == ("A",)
+        assert table.col_labels == ("D",)
+        row = fixed_point_solve(a_opt(), grads, DesignFamily.PO_WR, 20.0)
+        col = fixed_point_solve(d_opt(), grads, DesignFamily.PO_WR, 20.0)
+        at_row = phi_value(d_opt(), gamma(grads, row.final_scheme).gamma, grads)
+        at_col = phi_value(d_opt(), gamma(grads, col.final_scheme).gamma, grads)
+        assert table.cells[0][0] == pytest.approx(min(at_row, at_col) / at_row, rel=1e-12)
 
 
 class TestBruteForce:

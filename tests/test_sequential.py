@@ -23,12 +23,11 @@ from subdesign.sampling import (
 from subdesign.sequential import (
     AuxConfig,
     StageRecord,
+    _pooled_support,
     anticipate_scheme,
     pooled_estimate,
-    pooled_multipliers,
     pooled_risk,
     run_k_stages,
-    stage_seed,
     update_aux,
 )
 from subdesign.solver import l_optimal_scheme
@@ -51,17 +50,33 @@ def lognormal_population(seed=0, n=250):
     return y, w, z[:, None]
 
 
+def dense_multipliers(recs):
+    """Pooled multipliers summed over the full population, stage by stage."""
+    sizes = np.array([float(r.scheme.budget_n) for r in recs])
+    u = np.zeros(recs[0].scheme.n_units)
+    for rec, n_j in zip(recs, sizes):
+        u += (n_j / sizes.sum()) * rec.draw.counts / rec.scheme.mu
+    return u
+
+
 class TestStageSeed:
     def test_deterministic(self):
-        assert stage_seed(7, 1) == stage_seed(7, 1)
+        assert derive_seed(7, 1) == derive_seed(7, 1)
 
     def test_varies_with_stage(self):
-        seeds = {stage_seed(7, k) for k in range(1, 6)}
+        seeds = {derive_seed(7, k) for k in range(1, 6)}
         assert len(seeds) == 5
 
     def test_is_derive_seed_of_master_and_stage(self):
-        for master, k in ((0, 1), (7, 3), (12345, 5)):
-            assert stage_seed(master, k) == derive_seed(master, k)
+        y, w, _ = finpop_population(seed=15)
+        problem = finpop_problem(y, w)
+        for master in (0, 7, 12345):
+            records = run_k_stages(problem, [20, 30, 40], DesignFamily.PO_WR, seed=master)
+            assert [rec.k for rec in records] == [1, 2, 3]
+            for rec in records:
+                expected = draw(rec.scheme, derive_seed(master, rec.k))
+                assert rec.draw.seed == derive_seed(master, rec.k)
+                assert np.array_equal(rec.draw.counts, expected.counts)
 
 
 class TestPooledEstimate:
@@ -81,7 +96,7 @@ class TestPooledEstimate:
         census = uniform_scheme(40, 40, DesignFamily.PO_WOR)
         recs = []
         for k in (1, 2):
-            result = draw(census, stage_seed(5, k))
+            result = draw(census, derive_seed(5, k))
             recs.append(StageRecord(k=k, scheme=census, draw=result, theta_hat=np.zeros(2), m_k=40 * k))
         pooled = pooled_estimate(recs, problem)
         full = fit_full(problem)
@@ -93,9 +108,9 @@ class TestPooledEstimate:
         recs = []
         for k, n_k in ((1, 10), (2, 20)):
             scheme = uniform_scheme(60, n_k, DesignFamily.PO_WR)
-            result = draw(scheme, stage_seed(9, k))
+            result = draw(scheme, derive_seed(9, k))
             recs.append(StageRecord(k=k, scheme=scheme, draw=result, theta_hat=np.zeros(2), m_k=10 * k))
-        u = pooled_multipliers(recs)
+        u = dense_multipliers(recs)
         uw = u * problem.weights
         expected = (uw[:, None] * np.asarray(problem.data["y"])).sum(axis=0) / uw.sum()
         pooled = pooled_estimate(recs, problem)
@@ -113,7 +128,9 @@ class TestPooledEstimate:
             StageRecord(k=1, scheme=s1, draw=r1, theta_hat=np.zeros(2), m_k=5),
             StageRecord(k=2, scheme=s2, draw=r2, theta_hat=np.zeros(2), m_k=20),
         ]
-        u = pooled_multipliers(recs)
+        support, u_support = _pooled_support(recs)
+        u = np.zeros(30)
+        u[support] = u_support
         manual = 0.25 * r1.counts / s1.mu + 0.75 * r2.counts / s2.mu
         assert u == pytest.approx(manual)
 
@@ -130,7 +147,7 @@ def unequal_stages(family, n_units=400, seed=21):
     for k, n_k in enumerate((20, 30, 50), start=1):
         mu = rng.uniform(0.2, 1.0, n_units)
         scheme = validate_scheme(mu / mu.sum() * n_k, family, n_k)
-        result = draw(scheme, stage_seed(seed, k))
+        result = draw(scheme, derive_seed(seed, k))
         if k == 3:
             result = DrawResult(result.counts, result.realized_size, result.seed)
         recs.append(StageRecord(k=k, scheme=scheme, draw=result, theta_hat=np.zeros(2), m_k=0))
@@ -141,18 +158,17 @@ class TestPooledSupport:
     @pytest.mark.parametrize("family", list(DesignFamily))
     def test_multipliers_equal_the_full_population_loop_bitwise(self, family):
         recs = unequal_stages(family)
-        sizes = np.array([float(r.scheme.budget_n) for r in recs])
-        dense = np.zeros(recs[0].scheme.n_units)
-        for rec, n_j in zip(recs, sizes):
-            dense += (n_j / sizes.sum()) * rec.draw.counts / rec.scheme.mu
-        assert np.array_equal(pooled_multipliers(recs), dense)
+        dense = dense_multipliers(recs)
+        support, u = _pooled_support(recs)
+        assert np.array_equal(support, np.flatnonzero(dense))
+        assert np.array_equal(u, dense[support])
 
     @pytest.mark.parametrize("family", list(DesignFamily))
     def test_newton_runs_on_the_union_of_the_stage_supports(self, family, monkeypatch):
         y, w, _ = finpop_population(seed=22, n=400)
         problem = finpop_problem(y, w)
         recs = unequal_stages(family)
-        u = pooled_multipliers(recs)
+        u = dense_multipliers(recs)
         reference = multiplier_fit(problem, u)
         seen = []
         real = models._newton
@@ -171,7 +187,7 @@ class TestPooledSupport:
         problem = lognormal_problem(y, w)
         recs = unequal_stages(DesignFamily.PO_WR)
         theta = np.array([1.1, 0.9])
-        full = float(pooled_multipliers(recs) @ problem.unit_losses(theta))
+        full = float(dense_multipliers(recs) @ problem.unit_losses(theta))
         assert pooled_risk(recs, problem, theta) == pytest.approx(full, rel=1e-13)
 
 
@@ -292,7 +308,7 @@ class TestRunKStages:
         assert len(records) == 1
         rec = records[0]
         assert np.ptp(rec.scheme.mu) == 0.0
-        expected = draw(rec.scheme, stage_seed(20, 1))
+        expected = draw(rec.scheme, derive_seed(20, 1))
         assert np.array_equal(rec.draw.counts, expected.counts)
         direct = weighted_fit(problem, rec.draw.counts, rec.scheme)
         assert rec.theta_hat == pytest.approx(direct.theta0, abs=1e-12)

@@ -286,19 +286,17 @@ class TestFixedPointNonlinear:
         assert trace.status is SolveStatus.CONVERGED
         assert np.all(trace.final_scheme.mu <= 1.0 + 1e-12)
 
-    def test_custom_mu0(self):
+    def test_starts_from_uniform(self):
         grads = make_grads(seed=30, n=12)
-        rng = np.random.default_rng(30)
-        mu = rng.uniform(0.3, 0.7, 12)
-        mu0 = validate_scheme(mu, DesignFamily.PO_WR, float(mu.sum()))
-        trace = fixed_point_solve(d_opt(), grads, DesignFamily.PO_WR, float(mu.sum()), mu0=mu0)
-        assert trace.status is SolveStatus.CONVERGED
+        trace = fixed_point_solve(d_opt(), grads, DesignFamily.PO_WR, 4.0)
+        uniform = uniform_scheme(12, 4.0, DesignFamily.PO_WR)
+        expected = phi_value(d_opt(), gamma(grads, uniform).gamma, grads)
+        assert trace.objective_per_iter[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_mu0_mismatch(self):
+    def test_po_wor_budget_exceeds_population(self):
         grads = make_grads(seed=31, n=10)
-        mu0 = uniform_scheme(9, 3, DesignFamily.PO_WR)
-        with pytest.raises(InvalidInput):
-            fixed_point_solve(d_opt(), grads, DesignFamily.PO_WR, 3.0, mu0=mu0)
+        with pytest.raises(InvalidBudget):
+            fixed_point_solve(d_opt(), grads, DesignFamily.PO_WOR, 11.0)
 
     def test_max_iter_status(self):
         grads = make_grads(seed=32, n=20, p=3)
