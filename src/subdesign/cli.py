@@ -1,10 +1,13 @@
 """Command line front end.
 
 Five subcommands: ``fit``, ``design``, ``evaluate``, ``sequential``,
-``synth``. Options resolve as flags over config file over built-in defaults,
-and every token is checked before any data is loaded. Exit codes: 0 success,
-2 usage or schema error, 3 estimation failure, 4 solver stopped without
-converging, 5 infeasible allocation.
+``synth``. Each option is declared once, in ``_OPTIONS``, which builds the
+subparsers and the config-file keys. Options resolve as flags over config
+file over built-in defaults, and every token is checked before any data is
+loaded; a criterion token that needs the model (bare ``c``, ``V``) is
+checked once the data are in. Exit codes: 0 success, 2 usage or schema
+error, 3 estimation failure, 4 solver stopped without converging, 5
+infeasible allocation.
 """
 
 from __future__ import annotations
@@ -13,18 +16,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dataio
 from .covariance import gradients_at
-from .criteria import parse_criterion
+from .criteria import CriterionSpec, parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
 from .models import MODELS, fit_full
 from .sampling import DesignFamily, derive_seed
-from .sequential import run_k_stages
+from .sequential import check_anticipated_criterion, run_k_stages
 from .solver import SolveStatus, fixed_point_solve
 from .synth import make_pool
 
@@ -34,6 +37,41 @@ DEFAULT_BATTERY = (
     "A", "c", "D", "E", "d-er", "d-s", "phi:0.5", "phi:5", "phi:10",
 )
 
+_COMMAND_HELP = {
+    "fit": "Fit the full-data parameter and write gradients.",
+    "design": "Solve for an optimal sampling scheme.",
+    "evaluate": "Cross-criterion efficiency table.",
+    "sequential": "Multi-stage adaptive subsampling.",
+    "synth": "Write a seeded synthetic dataset.",
+}
+
+_ALL = tuple(_COMMAND_HELP)
+
+# Every option but --config, once: the commands that take it and its
+# add_argument keywords (value type or choices, help text). The subparsers and
+# the config-file keys come from here; a config file separates the tokens of
+# a list option with whitespace.
+_OPTIONS = {
+    "input": (_ALL, {"help": "input CSV path"}),
+    "model": (_ALL, {"choices": tuple(MODELS)}),
+    "criterion": (_ALL, {"help": "criterion token, e.g. A or c:1,0"}),
+    "family": (_ALL, {"help": "po-wr, po-wor or multi"}),
+    "n": (_ALL, {"help": "budget; comma list of stage sizes for sequential"}),
+    "seed": (_ALL, {"type": int}),
+    "tol": (_ALL, {"type": float}),
+    "max_iter": (_ALL, {"type": int}),
+    "eps": (_ALL, {"type": float}),
+    "out": (_ALL, {"help": "output directory"}),
+    "criteria": (
+        ("evaluate",),
+        {"nargs": "+", "help": "criterion tokens for the table rows and columns"},
+    ),
+    "stages": (("sequential",), {"type": int}),
+    "replications": (("sequential",), {"type": int}),
+    "n_units": (("synth",), {"type": int}),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved options for one command invocation."""
@@ -42,8 +80,8 @@ class RunConfig:
     input: str | None
     model: str
     criterion: str | None
-    family: str
-    n: str | None
+    family: DesignFamily
+    n: int | None
     seed: int
     tol: float
     max_iter: int
@@ -61,56 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Design and evaluate unequal-probability subsamples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "fit": "Fit the full-data parameter and write gradients.",
-        "design": "Solve for an optimal sampling scheme.",
-        "evaluate": "Cross-criterion efficiency table.",
-        "sequential": "Multi-stage adaptive subsampling.",
-        "synth": "Write a seeded synthetic dataset.",
-    }
-    for name, help_text in commands.items():
+    for name, help_text in _COMMAND_HELP.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value option file")
-        p.add_argument("--input", help="input CSV path")
-        p.add_argument("--model", choices=list(MODELS))
-        p.add_argument("--criterion", help="criterion token, e.g. A or c:1,0")
-        p.add_argument("--family", help="po-wr, po-wor or multi")
-        p.add_argument("--n", help="budget; comma list of stage sizes for sequential")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--out", help="output directory")
-        if name == "evaluate":
-            p.add_argument(
-                "--criteria",
-                nargs="+",
-                help="criterion tokens for the table rows and columns",
-            )
-        if name == "sequential":
-            p.add_argument("--stages", type=int)
-            p.add_argument("--replications", type=int)
-        if name == "synth":
-            p.add_argument("--n-units", dest="n_units", type=int)
+        for key, (commands, kwargs) in _OPTIONS.items():
+            if name in commands:
+                p.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
-
-
-_FILE_KEYS = {
-    "input": str,
-    "model": str,
-    "criterion": str,
-    "family": str,
-    "n": str,
-    "seed": int,
-    "tol": float,
-    "max_iter": int,
-    "eps": float,
-    "out": str,
-    "criteria": lambda text: text.split(),
-    "stages": int,
-    "replications": int,
-    "n_units": int,
-}
 
 
 def _read_config_file(path: str) -> dict:
@@ -128,10 +123,12 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise InvalidInput(f"{path} line {lineno}: expected key=value")
         key = key.strip().replace("-", "_")
-        if key not in _FILE_KEYS:
+        if key not in _OPTIONS:
             raise InvalidInput(f"{path} line {lineno}: unknown option {key!r}")
+        kwargs = _OPTIONS[key][1]
+        convert = str.split if "nargs" in kwargs else kwargs.get("type", str)
         try:
-            opts[key] = _FILE_KEYS[key](value.strip())
+            opts[key] = convert(value.strip())
         except ValueError:
             raise InvalidInput(
                 f"{path} line {lineno}: bad value for {key!r}"
@@ -139,17 +136,10 @@ def _read_config_file(path: str) -> dict:
     return opts
 
 
-def _merge(args: argparse.Namespace, file_opts: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return file_opts.get(key, default)
-
-
-def _check_criterion_token(token: str) -> None:
-    """Reject malformed tokens now; tokens that only need the model pass."""
+def _parse_without_model(token: str) -> CriterionSpec | None:
+    """Spec of ``token``, None if it needs the model; malformed tokens raise now."""
     try:
-        parse_criterion(token)
+        return parse_criterion(token)
     except InvalidInput as err:
         if "needs the model" not in str(err):
             raise
@@ -166,77 +156,68 @@ def _parse_budget(text: str, what: str) -> int:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve flags, config file and defaults, and validate every token."""
-    file_opts = _read_config_file(args.config) if args.config else {}
+    """Resolve flags over config file over defaults, and validate every token."""
     command = args.command
+    opts = {
+        **dict.fromkeys(_OPTIONS),
+        "family": "po-wor", "seed": 0, "tol": 1e-10, "eps": 1e-3, "out": ".",
+        "criteria": DEFAULT_BATTERY, "replications": 1,
+        "max_iter": 60 if command in ("fit", "sequential") else 100,
+        **(_read_config_file(args.config) if args.config else {}),
+        **{key: value for key, value in vars(args).items() if value is not None},
+    }
 
-    model = _merge(args, file_opts, "model")
+    model = opts["model"]
     if model is None:
         raise InvalidInput("--model is required")
     if model not in MODELS:
         raise InvalidInput(f"unknown model kind {model!r}")
 
-    input_path = _merge(args, file_opts, "input")
+    input_path = opts["input"]
     if command != "synth":
         if input_path is None:
             raise InvalidInput("--input is required")
         if not os.path.isfile(input_path):
             raise InvalidInput(f"input file {input_path!r} does not exist")
 
-    family = _merge(args, file_opts, "family", default="po-wor")
-    DesignFamily.from_token(family)
+    family = DesignFamily.from_token(opts["family"])
 
-    criterion = _merge(args, file_opts, "criterion")
-    if command == "design":
-        if criterion is None:
-            raise InvalidInput("--criterion is required for design")
-    if criterion is not None:
-        _check_criterion_token(criterion)
+    criterion = opts["criterion"]
+    if command == "design" and criterion is None:
+        raise InvalidInput("--criterion is required for design")
+    # A token that needs the model (bare c, V) is checked after the load.
+    spec = None if criterion is None else _parse_without_model(criterion)
+    if command == "sequential" and spec is not None:
+        check_anticipated_criterion(model, spec.label)
 
-    raw_criteria = _merge(args, file_opts, "criteria")
-    if command == "evaluate":
-        criteria = tuple(raw_criteria) if raw_criteria is not None else DEFAULT_BATTERY
-        if not criteria:
-            raise InvalidInput("the criteria list must not be empty")
-        for token in criteria:
-            _check_criterion_token(token)
-    else:
-        criteria = ()
+    criteria = tuple(opts["criteria"]) if command == "evaluate" else ()
+    if command == "evaluate" and not criteria:
+        raise InvalidInput("the criteria list must not be empty")
+    for token in criteria:
+        _parse_without_model(token)
 
-    n_token = _merge(args, file_opts, "n")
-    if command == "design" and n_token is None:
-        raise InvalidInput("--n is required for design")
-    if command == "sequential" and n_token is None:
-        raise InvalidInput("--n is required for sequential")
+    n = opts["n"]
+    if command in ("design", "sequential") and n is None:
+        raise InvalidInput(f"--n is required for {command}")
     batch_sizes = ()
-    if n_token is not None:
-        if command == "sequential":
-            batch_sizes = tuple(
-                _parse_budget(part, "each stage size")
-                for part in str(n_token).split(",")
-            )
-        else:
-            _parse_budget(str(n_token), "--n")
+    if command == "sequential":
+        batch_sizes = tuple(
+            _parse_budget(part, "each stage size") for part in n.split(",")
+        )
+        n = None
+    elif n is not None:
+        n = _parse_budget(n, "--n")
 
-    seed = _merge(args, file_opts, "seed", default=0)
-    if seed < 0:
-        raise InvalidInput(f"--seed must be non-negative, got {seed}")
+    if opts["seed"] < 0:
+        raise InvalidInput(f"--seed must be non-negative, got {opts['seed']}")
+    if not (opts["tol"] > 0):
+        raise InvalidInput(f"--tol must be positive, got {opts['tol']}")
+    if not (opts["eps"] > 0):
+        raise InvalidInput(f"--eps must be positive, got {opts['eps']}")
+    if opts["max_iter"] < 1:
+        raise InvalidInput(f"--max-iter must be at least 1, got {opts['max_iter']}")
 
-    tol = _merge(args, file_opts, "tol", default=1e-10)
-    if not (tol > 0):
-        raise InvalidInput(f"--tol must be positive, got {tol}")
-
-    eps = _merge(args, file_opts, "eps", default=1e-3)
-    if not (eps > 0):
-        raise InvalidInput(f"--eps must be positive, got {eps}")
-
-    default_max_iter = 60 if command in ("fit", "sequential") else 100
-    max_iter = _merge(args, file_opts, "max_iter", default=default_max_iter)
-    if max_iter < 1:
-        raise InvalidInput(f"--max-iter must be at least 1, got {max_iter}")
-
-    stages = _merge(args, file_opts, "stages")
-    replications = _merge(args, file_opts, "replications", default=1)
+    stages, replications = opts["stages"], opts["replications"]
     if command == "sequential":
         if stages is not None and stages < 1:
             raise InvalidInput(f"--stages must be at least 1, got {stages}")
@@ -251,30 +232,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 f"--stages says {stages} but --n lists {len(batch_sizes)} batch sizes"
             )
 
-    n_units = _merge(args, file_opts, "n_units")
+    n_units = opts["n_units"]
     if command == "synth":
         if n_units is None:
             raise InvalidInput("--n-units is required for synth")
         if n_units < 1:
             raise InvalidInput(f"--n-units must be at least 1, got {n_units}")
 
-    return RunConfig(
-        command=command,
-        input=input_path,
-        model=model,
-        criterion=criterion,
-        family=family,
-        n=None if n_token is None else str(n_token),
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        eps=eps,
-        out=_merge(args, file_opts, "out", default="."),
-        criteria=criteria,
-        batch_sizes=batch_sizes,
-        replications=replications,
-        n_units=n_units,
-    )
+    opts.update(family=family, n=n, criteria=criteria, batch_sizes=batch_sizes)
+    return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})
 
 
 def _out_path(config: RunConfig, name: str) -> str:
@@ -306,12 +272,10 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_design(config: RunConfig) -> int:
     data = _load(config)
     spec = parse_criterion(config.criterion, data.problem)
-    family = DesignFamily.from_token(config.family)
-    n = _parse_budget(config.n, "--n")
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0)
     trace = fixed_point_solve(
-        spec, grads, family, n, max_iter=config.max_iter, eps=config.eps
+        spec, grads, config.family, config.n, max_iter=config.max_iter, eps=config.eps
     )
     scheme_path = _out_path(config, "scheme.csv")
     trace_path = _out_path(config, "trace.csv")
@@ -338,16 +302,12 @@ def cmd_design(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     data = _load(config)
-    family = DesignFamily.from_token(config.family)
-    if config.n is not None:
-        n = _parse_budget(config.n, "--n")
-    else:
-        n = math.ceil(0.01 * data.problem.n_units)
+    n = config.n if config.n is not None else math.ceil(0.01 * data.problem.n_units)
     specs = [parse_criterion(token, data.problem) for token in config.criteria]
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0)
     table = efficiency_table_from_gradients(
-        grads, family, n, specs, specs, max_iter=config.max_iter, eps=config.eps
+        grads, config.family, n, specs, specs, max_iter=config.max_iter, eps=config.eps
     )
     csv_path = _out_path(config, "efficiency.csv")
     text_path = _out_path(config, "efficiency.txt")
@@ -373,7 +333,6 @@ def _write_stage_outputs(config: RunConfig, data, records) -> None:
 
 def cmd_sequential(config: RunConfig) -> int:
     data = _load(config)
-    family = DesignFamily.from_token(config.family)
     sizes = config.batch_sizes
     criterion = (
         parse_criterion(config.criterion, data.problem)
@@ -384,7 +343,7 @@ def cmd_sequential(config: RunConfig) -> int:
 
     def stages(seed):
         return run_k_stages(
-            data.problem, sizes, family, seed,
+            data.problem, sizes, config.family, seed,
             criterion=criterion, tol=config.tol, max_iter=config.max_iter,
         )
 

@@ -336,10 +336,17 @@ def _newton(
     grad = total_grad(theta)
     hess = problem.hessian(theta, u)
     d_ref = np.diag(hess)
-    for iteration in range(max_iter):
+    # The last pass only tests convergence: an unconverged fit stops there
+    # before the PD test, a converged one passes it and returns.
+    for iteration in range(max(max_iter, 0) + 1):
         d_ref = np.maximum(d_ref, np.diag(hess))
-        _require_pd(hess, d_ref)
         gnorm = float(np.max(np.abs(grad)))
+        if iteration >= max_iter and gnorm > tol:
+            raise NoConvergence(
+                f"gradient norm {gnorm:.3e} above tolerance {tol:.3e} "
+                f"after {max_iter} iterations"
+            )
+        _require_pd(hess, d_ref)
         if gnorm <= tol:
             return FitResult(
                 theta0=theta,
@@ -365,18 +372,6 @@ def _newton(
             )
         grad = total_grad(theta)
         hess = problem.hessian(theta, u)
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm <= tol:
-        _require_pd(hess, np.maximum(d_ref, np.diag(hess)))
-        return FitResult(
-            theta0=theta,
-            iterations=max_iter,
-            final_gradient_norm=gnorm,
-            hessian_at_opt=hess,
-        )
-    raise NoConvergence(
-        f"gradient norm {gnorm:.3e} above tolerance {tol:.3e} after {max_iter} iterations"
-    )
 
 
 def _require_pd(hess: np.ndarray, d_ref: np.ndarray) -> None:

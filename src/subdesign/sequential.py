@@ -33,7 +33,7 @@ class AuxConfig:
     """Side information available before outcomes are revealed.
 
     columns : optional (N, k) matrix of predictors for the location model
-        used with log-scale outcomes.
+        used with log-scale outcomes; an (N,) array is one column.
     groups : optional (N,) integer labels; group means and a pooled
         within-group covariance stand in for unseen multivariate outcomes.
     deflate : shrink logistic leverage h to h(1-h) when anticipating
@@ -46,7 +46,9 @@ class AuxConfig:
 
     def __post_init__(self):
         if self.columns is not None:
-            cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
+            cols = np.asarray(self.columns, dtype=float)
+            if cols.ndim == 1:
+                cols = cols[:, None]
             if cols.ndim != 2 or not np.all(np.isfinite(cols)):
                 raise InvalidInput("auxiliary columns must be a finite 2-d array")
             object.__setattr__(self, "columns", cols)
@@ -177,12 +179,7 @@ def run_k_stages(
     if any(n <= 0 for n in sizes):
         raise InvalidInput("batch sizes must be positive")
     if criterion is not None:
-        canonical = anticipated_criterion_label(problem.kind)
-        if criterion.label != canonical:
-            raise Unsupported(
-                f"anticipation for {problem.kind!r} is derived for the "
-                f"{canonical!r} criterion, got {criterion.label!r}"
-            )
+        check_anticipated_criterion(problem.kind, criterion.label)
 
     records: list[StageRecord] = []
     theta = None
@@ -192,30 +189,33 @@ def run_k_stages(
                 scheme = uniform_scheme(problem.n_units, n_k, family)
             else:
                 scheme, _ = anticipate_scheme(records, problem, n_k, family, aux_config)
-            result = draw(scheme, derive_seed(seed, k))
-            records.append(
-                StageRecord(
-                    k=k,
-                    scheme=scheme,
-                    draw=result,
-                    theta_hat=np.zeros(problem.n_params),
-                    m_k=int(round(sum(sizes[:k]))),
-                )
+            record = StageRecord(
+                k=k,
+                scheme=scheme,
+                draw=draw(scheme, derive_seed(seed, k)),
+                theta_hat=np.zeros(problem.n_params),
+                m_k=int(round(sum(sizes[:k]))),
             )
-            fit = pooled_estimate(records, problem, theta_init=theta, tol=tol, max_iter=max_iter)
+            fit = pooled_estimate(
+                [*records, record], problem, theta_init=theta, tol=tol,
+                max_iter=max_iter,
+            )
         except SubdesignError as err:
-            records = records[:-1] if records and records[-1].k == k else records
             raise StageFailure(
                 f"stage {k} failed: {err}", stage=k, records=tuple(records)
             ) from err
         theta = fit.theta0
-        records[-1] = replace(records[-1], theta_hat=theta)
+        records.append(replace(record, theta_hat=theta))
     return tuple(records)
 
 
-def anticipated_criterion_label(kind: str) -> str:
-    """Label of the criterion each model's anticipation targets."""
+def check_anticipated_criterion(kind: str, label: str) -> None:
+    """Raise Unsupported unless anticipation for ``kind`` targets ``label``."""
     spec = MODELS.get(kind)
     if spec is None:
         raise Unsupported(f"no anticipated criterion for model kind {kind!r}")
-    return spec.criterion
+    if label != spec.criterion:
+        raise Unsupported(
+            f"anticipation for {kind!r} is derived for the "
+            f"{spec.criterion!r} criterion, got {label!r}"
+        )

@@ -3,10 +3,13 @@
 Linear criteria admit the closed form mu_i proportional to sqrt(c_i), with an
 iterative capping pass for without-replacement designs where expected counts
 are bounded by one. Spectral criteria wrap that closed form in a fixed-point
-loop: linearize at the current scheme, solve, repeat. The loop stops when the
-relative objective improvement drops below eps AND the scheme satisfies the
-first-order stationarity conditions; it stops with a Diverged status the
-moment the objective strictly increases, keeping the best scheme seen. The
+loop: linearize at the current scheme, solve, repeat. Linear criteria, whose
+coefficients do not depend on the scheme, run through the same loop and take
+an early exit, Converged, right after the first refinement. The loop stops
+when the relative objective improvement drops below eps AND the scheme
+satisfies the first-order stationarity conditions; it stops with a Diverged
+status the moment the objective strictly increases, keeping the best scheme
+seen. Every stop builds its SolveTrace in one place. The
 iteration has no general convergence guarantee, so the status field is the
 honest record of what happened.
 
@@ -191,12 +194,6 @@ def _residual_and_next(scheme, cs, n, family) -> tuple[float, SamplingScheme | N
     return float(np.abs(diff, out=diff).max()) / top, nxt
 
 
-def _capped_count(scheme: SamplingScheme) -> int:
-    if scheme.family is not DesignFamily.PO_WOR:
-        return 0
-    return int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
-
-
 def fixed_point_solve(
     spec: CriterionSpec,
     grads: GradientSet,
@@ -208,12 +205,14 @@ def fixed_point_solve(
     """Optimal scheme for any criterion via linearize-and-solve iteration.
 
     The iteration starts from the uniform scheme. Linear criteria are exact
-    after a single refinement. For the others each pass computes coefficients
-    at the current scheme and jumps to their closed-form optimum, which also
-    gives the stationarity residual; see the module docstring for the
-    stopping rules. The covariance Gamma = H^-1 V(mu) H^-1 of a scheme's
-    objective is reused to linearize at that scheme, so each iteration makes
-    a single pass over the units for V(mu).
+    after a single refinement: they exit the loop there, before the
+    divergence test, with the stationarity residual of their coefficients.
+    For the others each pass computes coefficients at the current scheme and
+    jumps to their closed-form optimum, which also gives the stationarity
+    residual; see the module docstring for the stopping rules. The covariance
+    Gamma = H^-1 V(mu) H^-1 of a scheme's objective is reused to linearize at
+    that scheme, so each iteration makes a single pass over the units for
+    V(mu).
     """
     def objective(scheme):
         gam = gamma(grads, scheme).gamma
@@ -223,57 +222,42 @@ def fixed_point_solve(
         phi = phi_matrix_derivative(spec, gam, grads)
         return _coefficients_from_phi(spec, grads, phi, scheme)
 
-    def infeasible_trace(exc, objs, last_scheme, t):
+    def stop(status, t, scheme, stationarity=None, zero_ids=()):
+        capped = 0
+        if scheme.family is DesignFamily.PO_WOR:
+            capped = int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
         return SolveTrace(
-            status=SolveStatus.INFEASIBLE,
-            iterations=t,
-            objective_per_iter=tuple(objs),
-            final_scheme=last_scheme,
-            capped_set_size=_capped_count(last_scheme),
-            zero_ids=exc.zero_ids,
+            status, t, tuple(objs), scheme, capped, stationarity, zero_ids
         )
 
-    mu0 = uniform_scheme(grads.n_units, n, family)
-    obj0, gam_current = objective(mu0)
-    objs = [obj0]
-    if spec.is_linear:
-        cs = coefficients(spec, grads)
-        try:
-            scheme = l_optimal_scheme(cs, n, family)
-        except Infeasible as exc:
-            return infeasible_trace(exc, objs, mu0, 0)
-        objs.append(objective(scheme)[0])
-        return SolveTrace(
-            status=SolveStatus.CONVERGED,
-            iterations=1,
-            objective_per_iter=tuple(objs),
-            final_scheme=scheme,
-            capped_set_size=_capped_count(scheme),
-            stationarity=stationarity_residual(scheme, cs, family),
-        )
-
-    current = mu0
-    best_scheme, best_obj = mu0, objs[0]
+    current = uniform_scheme(grads.n_units, n, family)
+    best_obj, gam_current = objective(current)
+    objs = [best_obj]
+    best_scheme = current
     cs_current: CoefficientSet | None = None
     scheme: SamplingScheme | None = None  # the next scheme, once a failed check built it
     for t in range(1, max_iter + 1):
         if scheme is None:
             if cs_current is None:
-                cs_current = linearize(current, gam_current)
+                cs_current = (
+                    coefficients(spec, grads) if spec.is_linear
+                    else linearize(current, gam_current)
+                )
             try:
                 scheme = l_optimal_scheme(cs_current, n, family)
             except Infeasible as exc:
-                return infeasible_trace(exc, objs, current, t - 1)
+                return stop(
+                    SolveStatus.INFEASIBLE, t - 1, current, zero_ids=exc.zero_ids
+                )
         obj, gam = objective(scheme)
         objs.append(obj)
-        if obj > objs[-2] + DEFAULT.divergence_slack:
-            return SolveTrace(
-                status=SolveStatus.DIVERGED,
-                iterations=t,
-                objective_per_iter=tuple(objs),
-                final_scheme=best_scheme,
-                capped_set_size=_capped_count(best_scheme),
+        if spec.is_linear:
+            return stop(
+                SolveStatus.CONVERGED, t, scheme,
+                stationarity_residual(scheme, cs_current, family),
             )
+        if obj > objs[-2] + DEFAULT.divergence_slack:
+            return stop(SolveStatus.DIVERGED, t, best_scheme)
         if obj < best_obj:
             best_scheme, best_obj = scheme, obj
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
@@ -282,20 +266,7 @@ def fixed_point_solve(
             cs_current = linearize(current, gam)
             resid, scheme = _residual_and_next(current, cs_current, n, family)
             if resid <= DEFAULT.stationarity_tol:
-                return SolveTrace(
-                    status=SolveStatus.CONVERGED,
-                    iterations=t,
-                    objective_per_iter=tuple(objs),
-                    final_scheme=current,
-                    capped_set_size=_capped_count(current),
-                    stationarity=resid,
-                )
+                return stop(SolveStatus.CONVERGED, t, current, resid)
         else:
             cs_current = None
-    return SolveTrace(
-        status=SolveStatus.MAX_ITER,
-        iterations=max_iter,
-        objective_per_iter=tuple(objs),
-        final_scheme=current,
-        capped_set_size=_capped_count(current),
-    )
+    return stop(SolveStatus.MAX_ITER, max_iter, current)

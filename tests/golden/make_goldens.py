@@ -16,8 +16,10 @@ lognormal seed 1, ``fit-quoted`` fits ``quoted.csv``, the synth table that
 the script rewrites with LF line endings, a blank line after the header and
 each id ``<id>`` replaced by the text ``u,<id>`` plus a double quote, written
 quoted with that quote doubled, so that the loader's quoting and the id
-quoting of ``gradients.csv`` are covered too. Commands run
-in a fresh interpreter on the ``src/`` beside this file, with relative
+quoting of ``gradients.csv`` are covered too. The ``help`` directory holds
+the ``--help`` output of the top level and of each subcommand, as
+``<command>.log/``. Commands run with ``COLUMNS=80``, so that argparse wraps
+its help the same way on every terminal, in a fresh interpreter on the ``src/`` beside this file, with relative
 paths, so that two checkouts can be compared byte for byte:
 
     diff -r goldens_before goldens_after
@@ -38,6 +40,7 @@ SEEDS = (1, 7, 42)
 N_UNITS = 3000
 DESIGN_CRITERIA = ("A", "D", "phi:5", "E", "V", "d-kl", "L:@L.csv")
 QUOTED_CASE = ("lognormal", 1)
+COMMANDS = ("fit", "design", "evaluate", "sequential", "synth")
 
 
 def write_l_matrix(case: Path) -> None:
@@ -79,15 +82,34 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
     return out
 
 
+def record(case: Path, name: str, cli_args: list[str], env: dict) -> None:
+    """Run the CLI in ``case`` and write its exit code, stdout and stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "subdesign.cli", *cli_args],
+        cwd=case, env=env, capture_output=True, text=True,
+    )
+    log = case / f"{name}.log"
+    log.mkdir(exist_ok=True)
+    (log / "exit_code").write_text(f"{proc.returncode}\n")
+    (log / "stdout").write_text(proc.stdout)
+    (log / "stderr").write_text(proc.stderr)
+    print(f"{case.name} {name}: exit {proc.returncode}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     root = Path(args[0])
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0", COLUMNS="80")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    help_dir = root / "help"
+    help_dir.mkdir(parents=True, exist_ok=True)
+    record(help_dir, "top", ["--help"], env)
+    for command in COMMANDS:
+        record(help_dir, command, [command, "--help"], env)
     for model in MODELS:
         for seed in SEEDS:
             case = root / f"{model}-seed{seed}"
@@ -97,16 +119,7 @@ def main(argv=None) -> int:
                     write_l_matrix(case)
                 if name == "fit-quoted":
                     write_quoted_input(case, model)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "subdesign.cli", *cli_args],
-                    cwd=case, env=env, capture_output=True, text=True,
-                )
-                log = case / f"{name}.log"
-                log.mkdir(exist_ok=True)
-                (log / "exit_code").write_text(f"{proc.returncode}\n")
-                (log / "stdout").write_text(proc.stdout)
-                (log / "stderr").write_text(proc.stderr)
-                print(f"{case.name} {name}: exit {proc.returncode}")
+                record(case, name, cli_args, env)
     return 0
 
 

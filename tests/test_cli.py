@@ -503,6 +503,21 @@ class TestSequential:
         assert code == 2
         assert "batch sizes" in capsys.readouterr().err
 
+    def test_wrong_criterion_fails_before_load(self, finpop_csv, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("input loaded before the criterion was checked")
+
+        monkeypatch.setattr(cli.dataio, "load_problem", fail)
+        code = main(
+            ["sequential", "--input", finpop_csv, "--model", "finpop",
+             "--criterion", "A", "--n", "10,20"]
+        )
+        assert code == 2
+        assert (
+            "anticipation for 'finpop' is derived for the 'd-s' criterion, got 'A'"
+            in capsys.readouterr().err
+        )
+
     def test_replications_write_learning_curve(self, tmp_path, finpop_csv, capsys):
         out = tmp_path / "out"
         code = main(
@@ -751,6 +766,48 @@ class TestConfigFile:
         _, rows = read_rows(out / "scheme.csv")
         total = sum(float(row[1]) for row in rows)
         assert total == pytest.approx(30.0, rel=1e-9)
+
+    def test_config_file_sets_criteria(self, tmp_path, lognormal_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input={lognormal_csv}\nmodel=lognormal\ncriteria=A D\nn=20\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["evaluate", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        header, rows = read_rows(out / "efficiency.csv")
+        assert header == ["row_criterion", "iterations", "status", "A_eff", "D_eff"]
+        assert [row[0] for row in rows] == ["A", "D"]
+
+    def test_config_file_sets_stages_and_replications(self, tmp_path, finpop_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input={finpop_csv}\nmodel=finpop\nn=30\nstages=2\nreplications=2\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["sequential", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        _, rows = read_rows(out / "learning_curve.csv")
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert "2 replications of 2 stages" in capsys.readouterr().out
+
+    def test_config_file_sets_n_units(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=finpop\nn-units=20\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["synth", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        _, rows = read_rows(out / "finpop.csv")
+        assert len(rows) == 20
+
+    def test_bad_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=x\n", encoding="utf-8")
+        code = main(["synth", "--config", str(cfg), "--model", "finpop", "--n-units", "5"])
+        assert code == 2
+        assert "line 1: bad value for 'seed'" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, lognormal_csv, capsys):
         cfg = tmp_path / "run.cfg"

@@ -335,6 +335,29 @@ class TestFitResult:
             fit_full(prob, theta_init=np.array([0.0, -1.0]))
 
 
+class TestNewtonExit:
+    """The last pass of the Newton loop only tests convergence."""
+
+    def qblogit(self):
+        return pool_problem("qblogit", make_pool("qblogit", 500, seed=3))
+
+    def test_converged_on_the_last_pass(self):
+        prob = self.qblogit()
+        assert fit_full(prob).iterations == 5
+        fit = fit_full(prob, max_iter=5)
+        assert fit.iterations == 5
+        assert fit.final_gradient_norm <= 1e-10
+
+    def test_unconverged_on_the_last_pass(self):
+        with pytest.raises(NoConvergence, match="after 4 iterations"):
+            fit_full(self.qblogit(), max_iter=4)
+
+    def test_zero_iterations(self):
+        prob = pool_problem("finpop", make_pool("finpop", 500, seed=3))
+        with pytest.raises(NoConvergence, match="after 0 iterations"):
+            fit_full(prob, max_iter=0)
+
+
 class TestTake:
     @settings(max_examples=60, deadline=None)
     @given(

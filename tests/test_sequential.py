@@ -31,6 +31,7 @@ from subdesign.sequential import (
     update_aux,
 )
 from subdesign.solver import l_optimal_scheme
+from subdesign.synth import make_pool, pool_problem
 
 
 def finpop_population(seed=0, n=300, m=2, n_groups=3):
@@ -358,6 +359,23 @@ class TestRunKStages:
         for rec in records:
             assert np.all(rec.scheme.mu > 0.0)
         assert [r.m_k for r in records] == [30, 60, 90]
+
+    def test_one_dimensional_columns_are_one_column(self):
+        pool = make_pool("lognormal", 500, seed=3)
+        problem = pool_problem("lognormal", pool)
+
+        def stages(columns):
+            return run_k_stages(
+                problem, [40, 40], DesignFamily.PO_WR, seed=5,
+                aux_config=AuxConfig(columns=columns),
+            )
+
+        flat, column = stages(pool["z"][:, 0]), stages(pool["z"][:, :1])
+        assert len(flat) == 2
+        for a, b in zip(flat, column):
+            assert np.array_equal(a.scheme.mu, b.scheme.mu)
+            assert np.array_equal(a.draw.counts, b.draw.counts)
+            assert np.array_equal(a.theta_hat, b.theta_hat)
 
     def test_pooled_risk_improves_over_previous_theta(self):
         y, w, g = finpop_population(seed=17)

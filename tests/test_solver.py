@@ -231,6 +231,10 @@ class TestFixedPointLinear:
         assert trace.status is SolveStatus.INFEASIBLE
         assert trace.zero_ids == (2, 3)
         assert trace.final_scheme.mu == pytest.approx(np.full(4, 0.5))
+        assert trace.iterations == 0
+        assert len(trace.objective_per_iter) == 1
+        assert trace.stationarity is None
+        assert trace.capped_set_size == 0
 
     def test_po_wor_capped_count_recorded(self):
         psi = np.array([[10.0, 0.1], [-10.0, -0.1], [0.1, 1.0], [-0.1, -1.0]])
