@@ -25,7 +25,7 @@ from .covariance import gradients_at
 from .criteria import CriterionSpec, parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
-from .models import MODELS, fit_full
+from .models import MODELS, fit_full, model_spec
 from .sampling import DesignFamily, derive_seed
 from .sequential import check_anticipated_criterion, run_k_stages
 from .solver import SolveStatus, fixed_point_solve
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -125,7 +125,9 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise InvalidInput(f"{path} line {lineno}: unknown option {key!r}")
-        kwargs = _OPTIONS[key][1]
+        commands, kwargs = _OPTIONS[key]
+        if command not in commands:
+            raise InvalidInput(f"{path} line {lineno}: {command} takes no option {key!r}")
         convert = str.split if "nargs" in kwargs else kwargs.get("type", str)
         try:
             opts[key] = convert(value.strip())
@@ -163,15 +165,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         "family": "po-wor", "seed": 0, "tol": 1e-10, "eps": 1e-3, "out": ".",
         "criteria": DEFAULT_BATTERY, "replications": 1,
         "max_iter": 60 if command in ("fit", "sequential") else 100,
-        **(_read_config_file(args.config) if args.config else {}),
+        **(_read_config_file(args.config, command) if args.config else {}),
         **{key: value for key, value in vars(args).items() if value is not None},
     }
 
     model = opts["model"]
     if model is None:
         raise InvalidInput("--model is required")
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model kind {model!r}")
+    model_spec(model)
 
     input_path = opts["input"]
     if command != "synth":
@@ -248,12 +249,8 @@ def _out_path(config: RunConfig, name: str) -> str:
     return os.path.join(config.out, name)
 
 
-def _load(config: RunConfig) -> dataio.LoadedData:
-    return dataio.load_problem(config.input, config.model)
-
-
 def cmd_fit(config: RunConfig) -> int:
-    data = _load(config)
+    data = dataio.load_problem(config.input, config.model)
     fit = fit_full(data.problem, tol=config.tol, max_iter=config.max_iter)
     grads = gradients_at(data.problem, fit.theta0)
     theta_path = _out_path(config, "theta0.csv")
@@ -270,7 +267,7 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_design(config: RunConfig) -> int:
-    data = _load(config)
+    data = dataio.load_problem(config.input, config.model)
     spec = parse_criterion(config.criterion, data.problem)
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0)
@@ -301,7 +298,7 @@ def cmd_design(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    data = _load(config)
+    data = dataio.load_problem(config.input, config.model)
     n = config.n if config.n is not None else math.ceil(0.01 * data.problem.n_units)
     specs = [parse_criterion(token, data.problem) for token in config.criteria]
     fit = fit_full(data.problem, tol=config.tol)
@@ -332,7 +329,7 @@ def _write_stage_outputs(config: RunConfig, data, records) -> None:
 
 
 def cmd_sequential(config: RunConfig) -> int:
-    data = _load(config)
+    data = dataio.load_problem(config.input, config.model)
     sizes = config.batch_sizes
     criterion = (
         parse_criterion(config.criterion, data.problem)

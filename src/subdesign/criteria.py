@@ -28,7 +28,7 @@ from .config import DEFAULT
 from .covariance import DispersionKind, GradientSet, dispersion_matrix, gamma
 from .errors import InvalidInput, NotDifferentiable, SingularMatrix
 from .linalg import as_symmetric, psd_factor, sym_eigen
-from .models import MODELS, leverage  # noqa: F401  (leverage is re-exported)
+from .models import leverage, model_spec  # noqa: F401  (leverage is re-exported)
 from .sampling import SamplingScheme
 
 LINEAR_KINDS = frozenset({"A", "C", "L", "V", "Distance"})
@@ -63,20 +63,6 @@ class CriterionSpec:
         if self.kind == "Distance":
             return self.dispersion.value
         return self.kind
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Per-unit coefficients c_i driving the optimal allocation mu ~ sqrt(c).
-
-    Coefficients are kept on their raw scale (the solver normalizes); a zero
-    entry makes the optimal scheme infeasible, since it would push that unit's
-    expected count to zero (the solver names such units).
-    """
-
-    c: np.ndarray
-    criterion: CriterionSpec
-    at_scheme: SamplingScheme | None = None
 
 
 def a_opt() -> CriterionSpec:
@@ -263,11 +249,13 @@ def coefficients(
     spec: CriterionSpec,
     grads: GradientSet,
     at: SamplingScheme | None = None,
-) -> CoefficientSet:
+) -> np.ndarray:
     """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion.
 
     Linear criteria have a fixed L; the spectral ones are linearized at the
-    scheme ``at``, which is therefore required for them.
+    scheme ``at``, which is therefore required for them. The coefficients
+    drive the optimal allocation mu ~ sqrt(c) on their raw scale (the solver
+    normalizes); a zero entry makes that scheme infeasible.
     """
     p = grads.n_params
     if spec.is_linear:
@@ -279,16 +267,11 @@ def coefficients(
                 "iterate as `at`"
             )
         phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads)
-    return _coefficients_from_phi(spec, grads, phi, at)
+    return _coefficients_from_phi(grads, phi)
 
 
-def _coefficients_from_phi(
-    spec: CriterionSpec,
-    grads: GradientSet,
-    phi: np.ndarray,
-    at: SamplingScheme | None,
-) -> CoefficientSet:
-    """Coefficients for a derivative matrix phi already evaluated at ``at``.
+def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray) -> np.ndarray:
+    """Coefficients for a derivative matrix phi already evaluated at a scheme.
 
     The fixed-point solver calls this with the phi of the covariance it has
     just computed for the objective, so V(mu) is built once per scheme.
@@ -301,10 +284,10 @@ def _coefficients_from_phi(
         t = m_t @ grads.psi_t[:, units]
         t *= t
         t.sum(axis=0, out=c[units])
-    return CoefficientSet(c=c, criterion=spec, at_scheme=at)
+    return c
 
 
-def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
+def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:
     """Coefficients with unobserved responses replaced by model expectations.
 
     The exact c_i depend on outcomes that are unknown before sampling; taking
@@ -313,10 +296,7 @@ def anticipated_coefficients(model_kind: str, **aux) -> CoefficientSet:
     selection mass. The auxiliary inputs, the formula and the criterion it
     targets are the model's entry in ``models.MODELS``.
     """
-    spec = MODELS.get(model_kind)
-    if spec is None:
-        raise InvalidInput(f"unknown model kind {model_kind!r}")
-    return CoefficientSet(c=spec.anticipate(aux), criterion=parse_criterion(spec.criterion))
+    return model_spec(model_kind).anticipate(aux)
 
 
 def parse_criterion(token: str, problem=None) -> CriterionSpec:
@@ -339,7 +319,7 @@ def parse_criterion(token: str, problem=None) -> CriterionSpec:
     if low == "v":
         if problem is None:
             raise InvalidInput("criterion V needs the model to build its Gram matrix")
-        return v_opt(default_gram(problem))
+        return v_opt(model_spec(problem.kind).gram(problem))
     if low == "c":
         if problem is None:
             raise InvalidInput(
@@ -382,11 +362,3 @@ def parse_criterion(token: str, problem=None) -> CriterionSpec:
     if low == "d-s":
         return distance_opt(DispersionKind.SANDWICH)
     raise InvalidInput(f"unknown criterion token {token!r}")
-
-
-def default_gram(problem) -> np.ndarray:
-    """Feature Gram matrix for V-optimality under the empirical measure."""
-    spec = MODELS.get(problem.kind)
-    if spec is None:
-        raise InvalidInput(f"no default Gram matrix for model kind {problem.kind!r}")
-    return spec.gram(problem)

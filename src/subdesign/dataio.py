@@ -31,10 +31,10 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidData
-from .models import MODELS, RiskProblem
+from .models import RiskProblem, model_spec
 from .sampling import SamplingScheme
-from .sequential import StageRecord, pooled_risk
-from .solver import SolveStatus, SolveTrace
+from .sequential import pooled_risk
+from .solver import SolveTrace
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def _parse_cells(rows, header, names, path):
 
 def load_problem(path: str, kind: str) -> LoadedData:
     """Parse an input CSV into the model object for its kind."""
-    spec = MODELS.get(kind)
-    if spec is None:
-        raise InvalidData(f"unknown model kind {kind!r}")
+    spec = model_spec(kind)
     header, rows = _read_table(path) or _read_rows(path)
     if len(rows) == 0:
         raise InvalidData(f"{path} has a header but no data rows")
@@ -300,9 +298,7 @@ def write_stage_log(path: str, records, problem: RiskProblem, scheme_files) -> N
 
 def write_pool(path: str, kind: str, pool: dict) -> None:
     """Emit a synthetic pool in the input schema of its model kind."""
-    spec = MODELS.get(kind)
-    if spec is None:
-        raise InvalidData(f"unknown model kind {kind!r}")
+    spec = model_spec(kind)
     block = pool[spec.block_key]
     header = ["id", *spec.scalars] + [f"{spec.block}{j + 1}" for j in range(block.shape[1])]
     columns = [pool[name] for name in spec.scalars] + list(block.T)

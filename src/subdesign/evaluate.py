@@ -15,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+from .config import DEFAULT
 from .covariance import GradientSet, gamma, gradients_at
 from .criteria import CriterionSpec, phi_value
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
 # ``weighted_fit`` is the estimator each Monte-Carlo replicate computes. The
 # loop calls its support-only core directly, but the name stays importable
 # from this module, as callers and the benchmark's tracer expect.
-from .models import MODELS, RiskProblem, _fit_on_support, fit_full, weighted_fit  # noqa: F401
+from .models import RiskProblem, _fit_on_support, fit_full, model_spec, weighted_fit  # noqa: F401
 from .sampling import (
     DesignFamily,
     SamplingScheme,
@@ -326,7 +327,8 @@ class Reparameterization:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
             raise InvalidInput("reparameterization matrix must be square and finite")
-        if abs(np.linalg.det(a)) <= 1e-10:
+        sv = np.linalg.svd(a, compute_uv=False)
+        if sv.size and sv[-1] <= DEFAULT.singular_rtol * sv[0]:
             raise InvalidInput("reparameterization matrix is singular")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -355,7 +357,7 @@ def reparam_invariance(
             f"map is {a.shape}, parameter dimension is {problem.n_params}"
         )
     x = np.asarray(problem.data["X"], dtype=float)
-    transformed = MODELS[problem.kind].build({**problem.data, "X": x @ np.linalg.inv(a)})
+    transformed = model_spec(problem.kind).build({**problem.data, "X": x @ np.linalg.inv(a)})
 
     schemes = []
     for prob in (problem, transformed):

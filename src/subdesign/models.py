@@ -27,8 +27,9 @@ iteration.
 ``MODELS`` is the model table: one ``ModelSpec`` per model name, holding
 everything other modules need to know about that model (its CSV layout, how
 to build it from named arrays, its default Gram matrix, and how the
-sequential pipeline anticipates its coefficients). A new model is its
-problem builder, one entry there and a generator in ``synth``.
+sequential pipeline anticipates its coefficients), read through
+``model_spec``. A new model is its problem builder, one entry there and a
+generator in ``synth``.
 """
 
 from __future__ import annotations
@@ -705,3 +706,10 @@ MODELS = {
         criterion="d-er", update_aux=_qblogit_aux, anticipate=_qblogit_anticipate,
     ),
 }
+
+
+def model_spec(kind: str) -> ModelSpec:
+    """The table entry for a model name; InvalidInput for an unknown one."""
+    if kind not in MODELS:
+        raise InvalidInput(f"unknown model kind {kind!r}")
+    return MODELS[kind]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import CoefficientSet, CriterionSpec, anticipated_coefficients
+from .criteria import CriterionSpec, anticipated_coefficients
 from .errors import InvalidInput, SubdesignError, StageFailure, Unsupported
-from .models import MODELS, FitResult, RiskProblem, _fit_on_support
+from .models import FitResult, RiskProblem, _fit_on_support, model_spec
 from .sampling import (
     DesignFamily,
     DrawResult,
@@ -136,10 +136,9 @@ def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -
     """
     if not records:
         raise InvalidInput("need at least one stage record")
-    spec = MODELS.get(problem.kind)
-    if spec is None:
-        raise Unsupported(f"no auxiliary updater for model kind {problem.kind!r}")
-    return spec.update_aux(problem, _selected_mask(records), records[-1].theta_hat, config)
+    return model_spec(problem.kind).update_aux(
+        problem, _selected_mask(records), records[-1].theta_hat, config
+    )
 
 
 def anticipate_scheme(
@@ -148,7 +147,7 @@ def anticipate_scheme(
     n_k: float,
     family: DesignFamily,
     config: AuxConfig | None = None,
-) -> tuple[SamplingScheme, CoefficientSet]:
+) -> tuple[SamplingScheme, np.ndarray]:
     """Allocation for the next stage from anticipated coefficients."""
     aux = update_aux(records, problem, config)
     cs = anticipated_coefficients(problem.kind, **aux)
@@ -211,9 +210,7 @@ def run_k_stages(
 
 def check_anticipated_criterion(kind: str, label: str) -> None:
     """Raise Unsupported unless anticipation for ``kind`` targets ``label``."""
-    spec = MODELS.get(kind)
-    if spec is None:
-        raise Unsupported(f"no anticipated criterion for model kind {kind!r}")
+    spec = model_spec(kind)
     if label != spec.criterion:
         raise Unsupported(
             f"anticipation for {kind!r} is derived for the "

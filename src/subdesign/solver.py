@@ -29,7 +29,6 @@ import numpy as np
 from .config import DEFAULT
 from .covariance import GradientSet, gamma
 from .criteria import (
-    CoefficientSet,
     CriterionSpec,
     _coefficients_from_phi,
     coefficients,
@@ -71,7 +70,7 @@ class SolveTrace:
 
 
 def _sqrt_coefficients(c) -> np.ndarray:
-    arr = c.c if isinstance(c, CoefficientSet) else np.asarray(c, dtype=float)
+    arr = np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInput(f"coefficients must be a non-empty vector, got {arr.shape}")
     top = arr.max()
@@ -147,7 +146,7 @@ def stationarity_residual(
     """
     if family is None:
         family = scheme.family
-    arr = c.c if isinstance(c, CoefficientSet) else np.asarray(c, dtype=float)
+    arr = np.asarray(c, dtype=float)
     if arr.shape[0] != scheme.n_units:
         raise InvalidInput(
             f"{arr.shape[0]} coefficients for a scheme of {scheme.n_units} units"
@@ -218,9 +217,9 @@ def fixed_point_solve(
         gam = gamma(grads, scheme).gamma
         return phi_value(spec, gam, grads), gam
 
-    def linearize(scheme, gam):
+    def linearize(gam):
         phi = phi_matrix_derivative(spec, gam, grads)
-        return _coefficients_from_phi(spec, grads, phi, scheme)
+        return _coefficients_from_phi(grads, phi)
 
     def stop(status, t, scheme, stationarity=None, zero_ids=()):
         capped = 0
@@ -234,14 +233,14 @@ def fixed_point_solve(
     best_obj, gam_current = objective(current)
     objs = [best_obj]
     best_scheme = current
-    cs_current: CoefficientSet | None = None
+    cs_current: np.ndarray | None = None
     scheme: SamplingScheme | None = None  # the next scheme, once a failed check built it
     for t in range(1, max_iter + 1):
         if scheme is None:
             if cs_current is None:
                 cs_current = (
                     coefficients(spec, grads) if spec.is_linear
-                    else linearize(current, gam_current)
+                    else linearize(gam_current)
                 )
             try:
                 scheme = l_optimal_scheme(cs_current, n, family)
@@ -263,7 +262,7 @@ def fixed_point_solve(
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         current, gam_current, scheme = scheme, gam, None
         if improvement < eps:
-            cs_current = linearize(current, gam)
+            cs_current = linearize(gam)
             resid, scheme = _residual_and_next(current, cs_current, n, family)
             if resid <= DEFAULT.stationarity_tol:
                 return stop(SolveStatus.CONVERGED, t, current, resid)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .models import MODELS, RiskProblem
+from .models import RiskProblem, model_spec
 
 FINPOP_SCALE_GAP = 100.0
 
@@ -104,10 +104,7 @@ def finpop_pool(n_units: int, seed: int = 0) -> dict:
 
 def pool_problem(kind: str, pool: dict) -> RiskProblem:
     """Model object for a generated pool."""
-    spec = MODELS.get(kind)
-    if spec is None:
-        raise InvalidInput(f"unknown model kind {kind!r}")
-    return spec.build(pool)
+    return model_spec(kind).build(pool)
 
 
 _GENERATORS = {"finpop": finpop_pool, "lognormal": lognormal_pool, "qblogit": qblogit_pool}
@@ -115,6 +112,5 @@ _GENERATORS = {"finpop": finpop_pool, "lognormal": lognormal_pool, "qblogit": qb
 
 def make_pool(kind: str, n_units: int, seed: int = 0) -> dict:
     """Dispatch to the generator for a model kind."""
-    if kind not in MODELS:
-        raise InvalidInput(f"unknown model kind {kind!r}")
+    model_spec(kind)  # refuses an unknown name
     return _GENERATORS[kind](n_units, seed)

@@ -151,7 +151,7 @@ def test_02_coefficients_match_finite_differences():
                 down = scheme.mu.copy()
                 down[i] -= h
                 fd = (objective(spec, up) - objective(spec, down)) / (2 * h)
-                exact = -cs.c[i] / scheme.mu[i] ** 2
+                exact = -cs[i] / scheme.mu[i] ** 2
                 assert fd == pytest.approx(exact, rel=1e-4)
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -191,8 +191,8 @@ def test_04_expected_risk_distance_equals_average_variance():
     pool = finpop_pool(1000, seed=3)
     problem = pool_problem("finpop", pool)
     grads = gradients_at(problem, fit_full(problem).theta0)
-    c_a = coefficients(a_opt(), grads).c
-    c_d = coefficients(distance_opt(DispersionKind.ER), grads).c
+    c_a = coefficients(a_opt(), grads)
+    c_d = coefficients(distance_opt(DispersionKind.ER), grads)
     scale = float(np.max(np.abs(c_a)))
     assert np.max(np.abs(c_a - c_d)) <= 1e-12 * scale
     for family in (DesignFamily.PO_WR, DesignFamily.PO_WOR):

@@ -802,6 +802,26 @@ class TestConfigFile:
         _, rows = read_rows(out / "finpop.csv")
         assert len(rows) == 20
 
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("synth", ["model=finpop", "n-units=20", "stages=7"]),
+            ("synth", ["model=finpop", "n-units=20", "criteria=Q"]),
+            ("fit", ["input={csv}", "model=lognormal", "n_units=20"]),
+        ],
+    )
+    def test_config_key_the_command_does_not_take_rejected(
+        self, tmp_path, lognormal_csv, capsys, command, lines
+    ):
+        key = lines[-1].split("=")[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines).format(csv=lognormal_csv) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"line 3: {command} takes no option {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=x\n", encoding="utf-8")

@@ -169,7 +169,7 @@ class TestVMatrix:
         scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
         assert np.all(np.abs(v_matrix(g, scheme) - expected) <= 1e-13 * scale)
         t = g.psi @ (g.hessian_inv @ psd_factor(np.eye(3) / 3))
-        c = coefficients(parse_criterion("A"), g).c
+        c = coefficients(parse_criterion("A"), g)
         assert np.array_equal(c, np.sum(t * t, axis=1))
 
     def test_no_n_by_p_temporary(self):
@@ -286,7 +286,7 @@ class TestDispersionMatrix:
         cs = coefficients(l_opt(l_mat), g)
         t = np.linalg.solve(g.hessian, g.psi.T).T @ l_mat
         expected = np.sum(t * t, axis=1) / 3
-        assert np.allclose(cs.c, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(cs, expected, rtol=1e-12, atol=0.0)
 
     def test_kinds_are_the_parsed_distance_labels(self):
         assert {k.value for k in DispersionKind} == {"d-er", "d-kl", "d-s"}

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from subdesign.config import DEFAULT
 from subdesign.covariance import DispersionKind, GradientSet, gamma, gradients_at
 from subdesign.criteria import (
-    CoefficientSet,
     a_opt,
     anticipated_coefficients,
     c_opt,
     coefficients,
     d_opt,
-    default_gram,
     distance_opt,
     e_opt,
     l_opt,
@@ -186,7 +184,7 @@ class TestCoefficients:
         cs = coefficients(spec, grads)
         eta0 = fit.theta0[0]
         expected = prob.weights**2 * (np.log(y) - eta0) ** 2
-        assert cs.c == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert cs == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_zero_coefficient_flagged(self):
         # A unit whose log response sits exactly at eta0 has zero coefficient.
@@ -195,22 +193,22 @@ class TestCoefficients:
         fit = fit_full(prob)
         grads = gradients_at(prob, fit.theta0)
         cs = coefficients(c_opt([1.0, 0.0]), grads)
-        assert np.array_equal(np.flatnonzero(cs.c == 0.0), [1])
+        assert np.array_equal(np.flatnonzero(cs == 0.0), [1])
 
     def test_identical_gradients_equal_coefficients(self):
         psi = np.vstack([np.tile([1.0, -0.5], (4, 1)), np.tile([-1.0, 0.5], (4, 1))])
         grads = GradientSet(psi=psi, hessian=np.eye(2), theta0=np.zeros(2))
         cs = coefficients(a_opt(), grads)
-        assert np.ptp(cs.c[:4]) == 0.0
-        assert np.ptp(cs.c) == pytest.approx(0.0, abs=1e-15)
+        assert np.ptp(cs[:4]) == 0.0
+        assert np.ptp(cs) == pytest.approx(0.0, abs=1e-15)
 
     def test_der_equals_a_when_hessian_identity(self):
         rng = np.random.default_rng(8)
         psi = rng.standard_normal((25, 3))
         psi -= psi.mean(axis=0)
         grads = GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
-        c_a = coefficients(a_opt(), grads).c
-        c_der = coefficients(distance_opt(DispersionKind.ER), grads).c
+        c_a = coefficients(a_opt(), grads)
+        c_der = coefficients(distance_opt(DispersionKind.ER), grads)
         assert np.max(np.abs(c_a - c_der)) <= 1e-12 * max(c_a.max(), 1.0)
 
     def test_finpop_sandwich_quadratic_form(self):
@@ -228,7 +226,7 @@ class TestCoefficients:
         resid = y - fit.theta0
         quad = np.sum((resid @ v0_inv) * resid, axis=1)
         expected = prob.weights**2 * quad
-        ratio = cs.c / expected
+        ratio = cs / expected
         # Equal up to the fixed 1/p normalization of the distance criterion.
         assert np.ptp(ratio) <= 1e-9 * ratio.mean()
         assert ratio.mean() == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -243,8 +241,7 @@ class TestCoefficients:
         rng = np.random.default_rng(11)
         scheme = interior_scheme(rng, grads.n_units)
         cs = coefficients(d_opt(), grads, at=scheme)
-        assert cs.at_scheme is scheme
-        assert np.all(cs.c >= 0)
+        assert np.all(cs >= 0)
 
 
 class TestDerivativeLaw:
@@ -286,7 +283,7 @@ class TestDerivativeLaw:
                         self.objective(spec, grads, up, family)
                         - self.objective(spec, grads, down, family)
                     ) / (2 * h)
-                    expected = -cs.c[i] / mu[i] ** 2
+                    expected = -cs[i] / mu[i] ** 2
                     assert fd == pytest.approx(expected, rel=1e-4, abs=1e-12)
 
     def test_fd_matches_e_when_gap_is_wide(self):
@@ -311,7 +308,7 @@ class TestDerivativeLaw:
                     self.objective(e_opt(), grads, up, DesignFamily.PO_WR)
                     - self.objective(e_opt(), grads, down, DesignFamily.PO_WR)
                 ) / (2 * h)
-                assert fd == pytest.approx(-cs.c[i] / mu[i] ** 2, rel=1e-4, abs=1e-12)
+                assert fd == pytest.approx(-cs[i] / mu[i] ** 2, rel=1e-4, abs=1e-12)
             tested += 1
         assert tested >= 5
 
@@ -326,8 +323,8 @@ class TestAnticipated:
             dispersions=np.full(3, 0.7),
             center=1.2,
         )
-        assert np.sqrt(cs.c) == pytest.approx(w * 0.7, rel=1e-12)
-        assert not np.any(cs.c == 0.0)
+        assert np.sqrt(cs) == pytest.approx(w * 0.7, rel=1e-12)
+        assert not np.any(cs == 0.0)
 
     def test_lognormal_positive_even_at_center(self):
         cs = anticipated_coefficients(
@@ -337,7 +334,7 @@ class TestAnticipated:
             dispersions=np.full(4, 0.3),
             center=1.0,
         )
-        assert np.all(cs.c > 0)
+        assert np.all(cs > 0)
 
     def test_lognormal_rejects_zero_dispersion(self):
         with pytest.raises(InvalidInput):
@@ -369,8 +366,8 @@ class TestAnticipated:
         plain = anticipated_coefficients("qblogit", X=x, theta=theta)
         deflated = anticipated_coefficients("qblogit", X=x, theta=theta, deflate=True)
         h = leverage(x, theta)
-        assert plain.c == pytest.approx(h)
-        assert deflated.c == pytest.approx(h * (1 - h))
+        assert plain == pytest.approx(h)
+        assert deflated == pytest.approx(h * (1 - h))
 
     def test_logit_mc_oracle(self):
         # Simulated Bernoulli responses: E[(Y - p)^2 x^T (X^T W X)^-1 x] = h_ii.
@@ -411,7 +408,7 @@ class TestAnticipated:
         expected = w**2 * (
             np.sum((pred @ v_inv) * pred, axis=1) + np.trace(v_inv @ blocks[0])
         )
-        assert cs.c == pytest.approx(expected, rel=1e-12)
+        assert cs == pytest.approx(expected, rel=1e-12)
 
     def test_finpop_mc_oracle(self):
         # E[(y - theta)^T V^-1 (y - theta)] for y ~ N(pred, Disp).
@@ -434,7 +431,7 @@ class TestAnticipated:
         ys = pred + rng.standard_normal((reps, m)) @ chol.T
         quad = np.sum((ys @ v_inv) * ys, axis=1)
         se = quad.std() / np.sqrt(reps)
-        assert abs(cs.c[0] - quad.mean()) <= 4 * se
+        assert abs(cs[0] - quad.mean()) <= 4 * se
 
     def test_finpop_rejects_non_psd_block(self):
         with pytest.raises(NotPSD):
@@ -497,7 +494,7 @@ class TestAnticipated:
             blocks[0] = 0.0
             aux = self.finpop_aux(rng, n, m, blocks)
             cs = anticipated_coefficients("finpop", **aux)
-            assert np.array_equal(cs.c, self.finpop_reference(**aux))
+            assert np.array_equal(cs, self.finpop_reference(**aux))
 
     def test_finpop_shared_block_equals_stacked_copies(self):
         rng = np.random.default_rng(23)
@@ -507,7 +504,7 @@ class TestAnticipated:
         shared = anticipated_coefficients("finpop", **aux)
         aux["dispersion_matrices"] = np.tile(block, (n, 1, 1))
         stacked = anticipated_coefficients("finpop", **aux)
-        assert np.array_equal(shared.c, stacked.c)
+        assert np.array_equal(shared, stacked)
 
     def test_finpop_names_first_bad_stacked_block(self):
         rng = np.random.default_rng(24)
@@ -628,12 +625,7 @@ class TestParseCriterion:
 
 def test_default_gram_kinds():
     prob = lognormal_problem([1.0, 2.0], np.ones(2))
-    assert default_gram(prob) == pytest.approx(np.diag([1.0, 0.0]))
-
-
-def test_coefficient_set_zero_ids_empty():
-    cs = CoefficientSet(c=np.array([1.0, 2.0]), criterion=a_opt())
-    assert np.flatnonzero(cs.c == 0.0).size == 0
+    assert parse_criterion("V", prob).gram == pytest.approx(np.diag([1.0, 0.0]))
 
 
 class TestCoefficientReduction:
@@ -668,7 +660,7 @@ class TestCoefficientReduction:
             return
         t = grads.psi @ (grads.hessian_inv @ psd_factor(phi))
         row_sum = np.sum(t * t, axis=1)
-        c = coefficients(spec, grads, at=at).c
+        c = coefficients(spec, grads, at=at)
         if t.shape[1] < 8:
             assert np.array_equal(c, row_sum)
         else:

@@ -18,7 +18,7 @@ from subdesign.dataio import (
     write_theta,
     write_trace,
 )
-from subdesign.errors import InvalidData, InvalidWeights
+from subdesign.errors import InvalidData, InvalidInput, InvalidWeights
 from subdesign.models import fit_full, lognormal_problem
 from subdesign.sampling import DesignFamily, uniform_scheme
 from subdesign.sequential import run_k_stages
@@ -143,7 +143,7 @@ class TestLoadProblem:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,w,y\n1,1,2\n", encoding="utf-8")
-        with pytest.raises(InvalidData, match="unknown model kind"):
+        with pytest.raises(InvalidInput, match="unknown model kind"):
             load_problem(str(path), "probit")
 
 

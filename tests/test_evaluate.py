@@ -428,6 +428,14 @@ class TestReparameterization:
         with pytest.raises(InvalidInput):
             Reparameterization(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_singularity_is_relative_to_scale(self):
+        # Condition number 1 at a small scale is a valid map; condition
+        # number 1e12 is singular to working precision at any scale.
+        small = 1e-4 * np.eye(3)
+        assert np.array_equal(Reparameterization(small).matrix, small)
+        with pytest.raises(InvalidInput, match="singular"):
+            Reparameterization(np.diag([1e6, 1e-6]))
+
     def test_dimension_mismatch(self):
         problem = qblogit_example(seed=17)
         with pytest.raises(InvalidInput):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 import subdesign.models as models
 from subdesign.cli import _build_parser
 from subdesign.covariance import DispersionKind
-from subdesign.criteria import c_opt, distance_opt, parse_criterion
+from subdesign.criteria import (
+    anticipated_coefficients,
+    c_opt,
+    distance_opt,
+    parse_criterion,
+)
 from subdesign.dataio import load_problem, write_pool
 from subdesign.errors import (
     EmptySample,
@@ -25,6 +32,7 @@ from subdesign.models import (
     weighted_fit,
 )
 from subdesign.sampling import DesignFamily, draw, uniform_scheme, validate_scheme
+from subdesign.sequential import check_anticipated_criterion, run_k_stages, update_aux
 from subdesign.synth import make_pool, pool_problem
 
 
@@ -508,3 +516,28 @@ class TestModelTable:
         for key, value in reference.data.items():
             assert np.array_equal(loaded.problem.data[key], value)
         assert _build_parser().parse_args(["fit", "--model", kind]).model == kind
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tmp, prob, recs: load_problem(str(tmp / "absent.csv"), "probit"),
+            lambda tmp, prob, recs: write_pool(str(tmp / "pool.csv"), "probit", {}),
+            lambda tmp, prob, recs: pool_problem("probit", {}),
+            lambda tmp, prob, recs: make_pool("probit", 30),
+            lambda tmp, prob, recs: anticipated_coefficients("probit"),
+            lambda tmp, prob, recs: check_anticipated_criterion("probit", "A"),
+            lambda tmp, prob, recs: update_aux(recs, replace(prob, kind="probit")),
+            lambda tmp, prob, recs: parse_criterion("V", replace(prob, kind="probit")),
+        ],
+        ids=[
+            "load_problem", "write_pool", "pool_problem", "make_pool",
+            "anticipated_coefficients", "check_anticipated_criterion",
+            "update_aux", "parse_criterion_V",
+        ],
+    )
+    def test_unknown_kind_is_one_error(self, tmp_path, call):
+        problem = pool_problem("qblogit", make_pool("qblogit", 30, seed=2))
+        records = run_k_stages(problem, [10], DesignFamily.PO_WR, seed=1)
+        with pytest.raises(InvalidInput, match="^unknown model kind 'probit'$"):
+            call(tmp_path, problem, records)
+        assert not (tmp_path / "pool.csv").exists()

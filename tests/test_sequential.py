@@ -235,7 +235,7 @@ class TestUpdateAux:
         aux = update_aux(recs, problem)
         assert np.all(aux["dispersions"] == pytest.approx(1e-6))
         _, cs = anticipate_scheme(recs, problem, 10, DesignFamily.PO_WR)
-        assert np.all(cs.c > 0.0)
+        assert np.all(cs > 0.0)
 
     def test_degenerate_regression_falls_back(self):
         y, w, _ = lognormal_population(seed=8, n=60)

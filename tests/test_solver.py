@@ -9,7 +9,6 @@ from subdesign import covariance, solver
 from subdesign.config import DEFAULT
 from subdesign.covariance import GradientSet, gamma, gradients_at
 from subdesign.criteria import (
-    CoefficientSet,
     a_opt,
     c_opt,
     coefficients,
@@ -116,11 +115,6 @@ class TestLOptimalScheme:
         scheme = l_optimal_scheme(np.array([9.0, 1.0, 1.0]), 5, DesignFamily.MULTI)
         assert scheme.family is DesignFamily.MULTI
         assert scheme.mu == pytest.approx([3.0, 1.0, 1.0], rel=1e-14)
-
-    def test_accepts_coefficient_set(self):
-        cs = CoefficientSet(c=np.array([4.0, 1.0]), criterion=a_opt())
-        scheme = l_optimal_scheme(cs, 1, DesignFamily.PO_WR)
-        assert scheme.mu == pytest.approx([2 / 3, 1 / 3])
 
     def test_census_budget(self):
         scheme = l_optimal_scheme(np.array([5.0, 1.0, 0.2]), 3, DesignFamily.PO_WOR)
@@ -337,7 +331,7 @@ class TestConvexity:
                     ) / (4 * h * h)
             hess = 0.5 * (hess + hess.T)
             assert np.linalg.eigvalsh(hess).min() >= -1e-8
-        assert cs.c.shape == (4,)
+        assert cs.shape == (4,)
 
 
 def test_solve_trace_fields():
@@ -520,7 +514,7 @@ class TestResidualFromNextScheme:
         capped = max(mu.max(), nxt.mu.max()) >= 1.0 - CAP_TOL
         assume(family is not DesignFamily.PO_WOR or not capped)
         scheme = validate_scheme(mu, family, n)
-        resid, got = solver._residual_and_next(scheme, CoefficientSet(c, a_opt()), n, family)
+        resid, got = solver._residual_and_next(scheme, c, n, family)
         assert np.array_equal(got.mu, nxt.mu)
         assert abs(resid - stationarity_residual(scheme, c)) <= 1e-14
 
@@ -583,14 +577,14 @@ class TestBadCoefficientsAfterFailedCheck:
         real = solver._coefficients_from_phi
         linearized = []
 
-        def spoiled(spec, grads, phi, scheme):
-            cs = real(spec, grads, phi, scheme)
+        def spoiled(grads, phi):
+            cs = real(grads, phi)
             linearized.append(cs)
             if len(linearized) == 1:
                 return cs
-            c = cs.c.copy()
+            c = cs.copy()
             c[[3, 7]] = bad
-            return CoefficientSet(c, cs.criterion, cs.at_scheme)
+            return c
 
         monkeypatch.setattr(solver, "_coefficients_from_phi", spoiled)
         grads, problem = pool_grads("lognormal", 300, seed=4)
