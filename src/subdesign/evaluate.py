@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import signal
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -37,6 +41,7 @@ from .sampling import (
     DesignFamily,
     SamplingScheme,
     _draw_support,
+    _nonnegative_int,
     derive_seed,
     validate_scheme,
 )
@@ -261,6 +266,74 @@ class MonteCarloCovariance:
         return self.n_failed / self.n_total
 
 
+def _worker_count() -> int:
+    """One Monte-Carlo worker per CPU this process may use; one without fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _replicate_outcomes(problem, scheme, seed, replicates, tol, max_iter) -> list:
+    """Each replicate's fitted theta, or the class name of the fit error it raised."""
+    outcomes = []
+    for r in replicates:
+        support, support_counts = _draw_support(scheme, derive_seed(seed, r))
+        try:
+            fit = _fit_on_support(
+                problem, support, support_counts / scheme.mu[support],
+                tol=tol, max_iter=max_iter,
+            )
+        except FIT_ERRORS as err:
+            outcomes.append(type(err).__name__)
+            continue
+        outcomes.append(fit.theta0)
+    return outcomes
+
+
+def _sharded_outcomes(run_shard, R: int) -> list:
+    """``run_shard`` over contiguous shards of ``range(R)``, one per worker, in order.
+
+    Shard 0 runs here and each other shard in a forked child, which pickles
+    its outcomes into a pipe. A shard whose child fails or sends back too few
+    outcomes runs again here, so an exception surfaces as in a serial loop.
+    Every child is reaped before this returns, and killed first if this raises.
+    """
+    workers = _worker_count()
+    bounds = [R * k // workers for k in range(workers + 1)]
+    shards = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pids, readers = [], []  # the children not yet reaped; every pipe's read end
+    try:
+        for shard in shards[1:]:
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pickle.dump(run_shard(shard), pipe, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        outcomes = run_shard(shards[0])
+        for shard, reader in zip(shards[1:], readers):
+            payload = reader.read()
+            status = os.waitpid(pids.pop(0), 0)[1]
+            got = pickle.loads(payload) if status == 0 else []
+            outcomes += got if len(got) == len(shard) else run_shard(shard)
+        return outcomes
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def monte_carlo_covariance(
     problem: RiskProblem,
     scheme: SamplingScheme,
@@ -279,27 +352,25 @@ def monte_carlo_covariance(
     Replicates that fail to fit (an empty draw raises EmptySample) are dropped
     and counted by exception class; the run aborts when more than
     MAX_FAILURE_RATE of them do.
+
+    Replicate r draws with ``derive_seed(seed, r)``, so replicates are
+    independent, and they are spread in contiguous shards over the CPUs this
+    process may use, one forked worker each. The results are gathered in
+    replicate order, so they are bit-identical whatever the number of CPUs.
+    Where ``os.fork`` is missing the loop runs in this process.
     """
+    seed = _nonnegative_int(seed, "seed")
+    R = _nonnegative_int(R, "R")
     if R < 1000:
         raise InvalidInput("need at least 1000 replicates for a stable covariance")
     if scheme.n_units != problem.n_units:
         raise InvalidInput(
             f"scheme covers {scheme.n_units} units, problem has {problem.n_units}"
         )
-    thetas = []
-    failures: dict[str, int] = {}
-    for r in range(R):
-        support, support_counts = _draw_support(scheme, derive_seed(seed, r))
-        try:
-            fit = _fit_on_support(
-                problem, support, support_counts / scheme.mu[support],
-                tol=tol, max_iter=max_iter,
-            )
-        except FIT_ERRORS as err:
-            name = type(err).__name__
-            failures[name] = failures.get(name, 0) + 1
-            continue
-        thetas.append(fit.theta0)
+    run_shard = partial(_replicate_outcomes, problem, scheme, seed, tol=tol, max_iter=max_iter)
+    outcomes = _sharded_outcomes(run_shard, R)
+    thetas = [o for o in outcomes if not isinstance(o, str)]
+    failures = dict(Counter(o for o in outcomes if isinstance(o, str)))
     failed = sum(failures.values())
     if failed > MAX_FAILURE_RATE * R:
         reasons = ", ".join(f"{name}: {k}" for name, k in sorted(failures.items()))

@@ -25,6 +25,7 @@ produce bitwise identical counts on any platform.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -154,13 +155,25 @@ def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingSche
     return validate_scheme(mu, family, n)
 
 
+def _nonnegative_int(value, what: str) -> int:
+    """``value`` as an int; a float, a string or a negative is refused."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+    if k < 0:
+        raise InvalidInput(f"{what} must be non-negative, got {k}")
+    return k
+
+
 def derive_seed(*keys: int) -> int:
     """Deterministic 64-bit draw seed derived from a tuple of integer keys.
 
     Stage, replicate and replication seeds all come from here, each keyed by
-    its master seed and index, so equal keys always give equal draws.
+    its master seed and index, so equal keys always give equal draws. Keys
+    must be non-negative integers: none is truncated or wrapped.
     """
-    ss = np.random.SeedSequence(entropy=[int(k) for k in keys])
+    ss = np.random.SeedSequence(entropy=[_nonnegative_int(k, "seed key") for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -170,7 +183,7 @@ def _draw_support(scheme: SamplingScheme, seed: int) -> tuple[np.ndarray, np.nda
     Every random step of a draw happens here; callers that read only the
     sample skip the N-length ``counts``.
     """
-    if seed < 0 or seed > np.iinfo(np.uint64).max:
+    if _nonnegative_int(seed, "seed") > np.iinfo(np.uint64).max:
         raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     mu = scheme.mu

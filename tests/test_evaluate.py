@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -31,6 +35,8 @@ from subdesign.evaluate import (
     rel_efficiency,
     reparam_invariance,
 )
+import subdesign
+import subdesign.evaluate as evaluate
 import subdesign.models as models
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import (
@@ -247,6 +253,22 @@ class TestMonteCarloCovariance:
         with pytest.raises(InvalidInput):
             monte_carlo_covariance(problem, scheme, R=500, seed=1)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": -1}, {"seed": 1.5}, {"R": 1000.5}, {"R": "1000"}]
+    )
+    def test_refuses_negative_or_non_integral_seed_and_count(self, kwargs, monkeypatch):
+        # seed -1 raised numpy's ValueError, seed 1.5 ran as seed 1 and
+        # R 1000.5 raised a TypeError from range(). No worker may start first.
+        def no_fork():
+            raise AssertionError("a worker started before the arguments were checked")
+
+        monkeypatch.setattr(evaluate, "_worker_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        problem = finpop_example(seed=9, n=30)
+        scheme = uniform_scheme(30, 10, DesignFamily.PO_WR)
+        with pytest.raises(InvalidInput):
+            monte_carlo_covariance(problem, scheme, **{"R": 1000, "seed": 1, **kwargs})
+
     def test_tracks_analytic_covariance(self):
         problem = finpop_example(seed=10, n=600, m=2)
         fit = fit_full(problem)
@@ -330,6 +352,8 @@ class TestMonteCarloCost:
 
         monkeypatch.setattr(models, "_newton", recording_newton)
         monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+        # The spies see this process only; keep all R replicates in it.
+        monkeypatch.setattr(evaluate, "_worker_count", lambda: 1)
         mc = monte_carlo_covariance(problem, scheme, R=1000, seed=seed)
         assert mc.n_failed == 0
         assert newton_sizes == supports
@@ -337,7 +361,9 @@ class TestMonteCarloCost:
         assert poisson_sizes == [1] * 1000
 
     @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
-    def test_no_population_length_array_per_replicate(self, family):
+    def test_no_population_length_array_per_replicate(self, family, monkeypatch):
+        # tracemalloc sees this process only; keep all R replicates in it.
+        monkeypatch.setattr(evaluate, "_worker_count", lambda: 1)
         n_units = 100_000
         problem = lognormal_example(seed=16, n=n_units)
         scheme = uniform_scheme(n_units, 50.0, family)
@@ -369,6 +395,171 @@ class TestMonteCarloCost:
             match=r"^(\d+) of 1000 replicates failed to fit \(EmptySample: \1\)$",
         ):
             monte_carlo_covariance(problem, tiny, R=1000, seed=7)
+
+
+def assert_no_child_left():
+    # waitpid on any child raises once this process has none, live or unreaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.cov.tobytes() == b.cov.tobytes()
+    assert a.thetas.shape == b.thetas.shape
+    assert a.thetas.tobytes() == b.thetas.tobytes()
+    assert a.failures == b.failures
+    assert (a.n_failed, a.n_total) == (b.n_failed, b.n_total)
+
+
+def with_workers(monkeypatch, workers, call):
+    """``call()`` with the Monte-Carlo worker count pinned, or at its default."""
+    with monkeypatch.context() as m:
+        if workers is not None:
+            m.setattr(evaluate, "_worker_count", lambda: workers)
+        return call()
+
+
+# One worker is the serial loop, three split 1000 replicates unevenly and
+# None is the number of CPUs this process may use.
+WORKER_COUNTS = (1, 3, None)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="replicates run in-process")
+class TestMonteCarloWorkers:
+    """Results do not depend on how many processes share the replicates."""
+
+    @pytest.mark.parametrize(
+        "make, family, n",
+        [
+            (lognormal_example, DesignFamily.PO_WR, 40),
+            (qblogit_example, DesignFamily.PO_WOR, 60),
+            (finpop_example, DesignFamily.MULTI, 30),
+            # About 1.8 % of these draws are empty, so failures are counted.
+            (finpop_example, DesignFamily.PO_WR, 4),
+        ],
+    )
+    def test_results_bitwise_equal_for_any_worker_count(self, monkeypatch, make, family, n):
+        problem = make(seed=21, n=300)
+        scheme = uniform_scheme(300, n, family)
+        results = [
+            with_workers(
+                monkeypatch, w, lambda: monte_carlo_covariance(problem, scheme, R=1000, seed=9)
+            )
+            for w in WORKER_COUNTS
+        ]
+        assert_no_child_left()
+        if n == 4:
+            assert results[0].failures["EmptySample"] > 0
+        for mc in results[1:]:
+            assert_bitwise_equal(mc, results[0])
+
+    def test_unreliable_estimate_equal_for_any_worker_count(self, monkeypatch):
+        # The pool of test_failures_counted_by_exception_class.
+        x = np.column_stack([np.ones(30), np.linspace(-2, 2, 30)])
+        problem = qblogit_problem(x, (x[:, 1] > 0).astype(float))
+        scheme = uniform_scheme(30, 15, DesignFamily.PO_WR)
+        errors = []
+        for w in WORKER_COUNTS:
+            with pytest.raises(UnreliableEstimate) as exc:
+                with_workers(monkeypatch, w, lambda: monte_carlo_covariance(
+                    problem, scheme, R=1000, seed=4, max_iter=25
+                ))
+            assert_no_child_left()
+            errors.append((str(exc.value), exc.value.n_failed, exc.value.failures))
+        assert errors[1:] == errors[:1] * 2
+
+    @pytest.mark.parametrize("failing", [(100,), (700,), (500, 700)])
+    def test_error_inside_a_replicate_is_the_serial_one(self, monkeypatch, failing):
+        # With three workers replicate 100 fails in this process while the
+        # children still run, 700 in the last child, and 500 and 700 in two.
+        problem = finpop_example(seed=22, n=200)
+        scheme = uniform_scheme(200, 30, DesignFamily.PO_WR)
+        real = evaluate.derive_seed
+
+        def derive(seed, r):
+            if r in failing:
+                raise RuntimeError(f"replicate {r} failed")
+            return real(seed, r)
+
+        monkeypatch.setattr(evaluate, "derive_seed", derive)
+        for w in WORKER_COUNTS:
+            with pytest.raises(RuntimeError, match=rf"^replicate {failing[0]} failed$"):
+                with_workers(monkeypatch, w, lambda: monte_carlo_covariance(
+                    problem, scheme, R=1000, seed=5
+                ))
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["in a replicate", "while sending"])
+    def test_shard_of_a_dead_child_is_recomputed(self, monkeypatch, death):
+        problem = lognormal_example(seed=23, n=200)
+        scheme = uniform_scheme(200, 30, DesignFamily.PO_WR)
+        serial = with_workers(
+            monkeypatch, 1, lambda: monte_carlo_covariance(problem, scheme, R=1000, seed=6)
+        )
+        parent, real = os.getpid(), evaluate.derive_seed
+
+        def derive(seed, r):
+            if r == 700 and os.getpid() != parent:
+                os._exit(1)
+            return real(seed, r)
+
+        def torn_dump(obj, file, protocol):
+            # Half a payload, then the child dies: it must not be unpickled.
+            payload = evaluate.pickle.dumps(obj, protocol)
+            file.write(payload[: len(payload) // 2])
+            file.flush()
+            os._exit(1)
+
+        if death == "in a replicate":
+            monkeypatch.setattr(evaluate, "derive_seed", derive)
+        else:
+            monkeypatch.setattr(evaluate.pickle, "dump", torn_dump)
+        for w in (3, None):
+            mc = with_workers(
+                monkeypatch, w, lambda: monte_carlo_covariance(problem, scheme, R=1000, seed=6)
+            )
+            assert_no_child_left()
+            assert_bitwise_equal(mc, serial)
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert evaluate._worker_count() == 1
+
+    def test_forks_while_blas_threads_run(self):
+        # A large matmul starts OpenBLAS's thread pool before the children
+        # are forked; the run must neither hang nor move a bit.
+        script = textwrap.dedent("""
+            import numpy as np
+            import subdesign.evaluate as evaluate
+            from subdesign.models import qblogit_problem
+            from subdesign.sampling import DesignFamily, uniform_scheme
+
+            rng = np.random.default_rng(0)
+            a = rng.normal(size=(1500, 1500))
+            a @ a
+            n = 20_000
+            x = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+            y = 1.0 / (1.0 + np.exp(-x @ np.array([0.3, -0.5, 0.8])))
+            problem = qblogit_problem(x, y)
+            scheme = uniform_scheme(n, 200, DesignFamily.PO_WR)
+            sharded = evaluate.monte_carlo_covariance(problem, scheme, R=2000, seed=3)
+            evaluate._worker_count = lambda: 1
+            serial = evaluate.monte_carlo_covariance(problem, scheme, R=2000, seed=3)
+            print(sharded.thetas.tobytes() == serial.thetas.tobytes()
+                  and sharded.cov.tobytes() == serial.cov.tobytes())
+        """)
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        src = os.path.dirname(os.path.dirname(subdesign.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestHansenHurwitzUnbiasedness:

@@ -222,6 +222,13 @@ class TestDraw:
         with pytest.raises(InvalidInput):
             draw(scheme, -1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to draw, and record, seed 1.
+        scheme = uniform_scheme(3, 1, DesignFamily.PO_WR)
+        with pytest.raises(InvalidInput):
+            draw(scheme, seed)
+
     def test_counts_readonly(self):
         scheme = uniform_scheme(4, 2, DesignFamily.PO_WR)
         result = draw(scheme, 5)
@@ -405,3 +412,12 @@ class TestDeriveSeed:
         seed = derive_seed(3, 7, 1)
         assert 0 <= seed <= np.iinfo(np.uint64).max
         draw(uniform_scheme(5, 2, DesignFamily.PO_WR), seed)
+
+    @pytest.mark.parametrize("keys", [(1.5, 0), (3, 0.5), (-1, 0), (3, -2), ("7", 1)])
+    def test_refuses_non_integral_or_negative_keys(self, keys):
+        # int() used to truncate 1.5 to 1, so two different seeds drew alike.
+        with pytest.raises(InvalidInput):
+            derive_seed(*keys)
+
+    def test_numpy_integer_keys_equal_python_ints(self):
+        assert derive_seed(np.int64(7), np.uint32(1)) == derive_seed(7, 1)
