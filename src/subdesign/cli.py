@@ -46,21 +46,23 @@ _COMMAND_HELP = {
 }
 
 _ALL = tuple(_COMMAND_HELP)
+_FITTING = ("fit", "design", "evaluate", "sequential")
+_DESIGNING = ("design", "evaluate", "sequential")
 
 # Every option but --config, once: the commands that take it and its
 # add_argument keywords (value type or choices, help text). The subparsers and
 # the config-file keys come from here; a config file separates the tokens of
 # a list option with whitespace.
 _OPTIONS = {
-    "input": (_ALL, {"help": "input CSV path"}),
+    "input": (_FITTING, {"help": "input CSV path"}),
     "model": (_ALL, {"choices": tuple(MODELS)}),
-    "criterion": (_ALL, {"help": "criterion token, e.g. A or c:1,0"}),
-    "family": (_ALL, {"help": "po-wr, po-wor or multi"}),
-    "n": (_ALL, {"help": "budget; comma list of stage sizes for sequential"}),
+    "criterion": (_DESIGNING, {"help": "criterion token, e.g. A or c:1,0"}),
+    "family": (_DESIGNING, {"help": "po-wr, po-wor or multi"}),
+    "n": (_DESIGNING, {"help": "budget; comma list of stage sizes for sequential"}),
     "seed": (_ALL, {"type": int}),
-    "tol": (_ALL, {"type": float}),
-    "max_iter": (_ALL, {"type": int}),
-    "eps": (_ALL, {"type": float}),
+    "tol": (_FITTING, {"type": float}),
+    "max_iter": (_FITTING, {"type": int}),
+    "eps": (_DESIGNING, {"type": float}),
     "out": (_ALL, {"help": "output directory"}),
     "criteria": (
         ("evaluate",),

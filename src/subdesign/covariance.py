@@ -26,14 +26,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import InvalidInput, SingularHessian, Unsupported
-from .linalg import as_symmetric, spd_inverse
+from .linalg import as_symmetric, spd_inverse, unit_blocks
 from .sampling import DesignFamily, SamplingScheme
-
-
-# Units per block of the passes over the gradients: a p x BLOCK_UNITS slab of
-# psi_t and the block's temporaries stay in cache while every row of the slab
-# is used, and no temporary grows with N.
-BLOCK_UNITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class GradientSet:
 
     def blocks(self) -> list[slice]:
         """Consecutive unit ranges of at most BLOCK_UNITS units covering 0..N-1."""
-        return [slice(s, s + BLOCK_UNITS) for s in range(0, self.n_units, BLOCK_UNITS)]
+        return unit_blocks(self.n_units)
 
     @cached_property
     def hessian_inv(self) -> np.ndarray:
@@ -129,7 +123,7 @@ def gradients_at(problem, theta0) -> GradientSet:
     theta = np.asarray(theta0, dtype=float)
     psi = problem.unit_gradients(theta)
     hess = problem.hessian(theta, None)
-    expected = problem.expected_hessian(theta)
+    expected = hess if problem.expected_hessian is None else problem.expected_hessian(theta)
     return GradientSet(psi=psi, hessian=hess, theta0=theta, expected_hessian=expected)
 
 

@@ -6,6 +6,9 @@ callers never have to worry about round-off asymmetry accumulating through
 products. Eigen-based routines are backed by LAPACK via numpy with a
 deterministic sign convention layered on top. ``logistic`` is the one
 overflow-safe sigmoid, used by the logistic model and its leverage.
+``BLOCK_UNITS`` sizes every blocked pass over the units, whether over the
+gradients in ``covariance`` and ``criteria`` or over the design rows of the
+logistic model.
 """
 
 from __future__ import annotations
@@ -16,6 +19,16 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import InvalidInput, NotPSD, SingularMatrix
+
+# Units per block of a pass over the units: a block of p-vectors and the
+# block's temporaries stay in cache while each is used, and no temporary
+# grows with N.
+BLOCK_UNITS = 1 << 14
+
+
+def unit_blocks(n: int) -> list[slice]:
+    """Consecutive unit ranges of at most BLOCK_UNITS units covering 0..n-1."""
+    return [slice(s, s + BLOCK_UNITS) for s in range(0, n, BLOCK_UNITS)]
 
 
 def as_symmetric(m) -> np.ndarray:
@@ -110,7 +123,12 @@ def spd_inverse(m) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def logistic(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-t)) evaluated without overflow on either tail."""
+def logistic(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-t)) evaluated without overflow on either tail.
+
+    ``out``, if given, receives the result and must not share memory with t.
+    """
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.divide(e, d, out=out)
+    return np.divide(1.0, d, out=out, where=t >= 0)

@@ -22,7 +22,15 @@ two check their full-length inputs, then evaluate only the rows with positive
 weight, since the others contribute nothing; so does the Monte-Carlo loop in
 ``evaluate``, which starts from a draw's support. All of them run damped
 Newton with step halving so the objective never increases within an
-iteration.
+iteration. Newton reads a problem through one closure, ``newton_terms``,
+which returns the total risk, gradient and Hessian from one evaluation; a
+line-search candidate costs one evaluation, and an accepted candidate's
+gradient and Hessian are the next iterate's. qblogit's closure walks the
+design in blocks of ``linalg.BLOCK_UNITS`` rows with buffers reused from
+block to block, computing each block's linear predictor and logistic once.
+Without multipliers its gradient is the unblocked sum in unit order at any
+N; its other totals add per-block sums, which are the unblocked ones bit for
+bit up to BLOCK_UNITS rows.
 
 ``MODELS`` is the model table: one ``ModelSpec`` per model name, holding
 everything other modules need to know about that model (its CSV layout, how
@@ -50,7 +58,7 @@ from .errors import (
     NotPSD,
     SingularHessian,
 )
-from .linalg import as_symmetric, logistic, spd_inverse
+from .linalg import BLOCK_UNITS, as_symmetric, logistic, spd_inverse, unit_blocks
 from .sampling import SamplingScheme
 
 P_CLAMP = 1e-12
@@ -70,8 +78,12 @@ class RiskProblem:
     ``unit_losses`` and ``unit_gradients`` map a parameter vector to per-unit
     values (shapes (N,) and (N, p)). ``hessian(theta, multipliers)`` returns
     the Hessian of the multiplier-weighted total loss; multipliers of None
-    mean the plain full-data sum. ``expected_hessian`` is the model-based
-    counterpart used where observed curvature would inject residual noise.
+    mean the plain full-data sum. ``newton_terms(theta, multipliers)`` returns
+    that total loss (a float), its gradient and its Hessian together, sharing
+    the per-unit work; it is all that Newton evaluates. ``expected_hessian``
+    is the model-based counterpart used where observed curvature would inject
+    residual noise; None says that it is the full-data ``hessian`` itself
+    (qblogit, whose link is canonical), so that matrix is computed once.
     ``take(idx)`` returns the same model restricted to the rows ``idx``; its
     per-unit values are the full ones indexed by ``idx`` (for qblogit, up to
     the rounding of the BLAS product ``X @ theta``).
@@ -86,7 +98,8 @@ class RiskProblem:
     unit_losses: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     unit_gradients: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     hessian: Callable[[np.ndarray, np.ndarray | None], np.ndarray] = field(repr=False)
-    expected_hessian: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    newton_terms: Callable[..., tuple[float, np.ndarray, np.ndarray]] = field(repr=False)
+    expected_hessian: Callable[[np.ndarray], np.ndarray] | None = field(repr=False)
     default_init: Callable[[np.ndarray | None], np.ndarray] = field(repr=False)
     in_domain: Callable[[np.ndarray], bool] = field(repr=False)
     take: Callable[[np.ndarray], "RiskProblem"] = field(repr=False)
@@ -98,6 +111,11 @@ class FitResult:
     iterations: int
     final_gradient_norm: float
     hessian_at_opt: np.ndarray
+
+
+def _total(values: np.ndarray, multipliers: np.ndarray | None):
+    """Per-unit values summed over the units, weighted by the multipliers if given."""
+    return values.sum(axis=0) if multipliers is None else multipliers @ values
 
 
 def _positive_weights(w, n: int) -> np.ndarray:
@@ -129,19 +147,23 @@ def finpop_problem(Y, w) -> RiskProblem:
 def _finpop(y: np.ndarray, w_norm: np.ndarray, y_mean: np.ndarray) -> RiskProblem:
     n, m = y.shape
 
-    def losses(theta):
-        resid = y - theta
+    def losses(resid):
         return 0.5 * w_norm * np.sum(resid * resid, axis=1)
 
-    def gradients(theta):
-        return -w_norm[:, None] * (y - theta)
+    def gradients(resid):
+        return -w_norm[:, None] * resid
 
     def hess(theta, multipliers=None):
         total = w_norm.sum() if multipliers is None else float(multipliers @ w_norm)
         return total * np.eye(m)
 
-    def expected_hess(theta):
-        return np.eye(m)
+    def newton_terms(theta, multipliers=None):
+        resid = y - theta
+        return (
+            float(_total(losses(resid), multipliers)),
+            _total(gradients(resid), multipliers),
+            hess(theta, multipliers),
+        )
 
     def init(multipliers=None):
         return y_mean.copy()
@@ -153,10 +175,11 @@ def _finpop(y: np.ndarray, w_norm: np.ndarray, y_mean: np.ndarray) -> RiskProble
         param_names=tuple(f"theta{j + 1}" for j in range(m)),
         weights=w_norm,
         data={"y": y},
-        unit_losses=losses,
-        unit_gradients=gradients,
+        unit_losses=lambda theta: losses(y - theta),
+        unit_gradients=lambda theta: gradients(y - theta),
         hessian=hess,
-        expected_hessian=expected_hess,
+        newton_terms=newton_terms,
+        expected_hessian=lambda theta: np.eye(m),
         default_init=init,
         in_domain=lambda theta: True,
         take=lambda idx: _finpop(y[idx], w_norm[idx], y_mean),
@@ -183,31 +206,29 @@ def lognormal_problem(y, w) -> RiskProblem:
 def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskProblem:
     n = obs.shape[0]
 
-    def losses(theta):
-        eta, sigma = theta
-        r = log_y - eta
+    # Each evaluator takes the residuals r = log y - eta and sigma.
+    def losses(r, sigma):
         return 0.5 * w_norm * (r * r / sigma**2 + np.log(sigma**2))
 
-    def gradients(theta):
-        eta, sigma = theta
-        r = log_y - eta
+    def gradients(r, sigma):
         g_eta = -w_norm * r / sigma**2
         g_sigma = -w_norm * (r * r - sigma**2) / sigma**3
         return np.column_stack([g_eta, g_sigma])
 
-    def hess(theta, multipliers=None):
-        eta, sigma = theta
-        u = np.ones(n) if multipliers is None else multipliers
-        uw = u * w_norm
-        r = log_y - eta
+    def hess(r, sigma, multipliers):
+        uw = w_norm if multipliers is None else multipliers * w_norm
         h_ee = np.sum(uw) / sigma**2
         h_es = 2.0 * np.sum(uw * r) / sigma**3
         h_ss = 3.0 * np.sum(uw * r * r) / sigma**4 - np.sum(uw) / sigma**2
         return np.array([[h_ee, h_es], [h_es, h_ss]])
 
-    def expected_hess(theta):
-        sigma = theta[1]
-        return np.diag([1.0, 2.0]) / sigma**2
+    def newton_terms(theta, multipliers=None):
+        r, sigma = log_y - theta[0], theta[1]
+        return (
+            float(_total(losses(r, sigma), multipliers)),
+            _total(gradients(r, sigma), multipliers),
+            hess(r, sigma, multipliers),
+        )
 
     def init(multipliers=None):
         u = np.ones(n) if multipliers is None else multipliers
@@ -226,10 +247,11 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
         param_names=("eta", "sigma"),
         weights=w_norm,
         data={"y": obs, "log_y": log_y},
-        unit_losses=losses,
-        unit_gradients=gradients,
-        hessian=hess,
-        expected_hessian=expected_hess,
+        unit_losses=lambda theta: losses(log_y - theta[0], theta[1]),
+        unit_gradients=lambda theta: gradients(log_y - theta[0], theta[1]),
+        hessian=lambda theta, multipliers=None: hess(log_y - theta[0], theta[1], multipliers),
+        newton_terms=newton_terms,
+        expected_hessian=lambda theta: np.diag([1.0, 2.0]) / theta[1] ** 2,
         default_init=init,
         in_domain=lambda theta: bool(theta[1] > 0.0),
         take=lambda idx: _lognormal(obs[idx], log_y[idx], w_norm[idx]),
@@ -267,10 +289,40 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         return (logistic(x @ theta) - resp)[:, None] * x
 
     def hess(theta, multipliers=None):
-        wdiag = _logistic_weights(x, theta)
-        if multipliers is not None:
-            wdiag = wdiag * multipliers
-        return (x * wdiag[:, None]).T @ x
+        total = np.zeros((p, p))
+        for rows, xb, t, pr in _logit_blocks(x, theta):
+            w = _logistic_weights(pr)
+            if multipliers is not None:
+                w *= multipliers[rows]
+            total += (xb * w[:, None]).T @ xb
+        return total
+
+    def newton_terms(theta, multipliers=None):
+        size = min(n, BLOCK_UNITS)
+        ell, resid, w_buf = np.empty(size), np.empty(size), np.empty(size)
+        g_t, xw = np.empty((p, size)), np.empty((size, p))
+        risk, grad, total = 0.0, np.zeros(p), np.zeros((p, p))
+        for rows, xb, t, pr in _logit_blocks(x, theta):
+            m, rb = t.size, resp[rows]
+            loss = np.logaddexp(0.0, t, out=ell[:m])
+            loss -= np.multiply(rb, t, out=resid[:m])
+            r = np.subtract(pr, rb, out=resid[:m])
+            w = _logistic_weights(pr, out=w_buf[:m])
+            if multipliers is None:
+                risk += float(loss.sum())
+                # The unit gradients r_i x_i, one parameter per row, summed in
+                # unit order: the sequential sum that unit_gradients(theta)
+                # .sum(axis=0) takes, continued from the previous blocks.
+                g = np.multiply(r, xb.T, out=g_t[:, :m])
+                g[:, 0] += grad
+                grad = np.add.accumulate(g, axis=1, out=g)[:, -1].copy()
+            else:
+                ub = multipliers[rows]
+                risk += float(ub @ loss)
+                grad += ub @ (r[:, None] * xb)
+                w *= ub
+            total += np.multiply(xb, w[:, None], out=xw[:m]).T @ xb
+        return risk, grad, total
 
     def init(multipliers=None):
         return np.zeros(p)
@@ -285,28 +337,56 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         unit_losses=losses,
         unit_gradients=gradients,
         hessian=hess,
-        expected_hessian=lambda theta: hess(theta, None),
+        newton_terms=newton_terms,
+        expected_hessian=None,
         default_init=init,
         in_domain=lambda theta: True,
         take=lambda idx: _qblogit(x[idx], resp[idx]),
     )
 
 
-def _logistic_weights(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _logit_blocks(x: np.ndarray, theta: np.ndarray):
+    """Yield (rows, xb, t, pr) for each BLOCK_UNITS block of design rows.
+
+    ``xb = x[rows]``, ``t = xb @ theta`` and ``pr = logistic(t)``. t and pr are
+    views of two buffers allocated once per call, which the next block
+    overwrites.
+    """
+    size = min(x.shape[0], BLOCK_UNITS)
+    t_buf, pr_buf = np.empty(size), np.empty(size)
+    for rows in unit_blocks(x.shape[0]):
+        xb = x[rows]
+        t = np.matmul(xb, theta, out=t_buf[: xb.shape[0]])
+        yield rows, xb, t, logistic(t, out=pr_buf[: xb.shape[0]])
+
+
+def _logistic_weights(pr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic curvature weights pr (1 - pr), at probabilities clipped off 0 and 1."""
-    pr = np.clip(logistic(x @ theta), P_CLAMP, 1.0 - P_CLAMP)
-    return pr * (1.0 - pr)
+    w = np.clip(pr, P_CLAMP, 1.0 - P_CLAMP, out=out)
+    w *= 1.0 - w
+    return w
 
 
 def leverage(X, theta) -> np.ndarray:
-    """Hat-matrix diagonal of a logistic fit: W_ii x_i^T (X^T W X)^-1 x_i."""
+    """Hat-matrix diagonal of a logistic fit: W_ii x_i^T (X^T W X)^-1 x_i.
+
+    Two passes over the rows in blocks: the first stores the weights W_ii and
+    sums X^T W X, the second scales them by the quadratic forms.
+    """
     x = np.asarray(X, dtype=float)
     th = np.asarray(theta, dtype=float)
     if x.ndim != 2 or th.shape != (x.shape[1],):
         raise InvalidInput("X must be N x p and theta length p")
-    w = _logistic_weights(x, th)
-    h_inv = spd_inverse((x * w[:, None]).T @ x)
-    return w * np.sum((x @ h_inv) * x, axis=1)
+    h = np.empty(x.shape[0])
+    gram = np.zeros((th.size, th.size))
+    for rows, xb, t, pr in _logit_blocks(x, th):
+        w = _logistic_weights(pr, out=h[rows])
+        gram += (xb * w[:, None]).T @ xb
+    h_inv = spd_inverse(gram)
+    for rows in unit_blocks(x.shape[0]):
+        xb = x[rows]
+        h[rows] *= np.sum((xb @ h_inv) * xb, axis=1)
+    return h
 
 
 def _newton(
@@ -325,17 +405,7 @@ def _newton(
     if not np.all(np.isfinite(theta)) or not problem.in_domain(theta):
         raise InvalidInput("theta_init is outside the parameter domain")
 
-    def total_grad(th):
-        g = problem.unit_gradients(th)
-        return g.sum(axis=0) if u is None else u @ g
-
-    def total_loss(th):
-        ell = problem.unit_losses(th)
-        return float(ell.sum() if u is None else u @ ell)
-
-    risk = total_loss(theta)
-    grad = total_grad(theta)
-    hess = problem.hessian(theta, u)
+    risk, grad, hess = problem.newton_terms(theta, u)
     d_ref = np.diag(hess)
     # The last pass only tests convergence: an unconverged fit stops there
     # before the PD test, a converged one passes it and returns.
@@ -357,22 +427,18 @@ def _newton(
             )
         step = np.linalg.solve(hess, -grad)
         alpha = 1.0
-        accepted = False
         for _ in range(31):
             candidate = theta + alpha * step
             if problem.in_domain(candidate) and np.all(np.isfinite(candidate)):
-                cand_risk = total_loss(candidate)
-                if np.isfinite(cand_risk) and cand_risk <= risk + 1e-12 * max(1.0, abs(risk)):
-                    theta, risk = candidate, cand_risk
-                    accepted = True
+                terms = problem.newton_terms(candidate, u)
+                if np.isfinite(terms[0]) and terms[0] <= risk + 1e-12 * max(1.0, abs(risk)):
+                    theta, (risk, grad, hess) = candidate, terms
                     break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NoConvergence(
                 f"line search failed to reduce the risk at iteration {iteration + 1}"
             )
-        grad = total_grad(theta)
-        hess = problem.hessian(theta, u)
 
 
 def _require_pd(hess: np.ndarray, d_ref: np.ndarray) -> None:

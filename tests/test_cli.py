@@ -107,6 +107,19 @@ class TestFit:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--criterion", "E"], ["--family", "po-wr"], ["--n", "5"], ["--eps", "0.1"]]
+    )
+    def test_options_fit_ignores_are_usage_errors(self, tmp_path, lognormal_csv, flags, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["fit", "--input", str(lognormal_csv), "--model", "lognormal", *flags,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergent_fit_exits_3(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
         data.write_text(
@@ -701,6 +714,21 @@ class TestSynth:
         _, rows = read_rows(out / "lognormal.csv")
         assert all(float(row[2]) > 0 for row in rows)
 
+    # No --n here: argparse reads it as an abbreviation of --n-units.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iter", "3"], ["--input", "x.csv"], ["--criterion", "E"],
+         ["--family", "po-wr"], ["--tol", "1e-8"], ["--eps", "0.1"]],
+    )
+    def test_options_synth_ignores_are_usage_errors(self, tmp_path, flags, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["synth", "--model", "finpop", "--n-units", "20", *flags, "--out", str(out)]
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_small_pool_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["synth", "--model", "finpop", "--n-units", "5", "--out", str(tmp_path)]
@@ -808,6 +836,8 @@ class TestConfigFile:
             ("synth", ["model=finpop", "n-units=20", "stages=7"]),
             ("synth", ["model=finpop", "n-units=20", "criteria=Q"]),
             ("fit", ["input={csv}", "model=lognormal", "n_units=20"]),
+            ("synth", ["model=finpop", "n-units=20", "max_iter=3"]),
+            ("fit", ["input={csv}", "model=lognormal", "criterion=E"]),
         ],
     )
     def test_config_key_the_command_does_not_take_rejected(

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdesign.covariance import (
-    BLOCK_UNITS,
     DispersionKind,
     GradientSet,
     dispersion_matrix,
@@ -16,7 +16,7 @@ from subdesign.covariance import (
 )
 from subdesign.criteria import coefficients, l_opt, parse_criterion
 from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsupported
-from subdesign.linalg import psd_factor
+from subdesign.linalg import BLOCK_UNITS, psd_factor
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 
@@ -75,6 +75,25 @@ class TestGradientSet:
         assert g.n_units == 10
         assert g.n_params == 2
         assert g.expected_hessian == pytest.approx(np.eye(2))
+
+    def test_qblogit_hessian_is_computed_once_and_serves_as_expected(self):
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(200), rng.standard_normal((200, 2))])
+        prob = qblogit_problem(x, rng.uniform(0.0, 1.0, 200))
+        theta0 = fit_full(prob).theta0
+        calls = []
+
+        def counted(theta, multipliers=None):
+            calls.append(multipliers)
+            return prob.hessian(theta, multipliers)
+
+        g = gradients_at(replace(prob, hessian=counted), theta0)
+        assert calls == [None]
+        assert np.array_equal(g.hessian, prob.hessian(theta0, None))
+        assert np.array_equal(g.expected_hessian, g.hessian)
+        assert np.array_equal(
+            dispersion_matrix(DispersionKind.KL, g), dispersion_matrix(DispersionKind.ER, g)
+        )
 
 
 class TestVMatrix:

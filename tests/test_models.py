@@ -23,9 +23,11 @@ from subdesign.errors import (
     NoConvergence,
     SingularHessian,
 )
+from subdesign.linalg import BLOCK_UNITS, logistic, spd_inverse
 from subdesign.models import (
     finpop_problem,
     fit_full,
+    leverage,
     lognormal_problem,
     multiplier_fit,
     qblogit_problem,
@@ -541,3 +543,144 @@ class TestModelTable:
         with pytest.raises(InvalidInput, match="^unknown model kind 'probit'$"):
             call(tmp_path, problem, records)
         assert not (tmp_path / "pool.csv").exists()
+
+
+def reference_hessian(prob, theta, u):
+    """The Hessian as the unblocked full-N formulas compute it."""
+    if prob.kind != "qblogit":
+        return prob.hessian(theta, u)
+    x = prob.data["X"]
+    pr = np.clip(logistic(x @ theta), models.P_CLAMP, 1.0 - models.P_CLAMP)
+    w = pr * (1.0 - pr)
+    if u is not None:
+        w = w * u
+    return (x * w[:, None]).T @ x
+
+
+def reference_terms(prob, theta, u):
+    """Risk, gradient and Hessian from three separate evaluator passes."""
+    ell = prob.unit_losses(theta)
+    g = prob.unit_gradients(theta)
+    risk = float(ell.sum() if u is None else u @ ell)
+    grad = g.sum(axis=0) if u is None else u @ g
+    return risk, grad, reference_hessian(prob, theta, u)
+
+
+def reference_newton(prob, theta, tol=1e-10, max_iter=60):
+    """Damped Newton with a loss pass per line-search candidate, then a
+    gradient pass and a Hessian pass at the accepted point."""
+    risk, grad, hess = reference_terms(prob, theta, None)
+    for iteration in range(max_iter + 1):
+        if np.max(np.abs(grad)) <= tol:
+            return theta, iteration
+        step = np.linalg.solve(hess, -grad)
+        alpha = 1.0
+        while True:
+            candidate = theta + alpha * step
+            if prob.in_domain(candidate):
+                cand_risk = float(prob.unit_losses(candidate).sum())
+                if cand_risk <= risk + 1e-12 * max(1.0, abs(risk)):
+                    break
+            alpha *= 0.5
+        theta, risk = candidate, cand_risk
+        _, grad, hess = reference_terms(prob, theta, None)
+    raise AssertionError("reference Newton did not converge")
+
+
+def multipliers_with_zeros(rng, n):
+    u = rng.uniform(0.5, 3.0, n)
+    u[rng.random(n) < 0.3] = 0.0
+    return u
+
+
+class TestNewtonTerms:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 3000, BLOCK_UNITS])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_separate_passes_up_to_one_block(self, kind, n, weighted):
+        rng = np.random.default_rng(n + 7 * weighted)
+        prob = make_problem(kind, rng, n)
+        theta = sample_theta(kind, rng)
+        u = multipliers_with_zeros(rng, n) if weighted else None
+        risk, grad, hess = prob.newton_terms(theta, u)
+        ref_risk, ref_grad, ref_hess = reference_terms(prob, theta, u)
+        assert isinstance(risk, float)
+        assert risk == ref_risk
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(hess, ref_hess)
+        assert np.array_equal(prob.hessian(theta, u), ref_hess)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_within_1e13_with_a_tail_block(self, kind, weighted):
+        n = 2 * BLOCK_UNITS + 123
+        rng = np.random.default_rng(40 + weighted)
+        prob = make_problem(kind, rng, n)
+        theta = sample_theta(kind, rng)
+        u = multipliers_with_zeros(rng, n) if weighted else None
+        got = prob.newton_terms(theta, u)
+        for value, ref in zip(got, reference_terms(prob, theta, u)):
+            assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(prob.hessian(theta, u) - got[2])) <= 1e-13 * np.max(
+            np.abs(got[2])
+        )
+
+    def test_qblogit_gradient_is_the_unit_order_sum_at_any_size(self):
+        n = 2 * BLOCK_UNITS + 123
+        rng = np.random.default_rng(42)
+        prob = make_problem("qblogit", rng, n)
+        theta = sample_theta("qblogit", rng)
+        grad = prob.newton_terms(theta, None)[1]
+        assert np.array_equal(grad, prob.unit_gradients(theta).sum(axis=0))
+
+    # finpop's loss is quadratic, so its first Newton step is exact and no
+    # candidate is ever rejected.
+    @pytest.mark.parametrize("kind", ["lognormal", "qblogit"])
+    def test_rejected_first_candidate_matches_reference_newton(self, kind):
+        rng = np.random.default_rng(43)
+        prob = make_problem(kind, rng, 500)
+        start = np.array([0.0, 0.5]) if kind == "lognormal" else np.array([4.0, -4.0, 4.0])
+        calls = []
+
+        def counted(theta, u=None):
+            calls.append(theta)
+            return prob.newton_terms(theta, u)
+
+        fit = fit_full(replace(prob, newton_terms=counted), theta_init=start)
+        # One evaluation at the start and one per accepted step: more means a
+        # candidate was rejected.
+        assert len(calls) > fit.iterations + 1
+        theta, iterations = reference_newton(prob, start)
+        assert fit.iterations == iterations
+        assert np.array_equal(fit.theta0, theta)
+
+    @pytest.mark.parametrize("seed, iterations", [(1, 5), (7, 5), (42, 5)])
+    def test_qblogit_iteration_counts_at_1e5(self, seed, iterations):
+        prob = pool_problem("qblogit", make_pool("qblogit", 100_000, seed))
+        assert fit_full(prob).iterations == iterations
+
+
+class TestBlockedLeverage:
+    @staticmethod
+    def unblocked(x, theta):
+        pr = np.clip(logistic(x @ theta), models.P_CLAMP, 1.0 - models.P_CLAMP)
+        w = pr * (1.0 - pr)
+        h_inv = spd_inverse((x * w[:, None]).T @ x)
+        return w * np.sum((x @ h_inv) * x, axis=1)
+
+    @pytest.mark.parametrize("n", [1, 3000, BLOCK_UNITS])
+    def test_bit_identical_up_to_one_block(self, n):
+        rng = np.random.default_rng(n)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        if n == 1:
+            x = np.eye(3)
+        theta = np.array([0.3, -0.5, 0.8])
+        assert np.array_equal(leverage(x, theta), self.unblocked(x, theta))
+
+    def test_within_1e13_with_a_tail_block(self):
+        n = 2 * BLOCK_UNITS + 123
+        rng = np.random.default_rng(44)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        theta = np.array([0.3, -0.5, 0.8])
+        ref = self.unblocked(x, theta)
+        assert np.max(np.abs(leverage(x, theta) - ref)) <= 1e-13 * np.max(ref)
