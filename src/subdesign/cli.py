@@ -2,11 +2,13 @@
 
 Five subcommands: ``fit``, ``design``, ``evaluate``, ``sequential``,
 ``synth``. Each option is declared once, in ``_OPTIONS``, which builds the
-subparsers and the config-file keys. Options resolve as flags over config
-file over built-in defaults, and every token is checked before any data is
-loaded; a criterion token that needs the model (bare ``c``, ``V``) is
-checked once the data are in. Exit codes: 0 success, 2 usage or schema
-error, 3 estimation failure, 4 solver stopped without converging, 5
+subparsers and the config-file keys. A command takes only the options that
+change its output, each flag spelled in full: a flag or config key it does
+not take, or an abbreviated flag, is a usage error. Options resolve as flags
+over config file over built-in defaults, and every token is checked before
+any data is loaded; a criterion token that needs the model (bare ``c``,
+``V``) is checked once the data are in. Exit codes: 0 success, 2 usage or
+schema error, 3 estimation failure, 4 solver stopped without converging, 5
 infeasible allocation.
 """
 
@@ -22,12 +24,12 @@ import numpy as np
 
 from . import dataio
 from .covariance import gradients_at
-from .criteria import CriterionSpec, parse_criterion
+from .criteria import parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
 from .models import MODELS, fit_full, model_spec
 from .sampling import DesignFamily, derive_seed
-from .sequential import check_anticipated_criterion, run_k_stages
+from .sequential import run_k_stages
 from .solver import SolveStatus, fixed_point_solve
 from .synth import make_pool
 
@@ -56,13 +58,13 @@ _DESIGNING = ("design", "evaluate", "sequential")
 _OPTIONS = {
     "input": (_FITTING, {"help": "input CSV path"}),
     "model": (_ALL, {"choices": tuple(MODELS)}),
-    "criterion": (_DESIGNING, {"help": "criterion token, e.g. A or c:1,0"}),
+    "criterion": (("design",), {"help": "criterion token, e.g. A or c:1,0"}),
     "family": (_DESIGNING, {"help": "po-wr, po-wor or multi"}),
     "n": (_DESIGNING, {"help": "budget; comma list of stage sizes for sequential"}),
     "seed": (_ALL, {"type": int}),
     "tol": (_FITTING, {"type": float}),
     "max_iter": (_FITTING, {"type": int}),
-    "eps": (_DESIGNING, {"type": float}),
+    "eps": (("design", "evaluate"), {"type": float}),
     "out": (_ALL, {"help": "output directory"}),
     "criteria": (
         ("evaluate",),
@@ -102,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMAND_HELP.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value option file")
         for key, (commands, kwargs) in _OPTIONS.items():
             if name in commands:
@@ -140,10 +142,10 @@ def _read_config_file(path: str, command: str) -> dict:
     return opts
 
 
-def _parse_without_model(token: str) -> CriterionSpec | None:
-    """Spec of ``token``, None if it needs the model; malformed tokens raise now."""
+def _parse_without_model(token: str) -> None:
+    """Raise now for a malformed token; one that needs the model passes."""
     try:
-        return parse_criterion(token)
+        parse_criterion(token)
     except InvalidInput as err:
         if "needs the model" not in str(err):
             raise
@@ -188,15 +190,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     criterion = opts["criterion"]
     if command == "design" and criterion is None:
         raise InvalidInput("--criterion is required for design")
-    # A token that needs the model (bare c, V) is checked after the load.
-    spec = None if criterion is None else _parse_without_model(criterion)
-    if command == "sequential" and spec is not None:
-        check_anticipated_criterion(model, spec.label)
-
     criteria = tuple(opts["criteria"]) if command == "evaluate" else ()
     if command == "evaluate" and not criteria:
         raise InvalidInput("the criteria list must not be empty")
-    for token in criteria:
+    # A token that needs the model (bare c, V) is checked after the load.
+    for token in (criterion,) if criterion is not None else criteria:
         _parse_without_model(token)
 
     n = opts["n"]
@@ -333,17 +331,11 @@ def _write_stage_outputs(config: RunConfig, data, records) -> None:
 def cmd_sequential(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     sizes = config.batch_sizes
-    criterion = (
-        parse_criterion(config.criterion, data.problem)
-        if config.criterion is not None
-        else None
-    )
     theta_full = fit_full(data.problem, tol=config.tol).theta0
 
     def stages(seed):
         return run_k_stages(
-            data.problem, sizes, config.family, seed,
-            criterion=criterion, tol=config.tol, max_iter=config.max_iter,
+            data.problem, sizes, config.family, seed, tol=config.tol, max_iter=config.max_iter
         )
 
     def errors(records):

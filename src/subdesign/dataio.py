@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InvalidData
 from .models import RiskProblem, model_spec
 from .sampling import SamplingScheme
-from .sequential import pooled_risk
 from .solver import SolveTrace
 
 
@@ -286,12 +285,8 @@ def write_stage_log(path: str, records, problem: RiskProblem, scheme_files) -> N
     )
     rows = []
     for rec, scheme_file in zip(records, scheme_files):
-        upto = [r for r in records if r.k <= rec.k]
-        objective = pooled_risk(upto, problem, rec.theta_hat)
         rows.append(
-            [rec.k, rec.m_k]
-            + [_fmt(v) for v in rec.theta_hat]
-            + [_fmt(objective), scheme_file]
+            [rec.k, rec.m_k] + [_fmt(v) for v in rec.theta_hat] + [_fmt(rec.risk), scheme_file]
         )
     _write_csv(path, header, rows)
 

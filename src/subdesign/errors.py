@@ -55,14 +55,8 @@ class EmptySample(SubdesignError):
     exit_code = 3
 
 
-class InvalidWeights(SubdesignError):
-    """Unit weights violate their domain (must be strictly positive)."""
-
-    exit_code = 2
-
-
 class InvalidData(SubdesignError):
-    """Data violates a model's domain (e.g. non-positive outcomes for a log scale)."""
+    """Data violates a model's domain (e.g. non-positive outcomes or weights)."""
 
     exit_code = 2
 
@@ -73,14 +67,8 @@ class OutOfDomain(SubdesignError):
     exit_code = 3
 
 
-class BudgetMismatch(SubdesignError):
-    """Scheme expected size does not match the declared budget."""
-
-    exit_code = 2
-
-
 class InvalidBudget(SubdesignError):
-    """The budget itself is infeasible for the family (n > N without replacement, ...)."""
+    """The budget is infeasible for the family, or a scheme's expected size misses it."""
 
     exit_code = 2
 

@@ -53,7 +53,6 @@ from .errors import (
     EmptySample,
     InvalidData,
     InvalidInput,
-    InvalidWeights,
     NoConvergence,
     NotPSD,
     SingularHessian,
@@ -111,6 +110,7 @@ class FitResult:
     iterations: int
     final_gradient_norm: float
     hessian_at_opt: np.ndarray
+    risk: float  # the (weighted) risk at theta0, as the fit summed it
 
 
 def _total(values: np.ndarray, multipliers: np.ndarray | None):
@@ -121,9 +121,9 @@ def _total(values: np.ndarray, multipliers: np.ndarray | None):
 def _positive_weights(w, n: int) -> np.ndarray:
     arr = np.asarray(w, dtype=float)
     if arr.shape != (n,):
-        raise InvalidWeights(f"expected {n} weights, got shape {arr.shape}")
+        raise InvalidData(f"expected {n} weights, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidWeights("weights must be finite and strictly positive")
+        raise InvalidData("weights must be finite and strictly positive")
     return arr
 
 
@@ -424,6 +424,7 @@ def _newton(
                 iterations=iteration,
                 final_gradient_norm=gnorm,
                 hessian_at_opt=hess,
+                risk=risk,
             )
         step = np.linalg.solve(hess, -grad)
         alpha = 1.0
@@ -561,8 +562,8 @@ COV_EIGEN_FLOOR = 1e-8
 def _lognormal_anticipate(aux: dict) -> np.ndarray:
     """Anticipated variance of the location: c_i = w_i^2 ((pred_i - center)^2 + disp_i^2).
 
-    Inputs: weights, predictions (log scale), dispersions, center (the
-    preliminary location).
+    These are the coefficients of the ``c:1,0`` criterion. Inputs: weights,
+    predictions (log scale), dispersions, center (the preliminary location).
     """
     w = np.asarray(aux["weights"], dtype=float)
     pred = np.asarray(aux["predictions"], dtype=float)
@@ -578,7 +579,8 @@ def _lognormal_anticipate(aux: dict) -> np.ndarray:
 def _qblogit_anticipate(aux: dict) -> np.ndarray:
     """Anticipated ER distance: the logistic leverage h_ii of X at theta.
 
-    Deflated to h_ii (1 - h_ii) when ``deflate`` is set.
+    These are the coefficients of the ``d-er`` criterion. Deflated to
+    h_ii (1 - h_ii) when ``deflate`` is set.
     """
     h = leverage(aux["X"], aux["theta"])
     return h * (1.0 - h) if aux.get("deflate", False) else h
@@ -587,7 +589,8 @@ def _qblogit_anticipate(aux: dict) -> np.ndarray:
 def _finpop_anticipate(aux: dict) -> np.ndarray:
     """Anticipated standardized quadratic form of the weighted mean.
 
-    c_i = w_i^2 ((pred_i - center)^T V^-1 (pred_i - center) + tr(V^-1 Disp_i))
+    The coefficients of the ``d-s`` criterion,
+    c_i = w_i^2 ((pred_i - center)^T V^-1 (pred_i - center) + tr(V^-1 Disp_i)),
     from weights, predictions (N x m), center, v (m x m) and
     dispersion_matrices (one m x m PSD block per unit, or a single shared
     block). Predictions and blocks must be finite. The PSD check costs one
@@ -736,7 +739,6 @@ class ModelSpec:
     optional: tuple[str, ...]  # optional columns, parsed after the block
     build: Callable[[dict], RiskProblem]
     gram: Callable[[RiskProblem], np.ndarray]  # default V-optimality Gram matrix
-    criterion: str  # token of the criterion that anticipation targets
     update_aux: Callable[..., dict]  # (problem, selected, theta, AuxConfig) -> aux
     anticipate: Callable[[dict], np.ndarray]  # aux -> coefficients
 
@@ -754,7 +756,7 @@ MODELS = {
         block_required=True, optional=("g",),
         build=lambda cols: finpop_problem(cols["y"], cols["w"]),
         gram=lambda problem: np.eye(problem.n_params),
-        criterion="d-s", update_aux=_finpop_aux, anticipate=_finpop_anticipate,
+        update_aux=_finpop_aux, anticipate=_finpop_anticipate,
     ),
     # The location/scale model predicts the location only.
     "lognormal": ModelSpec(
@@ -762,14 +764,14 @@ MODELS = {
         block_required=False, optional=(),
         build=lambda cols: lognormal_problem(cols["y"], cols["w"]),
         gram=lambda problem: np.diag([1.0, 0.0]),
-        criterion="c:1,0", update_aux=_lognormal_aux, anticipate=_lognormal_anticipate,
+        update_aux=_lognormal_aux, anticipate=_lognormal_anticipate,
     ),
     "qblogit": ModelSpec(
         schema="id,y,x1..xp", scalars=("y",), block="x", block_key="X",
         block_required=True, optional=(),
         build=lambda cols: qblogit_problem(cols["X"], cols["y"]),
         gram=_design_gram,
-        criterion="d-er", update_aux=_qblogit_aux, anticipate=_qblogit_anticipate,
+        update_aux=_qblogit_aux, anticipate=_qblogit_anticipate,
     ),
 }
 

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT
-from .errors import BudgetMismatch, InvalidBudget, InvalidInput, OutOfDomain
+from .errors import InvalidBudget, InvalidInput, OutOfDomain
 
 
 class DesignFamily(enum.Enum):
@@ -132,7 +132,7 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
         )
     total = float(arr.sum())
     if abs(total - n) > DEFAULT.budget_rtol * max(abs(n), 1.0):
-        raise BudgetMismatch(f"sum(mu) = {total!r} does not match budget n = {n!r}")
+        raise InvalidBudget(f"sum(mu) = {total!r} does not match budget n = {n!r}")
     if arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
         arr.flags.writeable = False

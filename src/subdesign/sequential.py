@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import CriterionSpec, anticipated_coefficients
-from .errors import InvalidInput, SubdesignError, StageFailure, Unsupported
+from .criteria import anticipated_coefficients
+from .errors import InvalidInput, SubdesignError, StageFailure
 from .models import FitResult, RiskProblem, _fit_on_support, model_spec
 from .sampling import (
     DesignFamily,
@@ -68,6 +68,7 @@ class StageRecord:
     draw: DrawResult
     theta_hat: np.ndarray = field(repr=False)
     m_k: int
+    risk: float = float("nan")  # pooled risk of stages 1..k at theta_hat
 
     def __post_init__(self):
         theta = np.asarray(self.theta_hat, dtype=float)
@@ -96,12 +97,6 @@ def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
             (n_j / m_k) * rec.draw.support_counts / rec.scheme.mu[drawn]
         )
     return support, u
-
-
-def pooled_risk(records, problem: RiskProblem, theta) -> float:
-    """Value of the pooled weighted risk at theta, summed over the drawn units."""
-    support, u = _pooled_support(records)
-    return float(u @ problem.take(support).unit_losses(np.asarray(theta, dtype=float)))
 
 
 def pooled_estimate(
@@ -160,7 +155,6 @@ def run_k_stages(
     batch_sizes,
     family: DesignFamily,
     seed: int,
-    criterion: CriterionSpec | None = None,
     aux_config: AuxConfig | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
@@ -177,8 +171,6 @@ def run_k_stages(
         raise InvalidInput("need at least one batch size")
     if any(n <= 0 for n in sizes):
         raise InvalidInput("batch sizes must be positive")
-    if criterion is not None:
-        check_anticipated_criterion(problem.kind, criterion.label)
 
     records: list[StageRecord] = []
     theta = None
@@ -204,15 +196,5 @@ def run_k_stages(
                 f"stage {k} failed: {err}", stage=k, records=tuple(records)
             ) from err
         theta = fit.theta0
-        records.append(replace(record, theta_hat=theta))
+        records.append(replace(record, theta_hat=theta, risk=fit.risk))
     return tuple(records)
-
-
-def check_anticipated_criterion(kind: str, label: str) -> None:
-    """Raise Unsupported unless anticipation for ``kind`` targets ``label``."""
-    spec = model_spec(kind)
-    if label != spec.criterion:
-        raise Unsupported(
-            f"anticipation for {kind!r} is derived for the "
-            f"{spec.criterion!r} criterion, got {label!r}"
-        )

@@ -342,6 +342,16 @@ class TestDesign:
         assert "unknown criterion token" in err
         assert "missing column" not in err
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, lognormal_csv, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["design", "--input", lognormal_csv, "--model", "lognormal",
+             "--crit", "A", "--n", "5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "unrecognized arguments: --crit A" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_identical_rows_for_equivalent_criteria(self, tmp_path, finpop_csv, capsys):
@@ -427,6 +437,16 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown criterion token" in err
+
+    def test_options_evaluate_ignores_are_usage_errors(self, tmp_path, lognormal_csv, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["evaluate", "--input", lognormal_csv, "--model", "lognormal",
+             "--criteria", "A", "D", "--criterion", "E", "--out", str(out)]
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSequential:
@@ -518,7 +538,7 @@ class TestSequential:
 
     def test_wrong_criterion_fails_before_load(self, finpop_csv, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("input loaded before the criterion was checked")
+            raise AssertionError("input loaded before the criterion was refused")
 
         monkeypatch.setattr(cli.dataio, "load_problem", fail)
         code = main(
@@ -526,10 +546,21 @@ class TestSequential:
              "--criterion", "A", "--n", "10,20"]
         )
         assert code == 2
-        assert (
-            "anticipation for 'finpop' is derived for the 'd-s' criterion, got 'A'"
-            in capsys.readouterr().err
+        assert "unrecognized arguments: --criterion A" in capsys.readouterr().err
+
+    # d-s is finpop's own anticipation criterion: refused, not checked.
+    @pytest.mark.parametrize("flags", [["--criterion", "d-s"], ["--eps", "0.1"]])
+    def test_options_sequential_ignores_are_usage_errors(
+        self, tmp_path, finpop_csv, flags, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(
+            ["sequential", "--input", finpop_csv, "--model", "finpop",
+             "--stages", "3", "--n", "50", *flags, "--out", str(out)]
         )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replications_write_learning_curve(self, tmp_path, finpop_csv, capsys):
         out = tmp_path / "out"
@@ -714,11 +745,10 @@ class TestSynth:
         _, rows = read_rows(out / "lognormal.csv")
         assert all(float(row[2]) > 0 for row in rows)
 
-    # No --n here: argparse reads it as an abbreviation of --n-units.
     @pytest.mark.parametrize(
         "flags",
         [["--max-iter", "3"], ["--input", "x.csv"], ["--criterion", "E"],
-         ["--family", "po-wr"], ["--tol", "1e-8"], ["--eps", "0.1"]],
+         ["--family", "po-wr"], ["--tol", "1e-8"], ["--eps", "0.1"], ["--n", "50"]],
     )
     def test_options_synth_ignores_are_usage_errors(self, tmp_path, flags, capsys):
         out = tmp_path / "out"
@@ -838,6 +868,9 @@ class TestConfigFile:
             ("fit", ["input={csv}", "model=lognormal", "n_units=20"]),
             ("synth", ["model=finpop", "n-units=20", "max_iter=3"]),
             ("fit", ["input={csv}", "model=lognormal", "criterion=E"]),
+            ("evaluate", ["input={csv}", "model=lognormal", "criterion=E"]),
+            ("sequential", ["input={csv}", "model=lognormal", "criterion=c:1,0"]),
+            ("sequential", ["input={csv}", "model=lognormal", "eps=0.1"]),
         ],
     )
     def test_config_key_the_command_does_not_take_rejected(
@@ -894,8 +927,6 @@ EXIT_CODES = {
     "InvalidData": 2,
     "InvalidInput": 2,
     "InvalidBudget": 2,
-    "BudgetMismatch": 2,
-    "InvalidWeights": 2,
     "Unsupported": 2,
     "EmptySample": 3,
     "SingularHessian": 3,

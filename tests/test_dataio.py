@@ -18,7 +18,7 @@ from subdesign.dataio import (
     write_theta,
     write_trace,
 )
-from subdesign.errors import InvalidData, InvalidInput, InvalidWeights
+from subdesign.errors import InvalidData, InvalidInput
 from subdesign.models import fit_full, lognormal_problem
 from subdesign.sampling import DesignFamily, uniform_scheme
 from subdesign.sequential import run_k_stages
@@ -209,6 +209,7 @@ class TestWriters:
         assert [row[1] for row in rows] == ["15", "30"]
         theta_back = np.array([float(v) for v in rows[1][2:-2]])
         assert theta_back == pytest.approx(records[1].theta_hat, rel=1e-15)
+        assert [float(row[-2]) for row in rows] == [rec.risk for rec in records]
 
     def test_learning_curve_ratio_column(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -606,7 +607,7 @@ class TestReaderParityOnOddText:
         try:
             ids, (w, y, _) = reference_parse(str(path), "lognormal")
             expected = lognormal_problem(y[:, 0], w[:, 0])
-        except (InvalidData, InvalidWeights) as err:
+        except InvalidData as err:
             with pytest.raises(type(err)) as got:
                 load_problem(str(path), "lognormal")
             assert str(got.value) == str(err)

@@ -7,19 +7,12 @@ from hypothesis import strategies as st
 
 import subdesign.models as models
 from subdesign.cli import _build_parser
-from subdesign.covariance import DispersionKind
-from subdesign.criteria import (
-    anticipated_coefficients,
-    c_opt,
-    distance_opt,
-    parse_criterion,
-)
+from subdesign.criteria import anticipated_coefficients, parse_criterion
 from subdesign.dataio import load_problem, write_pool
 from subdesign.errors import (
     EmptySample,
     InvalidData,
     InvalidInput,
-    InvalidWeights,
     NoConvergence,
     SingularHessian,
 )
@@ -34,7 +27,7 @@ from subdesign.models import (
     weighted_fit,
 )
 from subdesign.sampling import DesignFamily, draw, uniform_scheme, validate_scheme
-from subdesign.sequential import check_anticipated_criterion, run_k_stages, update_aux
+from subdesign.sequential import run_k_stages, update_aux
 from subdesign.synth import make_pool, pool_problem
 
 
@@ -112,9 +105,9 @@ class TestFinpop:
         assert np.max(np.abs(fit.theta0 - expected)) <= 1e-12
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidData, match="^weights must be finite and strictly positive$"):
             finpop_problem([[1.0], [2.0]], [1.0, 0.0])
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidData, match="^weights must be finite and strictly positive$"):
             finpop_problem([[1.0], [2.0]], [1.0, -1.0])
 
 
@@ -492,21 +485,6 @@ class TestSupportFit:
 
 
 class TestModelTable:
-    def test_anticipation_tokens_parse_to_the_derived_criteria(self):
-        derived = {
-            "finpop": distance_opt(DispersionKind.SANDWICH),
-            "lognormal": c_opt(np.array([1.0, 0.0])),
-            "qblogit": distance_opt(DispersionKind.ER),
-        }
-        assert set(derived) == set(models.MODELS)
-        for kind, expected in derived.items():
-            got = parse_criterion(models.MODELS[kind].criterion)
-            assert (got.kind, got.label, got.dispersion) == (
-                expected.kind, expected.label, expected.dispersion
-            )
-            if expected.c is not None:
-                assert got.c.tobytes() == expected.c.tobytes()
-
     @pytest.mark.parametrize("kind", list(models.MODELS))
     def test_every_entry_round_trips_its_pool(self, tmp_path, kind):
         pool = make_pool(kind, 30, seed=2)
@@ -527,14 +505,12 @@ class TestModelTable:
             lambda tmp, prob, recs: pool_problem("probit", {}),
             lambda tmp, prob, recs: make_pool("probit", 30),
             lambda tmp, prob, recs: anticipated_coefficients("probit"),
-            lambda tmp, prob, recs: check_anticipated_criterion("probit", "A"),
             lambda tmp, prob, recs: update_aux(recs, replace(prob, kind="probit")),
             lambda tmp, prob, recs: parse_criterion("V", replace(prob, kind="probit")),
         ],
         ids=[
             "load_problem", "write_pool", "pool_problem", "make_pool",
-            "anticipated_coefficients", "check_anticipated_criterion",
-            "update_aux", "parse_criterion_V",
+            "anticipated_coefficients", "update_aux", "parse_criterion_V",
         ],
     )
     def test_unknown_kind_is_one_error(self, tmp_path, call):

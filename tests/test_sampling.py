@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subdesign.errors import BudgetMismatch, InvalidBudget, InvalidInput, OutOfDomain
+from subdesign.errors import InvalidBudget, InvalidInput, OutOfDomain
 from subdesign.sampling import (
     DesignFamily,
     _draw_support,
@@ -37,7 +37,7 @@ class TestValidateScheme:
             validate_scheme([-0.1, 1.1], DesignFamily.PO_WR, 1)
 
     def test_budget_mismatch(self):
-        with pytest.raises(BudgetMismatch):
+        with pytest.raises(InvalidBudget, match="does not match budget"):
             validate_scheme([0.5, 0.5], DesignFamily.PO_WR, 2)
 
     def test_budget_tolerance_accepts_roundoff(self):
@@ -51,7 +51,7 @@ class TestValidateScheme:
 
     def test_never_renormalizes(self):
         mu = [0.3, 0.3]
-        with pytest.raises(BudgetMismatch):
+        with pytest.raises(InvalidBudget, match="does not match budget"):
             validate_scheme(mu, DesignFamily.PO_WOR, 1)
 
     def test_scheme_mu_is_readonly(self):
@@ -115,7 +115,7 @@ class TestValidateScheme:
              r"^mu has non-finite entries$"),
             ([0.25, 1.5, 0.25], DesignFamily.PO_WOR, 2.0, OutOfDomain,
              r"^mu\[1\] = 1\.5 exceeds 1; without-replacement schemes are capped at 1$"),
-            ([0.25, 1.5, 0.25], DesignFamily.PO_WR, 3.0, BudgetMismatch,
+            ([0.25, 1.5, 0.25], DesignFamily.PO_WR, 3.0, InvalidBudget,
              r"^sum\(mu\) = 2\.0 does not match budget n = 3\.0$"),
         ],
         ids=["nan-bad-budget", "nan-zero-bad-budget", "zero", "zero-before-cap",

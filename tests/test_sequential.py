@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import subdesign.models as models
-from subdesign.criteria import a_opt, c_opt, leverage
-from subdesign.errors import InvalidInput, StageFailure, Unsupported
+from subdesign.criteria import leverage
+from subdesign.errors import InvalidInput, StageFailure
 from subdesign.models import (
     finpop_problem,
     fit_full,
@@ -26,7 +26,6 @@ from subdesign.sequential import (
     _pooled_support,
     anticipate_scheme,
     pooled_estimate,
-    pooled_risk,
     run_k_stages,
     update_aux,
 )
@@ -187,9 +186,9 @@ class TestPooledSupport:
         y, w, _ = lognormal_population(seed=23, n=400)
         problem = lognormal_problem(y, w)
         recs = unequal_stages(DesignFamily.PO_WR)
-        theta = np.array([1.1, 0.9])
-        full = float(dense_multipliers(recs) @ problem.unit_losses(theta))
-        assert pooled_risk(recs, problem, theta) == pytest.approx(full, rel=1e-13)
+        fit = pooled_estimate(recs, problem)
+        full = float(dense_multipliers(recs) @ problem.unit_losses(fit.theta0))
+        assert fit.risk == pytest.approx(full, rel=1e-13)
 
 
 class TestUpdateAux:
@@ -385,9 +384,10 @@ class TestRunKStages:
             aux_config=AuxConfig(groups=g),
         )
         for k in range(1, len(records)):
-            upto = records[: k + 1]
-            now = pooled_risk(upto, problem, records[k].theta_hat)
-            before = pooled_risk(upto, problem, records[k - 1].theta_hat)
+            u = dense_multipliers(records[: k + 1])
+            now = float(u @ problem.unit_losses(records[k].theta_hat))
+            before = float(u @ problem.unit_losses(records[k - 1].theta_hat))
+            assert records[k].risk == pytest.approx(now, rel=1e-13)
             assert now <= before + 1e-12
 
     def test_replay_is_bitwise(self):
@@ -437,21 +437,6 @@ class TestRunKStages:
             run_k_stages(problem, [15, 15], DesignFamily.PO_WR, seed=28)
         assert exc.value.stage == 1
         assert exc.value.records == ()
-
-    def test_foreign_criterion_rejected(self):
-        y, w, _ = lognormal_population(seed=29)
-        problem = lognormal_problem(y, w)
-        with pytest.raises(Unsupported):
-            run_k_stages(problem, [30, 30], DesignFamily.PO_WR, seed=30, criterion=a_opt())
-
-    def test_canonical_criterion_accepted(self):
-        y, w, _ = lognormal_population(seed=31)
-        problem = lognormal_problem(y, w)
-        records = run_k_stages(
-            problem, [40, 40], DesignFamily.PO_WR, seed=32,
-            criterion=c_opt([1.0, 0.0]),
-        )
-        assert len(records) == 2
 
     def test_bad_batch_sizes(self):
         y, w, _ = finpop_population(seed=33, n=20)
