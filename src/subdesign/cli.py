@@ -4,8 +4,9 @@ Five subcommands: ``fit``, ``design``, ``evaluate``, ``sequential``,
 ``synth``. Each option is declared once, in ``_OPTIONS``, which builds the
 subparsers and the config-file keys. A command takes only the options that
 change its output, each flag spelled in full: a flag or config key it does
-not take, or an abbreviated flag, is a usage error. Options resolve as flags
-over config file over built-in defaults, and every token is checked before
+not take, or an abbreviated flag, is a usage error, and a stray flag is
+reported with that command's usage line. Options resolve as flags over
+config file over built-in defaults, and every token is checked before
 any data is loaded; a criterion token that needs the model (bare ``c``,
 ``V``) is checked once the data are in. Exit codes: 0 success, 2 usage or
 schema error, 3 estimation failure, 4 solver stopped without converging, 5
@@ -97,12 +98,23 @@ class RunConfig:
     n_units: int | None = None
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: arguments it does not take are reported with its
+    own usage line, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Design and evaluate unequal-probability subsamples.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, help_text in _COMMAND_HELP.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value option file")
@@ -252,7 +264,7 @@ def _out_path(config: RunConfig, name: str) -> str:
 def cmd_fit(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     fit = fit_full(data.problem, tol=config.tol, max_iter=config.max_iter)
-    grads = gradients_at(data.problem, fit.theta0)
+    grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     theta_path = _out_path(config, "theta0.csv")
     grad_path = _out_path(config, "gradients.csv")
     dataio.write_theta(theta_path, data.problem.param_names, fit.theta0)
@@ -270,7 +282,7 @@ def cmd_design(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     spec = parse_criterion(config.criterion, data.problem)
     fit = fit_full(data.problem, tol=config.tol)
-    grads = gradients_at(data.problem, fit.theta0)
+    grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     trace = fixed_point_solve(
         spec, grads, config.family, config.n, max_iter=config.max_iter, eps=config.eps
     )
@@ -302,7 +314,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     n = config.n if config.n is not None else math.ceil(0.01 * data.problem.n_units)
     specs = [parse_criterion(token, data.problem) for token in config.criteria]
     fit = fit_full(data.problem, tol=config.tol)
-    grads = gradients_at(data.problem, fit.theta0)
+    grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     table = efficiency_table_from_gradients(
         grads, config.family, n, specs, specs, max_iter=config.max_iter, eps=config.eps
     )

@@ -9,7 +9,10 @@ at a census.
 The gradients are stored column-major: ``GradientSet.psi_t`` is one p x N
 C-contiguous array, and the N x p ``psi`` is a view of it. Passes over the
 units (V(mu) here, the criterion coefficients in ``criteria``) walk it in
-blocks of ``BLOCK_UNITS`` units, reading contiguous rows.
+blocks of ``BLOCK_UNITS`` units, reading contiguous rows. ``v_matrix`` sums V
+for a given scheme; the fixed-point solver gets V of each refined scheme
+from the coefficient pass instead, and falls back to ``v_matrix`` where a
+without-replacement scheme reaches the cap or exceeds 1/2.
 
 The dispersion matrices defined here turn expected-distance objectives into
 linear trace criteria: minimizing E[d(theta_hat)] is the same as minimizing
@@ -118,11 +121,12 @@ class DispersionKind(enum.Enum):
     SANDWICH = "d-s"
 
 
-def gradients_at(problem, theta0) -> GradientSet:
-    """Evaluate a risk problem's gradients and Hessians at a fitted parameter."""
+def gradients_at(problem, theta0, *, hessian=None) -> GradientSet:
+    """Evaluate a risk problem's gradients and Hessians at a fitted parameter;
+    ``hessian``, when given, is the Hessian at ``theta0`` (a fit's ``hessian_at_opt``)."""
     theta = np.asarray(theta0, dtype=float)
     psi = problem.unit_gradients(theta)
-    hess = problem.hessian(theta, None)
+    hess = problem.hessian(theta, None) if hessian is None else hessian
     expected = hess if problem.expected_hessian is None else problem.expected_hessian(theta)
     return GradientSet(psi=psi, hessian=hess, theta0=theta, expected_hessian=expected)
 
@@ -153,12 +157,16 @@ def v_matrix(grads: GradientSet, scheme: SamplingScheme) -> np.ndarray:
     return v
 
 
+def _sandwich(grads: GradientSet, v: np.ndarray) -> np.ndarray:
+    """Covariance H^-1 V H^-1 for a middle matrix V already summed."""
+    hinv = grads.hessian_inv
+    return as_symmetric(hinv @ v @ hinv)
+
+
 def gamma(grads: GradientSet, scheme: SamplingScheme) -> CovarianceReport:
     """Sandwich covariance H^-1 V H^-1 for the scheme's design family."""
     v = v_matrix(grads, scheme)
-    hinv = grads.hessian_inv
-    g = as_symmetric(hinv @ v @ hinv)
-    return CovarianceReport(v=v, gamma=g)
+    return CovarianceReport(v=v, gamma=_sandwich(grads, v))
 
 
 def dispersion_matrix(kind: DispersionKind, grads: GradientSet) -> np.ndarray:

@@ -267,24 +267,46 @@ def coefficients(
                 "iterate as `at`"
             )
         phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads)
-    return _coefficients_from_phi(grads, phi)
+    return _coefficients_from_phi(grads, phi)[0]
 
 
-def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray) -> np.ndarray:
-    """Coefficients for a derivative matrix phi already evaluated at a scheme.
+def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = False):
+    """Coefficients c for a derivative matrix phi, and the sums of their closed form.
 
-    The fixed-point solver calls this with the phi of the covariance it has
-    just computed for the objective, so V(mu) is built once per scheme.
+    Returns (c, sums). With ``fuse`` the same pass over the units also sums
+    r_i = sqrt(c_i), S = sum r_i and W = sum psi_i psi_i^T / r_i, and ``sums``
+    is (r, S, min r, max r, W). A coefficient that is zero, negative or not
+    finite stops the sums before its root is taken, and ``sums`` is None, as
+    it is without ``fuse``.
     """
     m_t = (grads.hessian_inv @ psd_factor(phi)).T
     c = np.empty(grads.n_units)
+    roots = np.empty(grads.n_units) if fuse else None
+    w = np.zeros((grads.n_params, grads.n_params))
+    total, low, top = 0.0, np.inf, 0.0
     for units in grads.blocks():
         # t is k x block: column i is L^T H^-1 psi_i, and its squares are
         # summed row after row, a sequential sum over the k terms.
-        t = m_t @ grads.psi_t[:, units]
+        block = grads.psi_t[:, units]
+        t = m_t @ block
         t *= t
-        t.sum(axis=0, out=c[units])
-    return c
+        cb = t.sum(axis=0, out=c[units])
+        if roots is None:
+            continue
+        cb_min, cb_max = cb.min(), cb.max()
+        if not (cb_min > 0.0 and cb_max < np.inf):  # NaN fails too
+            roots = None
+            continue
+        low, top = min(low, cb_min), max(top, cb_max)
+        rb = np.sqrt(cb, out=roots[units])
+        total += rb.sum()
+        # One product for the block; W is symmetric up to rounding, and only
+        # the symmetrized covariance built from it is used.
+        w += (block / rb) @ block.T
+    if roots is None:
+        return c, None
+    # sqrt rounds monotonically, so it maps the extreme c to the extreme r.
+    return c, (roots, total, float(np.sqrt(low)), float(np.sqrt(top)), w)
 
 
 def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:

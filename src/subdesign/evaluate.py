@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT
-from .covariance import GradientSet, gamma, gradients_at
+from .covariance import GradientSet, gradients_at
 from .criteria import CriterionSpec, phi_value
 from .errors import (
     DegenerateCriterion,
@@ -143,12 +143,9 @@ def efficiency_table_from_gradients(
                 spec, grads, family, n, max_iter=max_iter, eps=eps
             )
 
-    gammas = {
-        label: gamma(grads, trace.final_scheme).gamma for label, trace in traces.items()
-    }
     col_values = []
     for spec in col_specs:
-        values = [phi_value(spec, gammas[label], grads) for label in traces]
+        values = [phi_value(spec, trace.final_gamma, grads) for trace in traces.values()]
         col_values.append(min(values))
 
     cells = []
@@ -157,7 +154,7 @@ def efficiency_table_from_gradients(
         if trace.status in (SolveStatus.DIVERGED, SolveStatus.INFEASIBLE):
             cells.append(tuple([None] * len(col_specs)))
             continue
-        gam = gammas[spec.label]
+        gam = trace.final_gamma
         row = []
         for j, col in enumerate(col_specs):
             den = phi_value(col, gam, grads)

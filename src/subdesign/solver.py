@@ -13,6 +13,18 @@ seen. Every stop builds its SolveTrace in one place. The
 iteration has no general convergence guarantee, so the status field is the
 honest record of what happened.
 
+Each refinement reads the gradients once. The pass that sums the
+coefficients c also sums r = sqrt(c), S = sum r and W = sum psi psi^T / r, so
+the next scheme mu' = n r / S and its middle matrix V(mu') = (S/n) W, less
+sum psi psi^T without replacement, need no second pass. The solver falls
+back to ``l_optimal_scheme(c)`` and a fresh V pass when a without-replacement
+unit would reach the cap or max mu' exceeds 1/2, where that subtraction would
+lose more than one bit, and when a coefficient is zero, negative or not
+finite, which the closed form then reports. A refinement from a
+without-replacement scheme that itself exceeds 1/2 skips the fused sums and
+takes the fallback at once. The uniform start's objective comes from
+``gamma``.
+
 The stationarity check of a scheme mu solves for the next scheme mu' at once:
 with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
 which is ``stationarity_residual`` up to rounding, and otherwise it is
@@ -27,8 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT
-from .covariance import GradientSet, gamma
-from .criteria import (
+from .covariance import GradientSet, _sandwich, gamma
+# ``coefficients`` is no longer called here; the name stays importable from
+# this module, as the benchmark's tracer expects.
+from .criteria import (  # noqa: F401
     CriterionSpec,
     _coefficients_from_phi,
     coefficients,
@@ -58,6 +72,8 @@ class SolveTrace:
     number of units pinned at the without-replacement cap (zero otherwise),
     and ``stationarity`` the first-order residual of the final scheme when it
     was checked. ``zero_ids`` names the offending units on an Infeasible stop.
+    ``final_gamma`` is the covariance Gamma of ``final_scheme``, the one its
+    objective was computed from.
     """
 
     status: SolveStatus
@@ -67,6 +83,7 @@ class SolveTrace:
     capped_set_size: int
     stationarity: float | None = None
     zero_ids: tuple[int, ...] = field(default=())
+    final_gamma: np.ndarray | None = None
 
 
 def _sqrt_coefficients(c) -> np.ndarray:
@@ -180,12 +197,39 @@ def stationarity_residual(
     return max(cap_violation, prop_violation, threshold_violation)
 
 
-def _residual_and_next(scheme, cs, n, family) -> tuple[float, SamplingScheme | None]:
-    """Residual of ``scheme`` and the closed form of ``cs``, None if that raises."""
-    try:
-        nxt = l_optimal_scheme(cs, n, family)
-    except SubdesignError:  # the next refinement raises it again
-        return stationarity_residual(scheme, cs, family), None
+def _closed_form_step(grads, phi, n, family, fuse=True):
+    """Coefficients c of phi, their closed form mu' and V(mu'), from one pass
+    over psi; mu' and V are None where the module docstring's fallback runs,
+    and without ``fuse``."""
+    cs, sums = _coefficients_from_phi(grads, phi, fuse)
+    if sums is None:
+        return cs, None, None
+    roots, total, low, top, w = sums
+    scale = n / total
+    # Multiplying by scale rounds monotonically, so low * scale and
+    # top * scale are the least and the largest entry of mu'.
+    if not low * scale > 0.0 or (family is DesignFamily.PO_WOR and top * scale > 0.5):
+        return cs, None, None
+    mu = np.multiply(roots, scale, out=roots)
+    mu.flags.writeable = False
+    v = np.multiply(w, total / n, out=w)
+    if family is DesignFamily.PO_WOR:
+        v -= grads.v_theta0
+    # mu is positive and under the cap by the test above, and it sums to n
+    # up to rounding, so validate_scheme's passes over it would find nothing.
+    return cs, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v
+
+
+def _residual_and_next(
+    scheme, cs, n, family, nxt=None
+) -> tuple[float, SamplingScheme | None]:
+    """Residual of ``scheme``, and ``nxt``: the closed form of ``cs``, solved
+    here when not given, None if that raises."""
+    if nxt is None:
+        try:
+            nxt = l_optimal_scheme(cs, n, family)
+        except SubdesignError:  # the next refinement raises it again
+            return stationarity_residual(scheme, cs, family), None
     top = float(nxt.mu.max())
     if family is DesignFamily.PO_WOR and (top >= 1.0 or scheme.mu.max() >= 1.0 - CAP_TOL):
         return stationarity_residual(scheme, cs, family), nxt
@@ -210,62 +254,61 @@ def fixed_point_solve(
     jumps to their closed-form optimum, which also gives the stationarity
     residual; see the module docstring for the stopping rules. The covariance
     Gamma = H^-1 V(mu) H^-1 of a scheme's objective is reused to linearize at
-    that scheme, so each iteration makes a single pass over the units for
-    V(mu).
+    that scheme, and the pass over the units that linearizes also sums V of
+    the next scheme, so each iteration reads the gradients once.
     """
-    def objective(scheme):
-        gam = gamma(grads, scheme).gamma
+    def objective(scheme, v=None):
+        gam = gamma(grads, scheme).gamma if v is None else _sandwich(grads, v)
         return phi_value(spec, gam, grads), gam
 
-    def linearize(gam):
+    def refine(gam, at, v_at):
+        # Past a without-replacement scheme above 1/2 the next one is most
+        # likely capped too, and the fused sums would be thrown away.
+        fuse = v_at is not None or family is not DesignFamily.PO_WOR or at.mu.max() <= 0.5
         phi = phi_matrix_derivative(spec, gam, grads)
-        return _coefficients_from_phi(grads, phi)
+        return _closed_form_step(grads, phi, n, family, fuse)
 
-    def stop(status, t, scheme, stationarity=None, zero_ids=()):
+    def stop(status, t, scheme, gam, stationarity=None, zero_ids=()):
         capped = 0
         if scheme.family is DesignFamily.PO_WOR:
             capped = int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
         return SolveTrace(
-            status, t, tuple(objs), scheme, capped, stationarity, zero_ids
+            status, t, tuple(objs), scheme, capped, stationarity, zero_ids, gam
         )
 
     current = uniform_scheme(grads.n_units, n, family)
     best_obj, gam_current = objective(current)
     objs = [best_obj]
-    best_scheme = current
-    cs_current: np.ndarray | None = None
-    scheme: SamplingScheme | None = None  # the next scheme, once a failed check built it
+    best = (current, gam_current)
+    step = None  # the next step, once a failed stationarity check built it
+    v = None  # V(current) when the fused pass gave it
     for t in range(1, max_iter + 1):
+        cs, scheme, v = refine(gam_current, current, v) if step is None else step
         if scheme is None:
-            if cs_current is None:
-                cs_current = (
-                    coefficients(spec, grads) if spec.is_linear
-                    else linearize(gam_current)
-                )
             try:
-                scheme = l_optimal_scheme(cs_current, n, family)
+                scheme = l_optimal_scheme(cs, n, family)
             except Infeasible as exc:
                 return stop(
-                    SolveStatus.INFEASIBLE, t - 1, current, zero_ids=exc.zero_ids
+                    SolveStatus.INFEASIBLE, t - 1, current, gam_current,
+                    zero_ids=exc.zero_ids,
                 )
-        obj, gam = objective(scheme)
+        obj, gam = objective(scheme, v)
         objs.append(obj)
         if spec.is_linear:
             return stop(
-                SolveStatus.CONVERGED, t, scheme,
-                stationarity_residual(scheme, cs_current, family),
+                SolveStatus.CONVERGED, t, scheme, gam,
+                stationarity_residual(scheme, cs, family),
             )
         if obj > objs[-2] + DEFAULT.divergence_slack:
-            return stop(SolveStatus.DIVERGED, t, best_scheme)
+            return stop(SolveStatus.DIVERGED, t, *best)
         if obj < best_obj:
-            best_scheme, best_obj = scheme, obj
+            best, best_obj = (scheme, gam), obj
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
-        current, gam_current, scheme = scheme, gam, None
+        current, gam_current, step = scheme, gam, None
         if improvement < eps:
-            cs_current = linearize(gam)
-            resid, scheme = _residual_and_next(current, cs_current, n, family)
+            cs, nxt, v = refine(gam, current, v)
+            resid, nxt = _residual_and_next(current, cs, n, family, nxt)
+            step = (cs, nxt, v)
             if resid <= DEFAULT.stationarity_tol:
-                return stop(SolveStatus.CONVERGED, t, current, resid)
-        else:
-            cs_current = None
-    return stop(SolveStatus.MAX_ITER, max_iter, current)
+                return stop(SolveStatus.CONVERGED, t, current, gam, resid)
+    return stop(SolveStatus.MAX_ITER, max_iter, current, gam_current)

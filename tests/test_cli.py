@@ -352,6 +352,19 @@ class TestDesign:
         assert "unrecognized arguments: --crit A" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_flag_is_reported_with_the_subcommand_usage(
+        self, tmp_path, lognormal_csv, capsys
+    ):
+        code = main(
+            ["design", "--input", lognormal_csv, "--model", "lognormal",
+             "--crit", "A", "--n", "5", "--out", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage: subdesign design [-h]")
+        assert "--criterion CRITERION" in err
+        assert err.endswith("subdesign design: error: unrecognized arguments: --crit A\n")
+
 
 class TestEvaluate:
     def test_identical_rows_for_equivalent_criteria(self, tmp_path, finpop_csv, capsys):

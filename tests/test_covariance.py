@@ -19,6 +19,7 @@ from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsu
 from subdesign.linalg import BLOCK_UNITS, psd_factor
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
+from subdesign.synth import make_pool, pool_problem
 
 
 def balanced_psi(rng, n, p):
@@ -94,6 +95,29 @@ class TestGradientSet:
         assert np.array_equal(
             dispersion_matrix(DispersionKind.KL, g), dispersion_matrix(DispersionKind.ER, g)
         )
+
+    def test_given_hessian_is_not_evaluated_again(self):
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(200), rng.standard_normal((200, 2))])
+        prob = qblogit_problem(x, rng.uniform(0.0, 1.0, 200))
+        fit = fit_full(prob)
+
+        def refused(theta, multipliers=None):
+            raise AssertionError("the Hessian at theta0 was evaluated again")
+
+        g = gradients_at(replace(prob, hessian=refused), fit.theta0, hessian=fit.hessian_at_opt)
+        assert np.array_equal(g.hessian, fit.hessian_at_opt)
+        assert np.array_equal(g.expected_hessian, fit.hessian_at_opt)
+
+    @pytest.mark.parametrize("n_units", [3000, 40000])
+    @pytest.mark.parametrize("kind", ["finpop", "lognormal", "qblogit"])
+    def test_fit_hessian_is_the_evaluated_one(self, kind, n_units):
+        # The CLI hands the fit's Hessian to gradients_at; it must be the one
+        # problem.hessian returns at the optimum, bit for bit, also when the
+        # sums run over more than one block of units.
+        prob = pool_problem(kind, make_pool(kind, n_units, 3))
+        fit = fit_full(prob)
+        assert np.array_equal(fit.hessian_at_opt, prob.hessian(fit.theta0, None))
 
 
 class TestVMatrix:

@@ -36,6 +36,7 @@ from subdesign.evaluate import (
     reparam_invariance,
 )
 import subdesign
+import subdesign.covariance as covariance
 import subdesign.evaluate as evaluate
 import subdesign.models as models
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
@@ -183,6 +184,30 @@ class TestEfficiencyTable:
         rendered = table.to_text()
         assert "Diverged" in rendered
         assert "criterion" in rendered.splitlines()[0]
+
+    def test_no_v_matrix_pass_after_the_solves(self, monkeypatch):
+        # Each trace carries the Gamma of its final scheme, so the table
+        # reads the gradients only inside its solves.
+        passes = []
+        real_v, real_solve = covariance.v_matrix, evaluate.fixed_point_solve
+
+        def counting_v(*args):
+            passes.append("v_matrix")
+            return real_v(*args)
+
+        def marking_solve(*args, **kwargs):
+            trace = real_solve(*args, **kwargs)
+            passes.append("solved")
+            return trace
+
+        monkeypatch.setattr(covariance, "v_matrix", counting_v)
+        monkeypatch.setattr(evaluate, "fixed_point_solve", marking_solve)
+        grads = full_fit_grads(lognormal_example(seed=6))
+        specs = [a_opt(), d_opt(), e_opt(), phi_q(2.0)]
+        table = efficiency_table_from_gradients(grads, DesignFamily.PO_WR, 20.0, specs, specs)
+        assert passes.count("solved") == len(specs)
+        assert passes[-1] == "solved"
+        assert table.statuses[0] is SolveStatus.CONVERGED
 
     def test_cell_lookup(self):
         grads = full_fit_grads(lognormal_example(seed=6))
