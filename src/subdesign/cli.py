@@ -62,7 +62,7 @@ _OPTIONS = {
     "criterion": (("design",), {"help": "criterion token, e.g. A or c:1,0"}),
     "family": (_DESIGNING, {"help": "po-wr, po-wor or multi"}),
     "n": (_DESIGNING, {"help": "budget; comma list of stage sizes for sequential"}),
-    "seed": (_ALL, {"type": int}),
+    "seed": (("sequential", "synth"), {"type": int}),
     "tol": (_FITTING, {"type": float}),
     "max_iter": (_FITTING, {"type": int}),
     "eps": (("design", "evaluate"), {"type": float}),
@@ -331,9 +331,10 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def _write_stage_outputs(config: RunConfig, data, records) -> None:
     scheme_files = []
+    ids = dataio.id_fields(data.ids)
     for rec in records:
         path = _out_path(config, f"scheme_stage_{rec.k}.csv")
-        dataio.write_scheme(path, data.ids, rec.scheme)
+        dataio.write_scheme(path, ids, rec.scheme)
         scheme_files.append(os.path.basename(path))
     dataio.write_stage_log(
         _out_path(config, "stages.csv"), records, data.problem, scheme_files

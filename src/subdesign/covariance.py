@@ -55,14 +55,26 @@ class GradientSet:
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
-        if psi.ndim != 2 or psi.shape[0] < 1:
+        if psi.ndim != 2 or min(psi.shape) < 1:
             raise InvalidInput(f"psi must be an N x p matrix, got shape {psi.shape}")
-        if not np.all(np.isfinite(psi)):
-            raise InvalidInput("psi contains non-finite entries")
-        row_norms = np.linalg.norm(psi, axis=1)
-        scale = float(row_norms.max())
+        # The checks read the copy's contiguous rows a block at a time: a
+        # row-wise pass costs a fraction of an axis pass over the N x p array,
+        # and no temporary grows with N.
+        psi_t = psi.T.copy(order="C")
+        top = 0.0
+        for units in unit_blocks(psi_t.shape[1]):
+            block = psi_t[:, units]
+            if not np.all(np.isfinite(block)):
+                raise InvalidInput("psi contains non-finite entries")
+            # Squared row norms of psi, the squares added in parameter order.
+            squares = block[0] * block[0]
+            for row in block[1:]:
+                squares += row * row
+            top = max(top, float(squares.max()))
+        # The root of the largest square rounds to the largest row norm.
+        scale = float(np.sqrt(top))
         if scale > 0.0:
-            imbalance = float(np.max(np.abs(psi.sum(axis=0))))
+            imbalance = float(np.max(np.abs(psi_t.sum(axis=1))))
             if imbalance > DEFAULT.gradient_balance_rtol * scale:
                 raise InvalidInput(
                     f"gradient columns sum to {imbalance:.3e}, which exceeds "
@@ -80,7 +92,6 @@ class GradientSet:
             raise SingularHessian(
                 f"hessian must be positive definite, min eigenvalue {min_eig:.3e}"
             )
-        psi_t = psi.T.copy(order="C")
         psi_t.flags.writeable = False
         object.__setattr__(self, "psi_t", psi_t)
         object.__setattr__(self, "psi", psi_t.T)

@@ -210,12 +210,22 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _id_fields(ids) -> list[str]:
-    """The ids as ``csv.writer`` writes them: quoted only where they must be."""
+class IdFields(tuple):
+    """Ids as ``csv.writer`` writes them, ready for several unit tables."""
+
+
+def id_fields(ids) -> IdFields:
+    """The ids as ``csv.writer`` writes them: quoted only where they must be.
+
+    The unit writers take the result in place of the ids and use it as it is,
+    so a command that writes several tables renders its ids once.
+    """
+    if isinstance(ids, IdFields):
+        return ids
     texts = list(map(str, ids))
     if any(ch in "".join(texts) for ch in ',"\r\n'):
         texts = [_csv_field(t) for t in texts]
-    return texts
+    return IdFields(texts)
 
 
 def _write_units(path: str, header, ids, columns, groups=None) -> None:
@@ -226,7 +236,7 @@ def _write_units(path: str, header, ids, columns, groups=None) -> None:
     ``str(int(v))``, so the bytes are those of ``csv.writer`` with
     :func:`_fmt`.
     """
-    ids = _id_fields(ids)
+    ids = id_fields(ids)
     columns = [np.asarray(col, dtype=float) for col in columns]
     fields = ["%s"] + ["%.17g"] * len(columns)
     if groups is not None:

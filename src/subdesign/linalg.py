@@ -5,7 +5,11 @@ only one triangle is authoritative and results are explicitly symmetrized, so
 callers never have to worry about round-off asymmetry accumulating through
 products. Eigen-based routines are backed by LAPACK via numpy with a
 deterministic sign convention layered on top. ``logistic`` is the one
-overflow-safe sigmoid, used by the logistic model and its leverage.
+overflow-safe sigmoid, used by the logistic model and its leverage; one
+unmasked divide takes both of its branches. The fit's blocked passes and the
+gradient checks run along whole rows or columns, not through masked ufuncs,
+``[:, None]`` broadcasts or axis-0 reductions, which do the same operations in
+the same order several times slower.
 ``BLOCK_UNITS`` sizes every blocked pass over the units, whether over the
 gradients in ``covariance`` and ``criteria`` or over the design rows of the
 logistic model.
@@ -126,9 +130,11 @@ def spd_inverse(m) -> np.ndarray:
 def logistic(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-t)) evaluated without overflow on either tail.
 
-    ``out``, if given, receives the result and must not share memory with t.
+    With e = exp(-|t|) <= 1 the value is 1 / (1 + e) for t >= 0 and
+    e / (1 + e) below, so one unmasked divide of max(e, [t >= 0]) by 1 + e
+    takes both branches; a NaN t stays NaN. ``out``, if given, receives the
+    result and must not share memory with t.
     """
     e = np.exp(-np.abs(t))
     d = 1.0 + e
-    out = np.divide(e, d, out=out)
-    return np.divide(1.0, d, out=out, where=t >= 0)
+    return np.divide(np.maximum(e, t >= 0, out=e), d, out=out)

@@ -27,7 +27,8 @@ which returns the total risk, gradient and Hessian from one evaluation; a
 line-search candidate costs one evaluation, and an accepted candidate's
 gradient and Hessian are the next iterate's. qblogit's closure walks the
 design in blocks of ``linalg.BLOCK_UNITS`` rows with buffers reused from
-block to block, computing each block's linear predictor and logistic once.
+block to block, computing each block's linear predictor and logistic once
+and filling its weighted design rows one column at a time.
 Without multipliers its gradient is the unblocked sum in unit order at any
 N; its other totals add per-block sums, which are the unblocked ones bit for
 bit up to BLOCK_UNITS rows.
@@ -211,9 +212,8 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
         return 0.5 * w_norm * (r * r / sigma**2 + np.log(sigma**2))
 
     def gradients(r, sigma):
-        g_eta = -w_norm * r / sigma**2
-        g_sigma = -w_norm * (r * r - sigma**2) / sigma**3
-        return np.column_stack([g_eta, g_sigma])
+        """The unit gradients as one row per parameter: eta's, then sigma's."""
+        return -w_norm * r / sigma**2, -w_norm * (r * r - sigma**2) / sigma**3
 
     def hess(r, sigma, multipliers):
         uw = w_norm if multipliers is None else multipliers * w_norm
@@ -224,11 +224,14 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
 
     def newton_terms(theta, multipliers=None):
         r, sigma = log_y - theta[0], theta[1]
-        return (
-            float(_total(losses(r, sigma), multipliers)),
-            _total(gradients(r, sigma), multipliers),
-            hess(r, sigma, multipliers),
-        )
+        risk = float(_total(losses(r, sigma), multipliers))
+        if multipliers is None:
+            # Each row summed in unit order, the sum that .sum(axis=0) takes
+            # over the N x 2 unit gradients.
+            grad = np.array([np.add.accumulate(g, out=g)[-1] for g in gradients(r, sigma)])
+        else:
+            grad = multipliers @ np.column_stack(gradients(r, sigma))
+        return risk, grad, hess(r, sigma, multipliers)
 
     def init(multipliers=None):
         u = np.ones(n) if multipliers is None else multipliers
@@ -248,7 +251,7 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
         weights=w_norm,
         data={"y": obs, "log_y": log_y},
         unit_losses=lambda theta: losses(log_y - theta[0], theta[1]),
-        unit_gradients=lambda theta: gradients(log_y - theta[0], theta[1]),
+        unit_gradients=lambda theta: np.column_stack(gradients(log_y - theta[0], theta[1])),
         hessian=lambda theta, multipliers=None: hess(log_y - theta[0], theta[1], multipliers),
         newton_terms=newton_terms,
         expected_hessian=lambda theta: np.diag([1.0, 2.0]) / theta[1] ** 2,
@@ -272,9 +275,9 @@ def qblogit_problem(X, y) -> RiskProblem:
         raise InvalidData("design or response contains non-finite values")
     if np.any(resp < 0.0) or np.any(resp > 1.0):
         raise InvalidData("responses must lie in [0, 1]")
-    if np.any(np.all(x == 0.0, axis=0)):
-        dead = int(np.argmax(np.all(x == 0.0, axis=0)))
-        raise InvalidData(f"design column {dead} is identically zero")
+    for j in range(x.shape[1]):
+        if not x[:, j].any():
+            raise InvalidData(f"design column {j} is identically zero")
     return _qblogit(x, resp)
 
 
@@ -289,12 +292,12 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         return (logistic(x @ theta) - resp)[:, None] * x
 
     def hess(theta, multipliers=None):
-        total = np.zeros((p, p))
+        total, xw = np.zeros((p, p)), np.empty((min(n, BLOCK_UNITS), p))
         for rows, xb, t, pr in _logit_blocks(x, theta):
             w = _logistic_weights(pr)
             if multipliers is not None:
                 w *= multipliers[rows]
-            total += (xb * w[:, None]).T @ xb
+            total += _scaled_rows(xb, w, xw).T @ xb
         return total
 
     def newton_terms(theta, multipliers=None):
@@ -319,9 +322,9 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
             else:
                 ub = multipliers[rows]
                 risk += float(ub @ loss)
-                grad += ub @ (r[:, None] * xb)
+                grad += ub @ _scaled_rows(xb, r, xw)
                 w *= ub
-            total += np.multiply(xb, w[:, None], out=xw[:m]).T @ xb
+            total += _scaled_rows(xb, w, xw).T @ xb
         return risk, grad, total
 
     def init(multipliers=None):
@@ -360,6 +363,19 @@ def _logit_blocks(x: np.ndarray, theta: np.ndarray):
         yield rows, xb, t, logistic(t, out=pr_buf[: xb.shape[0]])
 
 
+def _scaled_rows(xb: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The rows of ``xb`` scaled by ``w``, ``xb * w[:, None]``, in the leading
+    rows of the C-order buffer ``buf``.
+
+    It is filled one column at a time: each multiply runs over the block's
+    units, where the broadcast form runs an inner loop of p per unit.
+    """
+    out = buf[: xb.shape[0]]
+    for j in range(xb.shape[1]):
+        np.multiply(xb[:, j], w, out=out[:, j])
+    return out
+
+
 def _logistic_weights(pr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic curvature weights pr (1 - pr), at probabilities clipped off 0 and 1."""
     w = np.clip(pr, P_CLAMP, 1.0 - P_CLAMP, out=out)
@@ -379,9 +395,10 @@ def leverage(X, theta) -> np.ndarray:
         raise InvalidInput("X must be N x p and theta length p")
     h = np.empty(x.shape[0])
     gram = np.zeros((th.size, th.size))
+    xw = np.empty((min(x.shape[0], BLOCK_UNITS), th.size))
     for rows, xb, t, pr in _logit_blocks(x, th):
         w = _logistic_weights(pr, out=h[rows])
-        gram += (xb * w[:, None]).T @ xb
+        gram += _scaled_rows(xb, w, xw).T @ xb
     h_inv = spd_inverse(gram)
     for rows in unit_blocks(x.shape[0]):
         xb = x[rows]

@@ -29,6 +29,9 @@ The stationarity check of a scheme mu solves for the next scheme mu' at once:
 with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
 which is ``stationarity_residual`` up to rounding, and otherwise it is
 ``stationarity_residual``. A scheme that fails the check steps to that mu'.
+The check makes three passes over the schemes (a difference, its absolute
+value, the maximum) when both came from the fused step: max mu' is
+sqrt(max c) n / S, and neither scheme exceeds 1/2.
 """
 
 from __future__ import annotations
@@ -198,18 +201,19 @@ def stationarity_residual(
 
 
 def _closed_form_step(grads, phi, n, family, fuse=True):
-    """Coefficients c of phi, their closed form mu' and V(mu'), from one pass
-    over psi; mu' and V are None where the module docstring's fallback runs,
-    and without ``fuse``."""
+    """Coefficients c of phi, their closed form mu', V(mu') and max mu', from
+    one pass over psi; all but c are None where the module docstring's
+    fallback runs, and without ``fuse``."""
     cs, sums = _coefficients_from_phi(grads, phi, fuse)
     if sums is None:
-        return cs, None, None
+        return cs, None, None, None
     roots, total, low, top, w = sums
     scale = n / total
     # Multiplying by scale rounds monotonically, so low * scale and
     # top * scale are the least and the largest entry of mu'.
-    if not low * scale > 0.0 or (family is DesignFamily.PO_WOR and top * scale > 0.5):
-        return cs, None, None
+    top = float(top * scale)
+    if not low * scale > 0.0 or (family is DesignFamily.PO_WOR and top > 0.5):
+        return cs, None, None, None
     mu = np.multiply(roots, scale, out=roots)
     mu.flags.writeable = False
     v = np.multiply(w, total / n, out=w)
@@ -217,21 +221,26 @@ def _closed_form_step(grads, phi, n, family, fuse=True):
         v -= grads.v_theta0
     # mu is positive and under the cap by the test above, and it sums to n
     # up to rounding, so validate_scheme's passes over it would find nothing.
-    return cs, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v
+    return cs, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v, top
 
 
 def _residual_and_next(
-    scheme, cs, n, family, nxt=None
+    scheme, cs, n, family, nxt=None, top=None, fused=False
 ) -> tuple[float, SamplingScheme | None]:
     """Residual of ``scheme``, and ``nxt``: the closed form of ``cs``, solved
-    here when not given, None if that raises."""
+    here when not given, None if that raises. ``top`` is max ``nxt.mu`` when
+    known; ``fused`` says that ``scheme`` came from ``_closed_form_step``, so
+    no entry of it exceeds 1/2."""
     if nxt is None:
         try:
             nxt = l_optimal_scheme(cs, n, family)
         except SubdesignError:  # the next refinement raises it again
             return stationarity_residual(scheme, cs, family), None
-    top = float(nxt.mu.max())
-    if family is DesignFamily.PO_WOR and (top >= 1.0 or scheme.mu.max() >= 1.0 - CAP_TOL):
+    if top is None:
+        top = float(nxt.mu.max())
+    if family is DesignFamily.PO_WOR and (
+        top >= 1.0 or not fused and scheme.mu.max() >= 1.0 - CAP_TOL
+    ):
         return stationarity_residual(scheme, cs, family), nxt
     diff = scheme.mu - nxt.mu
     return float(np.abs(diff, out=diff).max()) / top, nxt
@@ -283,7 +292,7 @@ def fixed_point_solve(
     step = None  # the next step, once a failed stationarity check built it
     v = None  # V(current) when the fused pass gave it
     for t in range(1, max_iter + 1):
-        cs, scheme, v = refine(gam_current, current, v) if step is None else step
+        cs, scheme, v, _ = refine(gam_current, current, v) if step is None else step
         if scheme is None:
             try:
                 scheme = l_optimal_scheme(cs, n, family)
@@ -306,9 +315,10 @@ def fixed_point_solve(
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         current, gam_current, step = scheme, gam, None
         if improvement < eps:
-            cs, nxt, v = refine(gam, current, v)
-            resid, nxt = _residual_and_next(current, cs, n, family, nxt)
-            step = (cs, nxt, v)
+            fused = v is not None  # V(current) came with it from the fused step
+            cs, nxt, v, top = refine(gam, current, v)
+            resid, nxt = _residual_and_next(current, cs, n, family, nxt, top, fused)
+            step = (cs, nxt, v, top)
             if resid <= DEFAULT.stationarity_tol:
                 return stop(SolveStatus.CONVERGED, t, current, gam, resid)
     return stop(SolveStatus.MAX_ITER, max_iter, current, gam_current)

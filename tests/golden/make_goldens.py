@@ -71,7 +71,7 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
     for criterion in DESIGN_CRITERIA:
         name = "design-" + criterion.partition(":@")[0].replace(":", "")
         out.append((name, ["design", *data, "--criterion", criterion, "--n", "100",
-                           "--seed", str(seed), "--out", name]))
+                           "--out", name]))
     out.append(("evaluate", ["evaluate", *data, "--out", "evaluate"]))
     stages = ["sequential", *data, "--stages", "3", "--n", "100", "--seed", str(seed)]
     out.append(("sequential", [*stages, "--out", "sequential"]))

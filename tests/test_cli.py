@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -495,6 +496,35 @@ class TestSequential:
         assert (out / "scheme_stage_1.csv").exists()
         assert (out / "learning_curve.csv").exists()
 
+    def test_stage_files_quote_each_id_once(self, tmp_path, finpop_csv, monkeypatch):
+        header, *rows = open(finpop_csv, encoding="utf-8").read().splitlines()
+        ids = [f'u,{row.split(",", 1)[0]}"' for row in rows]
+        body = ['"{}",{}'.format(uid.replace('"', '""'), row.split(",", 1)[1])
+                for uid, row in zip(ids, rows)]
+        data = tmp_path / "quoted.csv"
+        data.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        quoted = []
+        real = cli.dataio._csv_field
+        monkeypatch.setattr(
+            cli.dataio, "_csv_field", lambda text: quoted.append(text) or real(text)
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["sequential", "--input", str(data), "--model", "finpop", "--family",
+             "po-wr", "--stages", "2", "--n", "30", "--seed", "4", "--out", str(out)]
+        )
+        assert code == 0
+        assert quoted == ids
+        for k in (1, 2):
+            path = out / f"scheme_stage_{k}.csv"
+            _, got = read_rows(path)
+            assert [row[0] for row in got] == ids
+            want = io.StringIO(newline="")
+            csv.writer(want).writerows(
+                [["id", "mu"]] + [[uid, format(float(mu), ".17g")] for uid, mu in got]
+            )
+            assert path.read_bytes() == want.getvalue().encode("utf-8")
+
     def test_stage_sizes_repeat_when_single_value(self, tmp_path, finpop_csv):
         out = tmp_path / "out"
         code = main(
@@ -884,6 +914,9 @@ class TestConfigFile:
             ("evaluate", ["input={csv}", "model=lognormal", "criterion=E"]),
             ("sequential", ["input={csv}", "model=lognormal", "criterion=c:1,0"]),
             ("sequential", ["input={csv}", "model=lognormal", "eps=0.1"]),
+            ("fit", ["input={csv}", "model=lognormal", "seed=3"]),
+            ("design", ["input={csv}", "model=lognormal", "seed=3"]),
+            ("evaluate", ["input={csv}", "model=lognormal", "seed=3"]),
         ],
     )
     def test_config_key_the_command_does_not_take_rejected(
@@ -926,6 +959,28 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["fit", "--frobnicate"]) == 2
+
+    # Only sequential and synth draw random numbers.
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("fit", []),
+            ("design", ["--criterion", "A", "--n", "5"]),
+            ("evaluate", []),
+        ],
+    )
+    def test_seed_is_refused_where_nothing_is_drawn(
+        self, tmp_path, lognormal_csv, capsys, command, flags
+    ):
+        out = tmp_path / "out"
+        code = main(
+            [command, "--input", lognormal_csv, "--model", "lognormal", *flags,
+             "--seed", "3", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.endswith(f"subdesign {command}: error: unrecognized arguments: --seed 3\n")
+        assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

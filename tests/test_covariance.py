@@ -47,6 +47,36 @@ class TestGradientSet:
         with pytest.raises(SingularHessian):
             GradientSet(psi=psi, hessian=np.diag([1.0, -1.0]), theta0=np.zeros(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (3, 0)])
+    def test_rejects_a_gradient_array_that_is_not_n_by_p(self, shape):
+        with pytest.raises(InvalidInput, match="^psi must be an N x p matrix"):
+            GradientSet(psi=np.zeros(shape), hessian=np.eye(2), theta0=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_gradients(self, bad):
+        psi = balanced_psi(np.random.default_rng(2), 6, 3)
+        psi[4, 2] = bad
+        with pytest.raises(InvalidInput, match="^psi contains non-finite entries$"):
+            GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
+
+    @pytest.mark.parametrize("shift, rejected", [(4.9e-6, False), (5.1e-6, True)])
+    def test_balance_is_relative_to_the_largest_row_norm(self, shift, rejected):
+        # The largest row is (3, 4, 0), of norm 5; its largest entry is 4.
+        psi = np.array([[3.0, 4.0, 0.0], [-3.0, -4.0, 0.0], [0.1, 0.0, 0.2], [-0.1, 0.0, -0.2]])
+        psi[2, 2] += shift
+        if rejected:
+            with pytest.raises(InvalidInput, match="^gradient columns sum to 5.100e-06, "):
+                GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
+        else:
+            GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
+
+    def test_singular_hessian_message(self):
+        psi = balanced_psi(np.random.default_rng(3), 6, 2)
+        with pytest.raises(
+            SingularHessian, match="^hessian must be positive definite, min eigenvalue "
+        ):
+            GradientSet(psi=psi, hessian=np.diag([1.0, 0.0]), theta0=np.zeros(2))
+
     def test_v_theta0_is_gram(self):
         g = make_grads(seed=2)
         assert g.v_theta0 == pytest.approx(g.psi.T @ g.psi)

@@ -16,7 +16,7 @@ from subdesign.errors import (
     NoConvergence,
     SingularHessian,
 )
-from subdesign.linalg import BLOCK_UNITS, logistic, spd_inverse
+from subdesign.linalg import BLOCK_UNITS, logistic, spd_inverse, unit_blocks
 from subdesign.models import (
     finpop_problem,
     fit_full,
@@ -180,6 +180,11 @@ class TestQblogit:
     def test_rejects_zero_column(self):
         with pytest.raises(InvalidData):
             qblogit_problem(np.array([[1.0, 0.0], [1.0, 0.0]]), [0.3, 0.7])
+
+    def test_names_the_first_zero_column(self):
+        x = np.array([[1.0, 0.0, -0.0, 2.0], [1.0, 0.0, 0.0, 3.0]])
+        with pytest.raises(InvalidData, match="^design column 1 is identically zero$"):
+            qblogit_problem(x, [0.3, 0.7])
 
     def test_recovers_coefficients_roughly(self):
         rng = np.random.default_rng(5)
@@ -634,6 +639,112 @@ class TestNewtonTerms:
     def test_qblogit_iteration_counts_at_1e5(self, seed, iterations):
         prob = pool_problem("qblogit", make_pool("qblogit", 100_000, seed))
         assert fit_full(prob).iterations == iterations
+
+
+def two_divide_logistic(t):
+    """The sigmoid as two divides, the second masked to t >= 0."""
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.divide(1.0, d, out=e / d, where=t >= 0)
+
+
+def broadcast_weights(t):
+    pr = two_divide_logistic(t)
+    w = np.clip(pr, models.P_CLAMP, 1.0 - models.P_CLAMP)
+    w *= 1.0 - w
+    return pr, w
+
+
+def broadcast_qblogit_terms(prob, theta, u):
+    """qblogit's blocked Newton terms with the broadcast row scaling and the
+    masked sigmoid they were first written with."""
+    x, resp = prob.data["X"], prob.data["y"]
+    p = x.shape[1]
+    risk, grad, total = 0.0, np.zeros(p), np.zeros((p, p))
+    for rows in unit_blocks(x.shape[0]):
+        xb, rb = x[rows], resp[rows]
+        t = xb @ theta
+        pr, w = broadcast_weights(t)
+        loss = np.logaddexp(0.0, t) - rb * t
+        r = pr - rb
+        if u is None:
+            risk += float(loss.sum())
+            g = r * xb.T
+            g[:, 0] += grad
+            grad = np.add.accumulate(g, axis=1)[:, -1].copy()
+        else:
+            risk += float(u[rows] @ loss)
+            grad += u[rows] @ (r[:, None] * xb)
+            w *= u[rows]
+        total += (xb * w[:, None]).T @ xb
+    return risk, grad, total
+
+
+def broadcast_leverage(x, theta):
+    h = np.empty(x.shape[0])
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    for rows in unit_blocks(x.shape[0]):
+        xb = x[rows]
+        h[rows] = broadcast_weights(xb @ theta)[1]
+        gram += (xb * h[rows][:, None]).T @ xb
+    h_inv = spd_inverse(gram)
+    for rows in unit_blocks(x.shape[0]):
+        xb = x[rows]
+        h[rows] *= np.sum((xb @ h_inv) * xb, axis=1)
+    return h
+
+
+def column_stack_lognormal_terms(prob, theta, u):
+    """lognormal's Newton terms with the gradient summed over the N x 2 array."""
+    g = prob.unit_gradients(theta)
+    ell = prob.unit_losses(theta)
+    if u is None:
+        return float(ell.sum()), g.sum(axis=0), prob.hessian(theta, None)
+    return float(u @ ell), u @ g, prob.hessian(theta, u)
+
+
+class TestContiguousPasses:
+    """The row-wise and column-wise passes against the broadcast, masked and
+    axis-0 forms they replaced: the same operations in the same order, so
+    equal bit for bit at any N, a tail block included."""
+
+    SIZES = [1, 3000, BLOCK_UNITS, 2 * BLOCK_UNITS + 123]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_qblogit_terms_and_hessian(self, n, weighted):
+        rng = np.random.default_rng(n + 11 * weighted)
+        prob = make_problem("qblogit", rng, n)
+        theta = 3.0 * sample_theta("qblogit", rng)
+        u = multipliers_with_zeros(rng, n) if weighted else None
+        risk, grad, hess = prob.newton_terms(theta, u)
+        ref_risk, ref_grad, ref_hess = broadcast_qblogit_terms(prob, theta, u)
+        assert risk == ref_risk
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(hess, ref_hess)
+        assert np.array_equal(prob.hessian(theta, u), ref_hess)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_qblogit_leverage(self, n):
+        rng = np.random.default_rng(n + 5)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        if n == 1:
+            x = np.eye(4)
+        theta = np.array([0.3, -2.5, 0.8, 4.0])
+        assert np.array_equal(leverage(x, theta), broadcast_leverage(x, theta))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lognormal_terms(self, n, weighted):
+        rng = np.random.default_rng(n + 13 * weighted)
+        prob = make_problem("lognormal", rng, n)
+        theta = sample_theta("lognormal", rng)
+        u = multipliers_with_zeros(rng, n) if weighted else None
+        risk, grad, hess = prob.newton_terms(theta, u)
+        ref_risk, ref_grad, ref_hess = column_stack_lognormal_terms(prob, theta, u)
+        assert risk == ref_risk
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(hess, ref_hess)
 
 
 class TestBlockedLeverage:

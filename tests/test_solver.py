@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -559,14 +560,15 @@ class TestFusedClosedForm:
         ref = l_optimal_scheme(c, n, family)
         top = float(ref.mu.max())
         assume(abs(top - 0.5) > 1e-9)
-        cs, scheme, v = solver._closed_form_step(grads, phi, n, family)
+        cs, scheme, v, mu_max = solver._closed_form_step(grads, phi, n, family)
         assert np.array_equal(cs, c)
         if family is DesignFamily.PO_WOR and top > 0.5:
             # Capped, or so close to a census that the subtraction of
             # sum psi psi^T would lose more than one bit.
-            assert scheme is None and v is None
+            assert scheme is None and v is None and mu_max is None
             return
         assert scheme.family is family and scheme.budget_n == n
+        assert mu_max == scheme.mu.max()
         assert rel_gap(scheme.mu, ref.mu) <= 1e-13
         assert rel_gap(v, covariance.v_matrix(grads, scheme)) <= 1e-13
 
@@ -602,6 +604,23 @@ class TestFusedClosedForm:
                 want = gamma(grads, trace.final_scheme).gamma
                 assert rel_gap(trace.final_gamma, want) <= 1e-13, (token, family, n)
         assert statuses == {SolveStatus.CONVERGED, SolveStatus.DIVERGED, SolveStatus.MAX_ITER}
+
+
+class PassCounter(np.ndarray):
+    """Counts the ufunc calls and reductions made over it, and over the
+    arrays computed from it."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        PassCounter.passes += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if isinstance(result, np.ndarray) and result.ndim:
+            return result.view(PassCounter)
+        return result
 
 
 class TestResidualFromNextScheme:
@@ -663,6 +682,31 @@ class TestResidualFromNextScheme:
             counting("residual", solver.stationarity_residual),
         )
         return calls
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_fused_check_makes_three_passes(self, family, monkeypatch):
+        """Between two fused schemes the check reads the schemes three times
+        (difference, absolute value, maximum): max mu' comes with the step,
+        and a fused scheme is known to stay below the cap. The residual is
+        the one the check computes without those hints, bit for bit."""
+        real = solver._residual_and_next
+        passes = []
+
+        def counting(scheme, cs, n, fam, nxt=None, top=None, fused=False):
+            assert nxt is not None and top is not None and fused
+            want = real(scheme, cs, n, fam, nxt)
+            wrapped = [dataclasses.replace(s, mu=s.mu.view(PassCounter)) for s in (scheme, nxt)]
+            PassCounter.passes = 0
+            got = real(wrapped[0], cs, n, fam, wrapped[1], top, fused)
+            passes.append(PassCounter.passes)
+            assert got[0] == want[0]
+            return want
+
+        monkeypatch.setattr(solver, "_residual_and_next", counting)
+        grads, problem = pool_grads("qblogit", 800, seed=5)
+        trace = fixed_point_solve(parse_criterion("D", problem), grads, family, 40)
+        assert trace.status is SolveStatus.CONVERGED and trace.capped_set_size == 0
+        assert passes and set(passes) == {3}
 
     @pytest.mark.parametrize("family", list(DesignFamily))
     def test_uncapped_solve_solves_once_per_refinement(self, family, monkeypatch):
