@@ -128,7 +128,7 @@ def _read_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read config file {path}: {err}") from err
     opts = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -244,6 +244,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidInput(
                 f"--stages says {stages} but --n lists {len(batch_sizes)} batch sizes"
             )
+
+    # The nearest part of --out that exists must be a directory; the
+    # directories below it are made when the first output is written.
+    out = existing = opts["out"]
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise InvalidInput(f"--out {out!r}: {existing!r} is not a directory")
 
     n_units = opts["n_units"]
     if command == "synth":

@@ -104,10 +104,6 @@ class GradientSet:
     def n_params(self) -> int:
         return self.psi.shape[1]
 
-    def blocks(self) -> list[slice]:
-        """Consecutive unit ranges of at most BLOCK_UNITS units covering 0..N-1."""
-        return unit_blocks(self.n_units)
-
     @cached_property
     def hessian_inv(self) -> np.ndarray:
         return spd_inverse(self.hessian)
@@ -156,7 +152,7 @@ def v_matrix(grads: GradientSet, scheme: SamplingScheme) -> np.ndarray:
         )
     p = grads.n_params
     v = np.zeros((p, p))
-    for units in grads.blocks():
+    for units in unit_blocks(grads.n_units):
         coef = 1.0 / scheme.mu[units]
         if scheme.family is DesignFamily.PO_WOR:
             coef -= 1.0

@@ -27,8 +27,8 @@ import numpy as np
 from .config import DEFAULT
 from .covariance import DispersionKind, GradientSet, dispersion_matrix, gamma
 from .errors import InvalidInput, NotDifferentiable, SingularMatrix
-from .linalg import as_symmetric, psd_factor, sym_eigen
-from .models import leverage, model_spec  # noqa: F401  (leverage is re-exported)
+from .linalg import as_symmetric, psd_factor, sym_eigen, unit_blocks
+from .models import model_spec
 from .sampling import SamplingScheme
 
 LINEAR_KINDS = frozenset({"A", "C", "L", "V", "Distance"})
@@ -149,15 +149,14 @@ def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.nd
 
 
 def _positive_spectrum(gam: np.ndarray, what: str):
-    pair = sym_eigen(gam)
-    top = float(pair.values[0])
-    if top <= 0.0 or float(pair.values[-1]) <= DEFAULT.singular_rtol * top:
+    values, vectors = sym_eigen(gam)
+    low = float(values[-1])
+    if values[0] <= 0.0 or low <= DEFAULT.singular_rtol * float(values[0]):
         raise SingularMatrix(
-            f"{what} needs a full-rank covariance; min eigenvalue "
-            f"{float(pair.values[-1]):.3e}",
-            min_eigenvalue=float(pair.values[-1]),
+            f"{what} needs a full-rank covariance; min eigenvalue {low:.3e}",
+            min_eigenvalue=low,
         )
-    return pair
+    return values, vectors
 
 
 def phi_value(
@@ -172,13 +171,13 @@ def phi_value(
         phi = _static_phi(spec, p, grads)
         return float(np.sum(g * phi))
     if spec.kind == "D":
-        pair = _positive_spectrum(g, "D-optimality")
-        return float(np.exp(np.mean(np.log(pair.values))))
+        values, _ = _positive_spectrum(g, "D-optimality")
+        return float(np.exp(np.mean(np.log(values))))
     if spec.kind == "E":
         return float(np.linalg.eigvalsh(g)[-1])
     if spec.kind == "PhiQ":
-        pair = _positive_spectrum(g, f"phi:{spec.q:g}")
-        return float((np.sum(pair.values**spec.q) / p) ** (1.0 / spec.q))
+        values, _ = _positive_spectrum(g, f"phi:{spec.q:g}")
+        return float((np.sum(values**spec.q) / p) ** (1.0 / spec.q))
     raise InvalidInput(f"unknown criterion kind {spec.kind!r}")
 
 
@@ -195,8 +194,8 @@ def objective_for_derivative(
     finite-difference checks of the coefficients differentiate this one.
     """
     if spec.kind == "D":
-        pair = _positive_spectrum(as_symmetric(gam), "D-optimality")
-        return float(np.sum(np.log(pair.values)))
+        values, _ = _positive_spectrum(as_symmetric(gam), "D-optimality")
+        return float(np.sum(np.log(values)))
     return phi_value(spec, gam, grads)
 
 
@@ -211,16 +210,14 @@ def phi_matrix_derivative(
     if spec.is_linear:
         return _static_phi(spec, p, grads)
     if spec.kind == "D":
-        pair = _positive_spectrum(g, "D-optimality")
-        q_mat = pair.vectors
-        inv = (q_mat / pair.values) @ q_mat.T
-        return as_symmetric(inv)
+        values, q_mat = _positive_spectrum(g, "D-optimality")
+        return as_symmetric((q_mat / values) @ q_mat.T)
     if spec.kind == "E":
-        pair = sym_eigen(g)
-        top = float(pair.values[0])
+        values, vectors = sym_eigen(g)
+        top = float(values[0])
         if top <= 0.0:
             raise NotDifferentiable("E-optimality derivative undefined at Gamma = 0")
-        gap = (top - float(pair.values[1])) / top if p > 1 else 1.0
+        gap = (top - float(values[1])) / top if p > 1 else 1.0
         if gap < DEFAULT.eigen_gap_error:
             raise NotDifferentiable(
                 f"leading eigenvalue is numerically repeated (relative gap "
@@ -232,15 +229,13 @@ def phi_matrix_derivative(
                 "is ill-conditioned",
                 stacklevel=2,
             )
-        v1 = pair.vectors[:, 0]
-        return np.outer(v1, v1)
+        return np.outer(vectors[:, 0], vectors[:, 0])
     if spec.kind == "PhiQ":
-        pair = _positive_spectrum(g, f"phi:{spec.q:g}")
+        values, q_mat = _positive_spectrum(g, f"phi:{spec.q:g}")
         q = spec.q
-        trace_q = float(np.sum(pair.values**q))
+        trace_q = float(np.sum(values**q))
         scale = p ** (-1.0 / q) * trace_q ** (1.0 / q - 1.0)
-        q_mat = pair.vectors
-        power = (q_mat * pair.values ** (q - 1.0)) @ q_mat.T
+        power = (q_mat * values ** (q - 1.0)) @ q_mat.T
         return as_symmetric(scale * power)
     raise InvalidInput(f"unknown criterion kind {spec.kind!r}")
 
@@ -284,7 +279,7 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
     roots = np.empty(grads.n_units) if fuse else None
     w = np.zeros((grads.n_params, grads.n_params))
     total, low, top = 0.0, np.inf, 0.0
-    for units in grads.blocks():
+    for units in unit_blocks(grads.n_units):
         # t is k x block: column i is L^T H^-1 psi_i, and its squares are
         # summed row after row, a sequential sum over the k terms.
         block = grads.psi_t[:, units]

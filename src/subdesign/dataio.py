@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InvalidData
 from .models import RiskProblem, model_spec
 from .sampling import SamplingScheme
-from .solver import SolveTrace
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
             if header is None:
                 raise InvalidData(f"{path} is empty")
             rows = [row for row in reader if row]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidData(f"cannot read {path}: {err}") from err
     return [h.strip() for h in header], rows
 
@@ -277,8 +276,9 @@ def write_scheme(path: str, ids, scheme: SamplingScheme) -> None:
     _write_units(path, ["id", "mu"], ids, [scheme.mu])
 
 
-def write_trace(path: str, trace: SolveTrace) -> None:
-    """One row per objective evaluation; only the last row carries the verdict."""
+def write_trace(path: str, trace) -> None:
+    """One row per objective evaluation of a ``solver.SolveTrace``; only the last
+    row carries the verdict."""
     rows = []
     last = len(trace.objective_per_iter) - 1
     for t, obj in enumerate(trace.objective_per_iter):

@@ -143,26 +143,28 @@ def efficiency_table_from_gradients(
                 spec, grads, family, n, max_iter=max_iter, eps=eps
             )
 
-    col_values = []
-    for spec in col_specs:
-        values = [phi_value(spec, trace.final_gamma, grads) for trace in traces.values()]
-        col_values.append(min(values))
+    # Each column's criterion at every solve's final Gamma, one column at a
+    # time: the column's reference is their minimum, the cells divide it by
+    # the row solves' entries.
+    col_values = [
+        {label: phi_value(spec, trace.final_gamma, grads) for label, trace in traces.items()}
+        for spec in col_specs
+    ]
+    refs = [min(values.values()) for values in col_values]
 
     cells = []
     for spec in row_specs:
-        trace = traces[spec.label]
-        if trace.status in (SolveStatus.DIVERGED, SolveStatus.INFEASIBLE):
+        if traces[spec.label].status in (SolveStatus.DIVERGED, SolveStatus.INFEASIBLE):
             cells.append(tuple([None] * len(col_specs)))
             continue
-        gam = trace.final_gamma
         row = []
-        for j, col in enumerate(col_specs):
-            den = phi_value(col, gam, grads)
+        for col, values, ref in zip(col_specs, col_values, refs):
+            den = values[spec.label]
             if not np.isfinite(den) or den == 0.0:
                 raise DegenerateCriterion(
                     f"criterion {col.label} vanishes at the {spec.label} scheme"
                 )
-            row.append(col_values[j] / den)
+            row.append(ref / den)
         cells.append(tuple(row))
 
     return EfficiencyTable(

@@ -3,21 +3,20 @@
 Everything here operates on plain numpy arrays. Inputs are treated as symmetric:
 only one triangle is authoritative and results are explicitly symmetrized, so
 callers never have to worry about round-off asymmetry accumulating through
-products. Eigen-based routines are backed by LAPACK via numpy with a
-deterministic sign convention layered on top. ``logistic`` is the one
-overflow-safe sigmoid, used by the logistic model and its leverage; one
-unmasked divide takes both of its branches. The fit's blocked passes and the
-gradient checks run along whole rows or columns, not through masked ufuncs,
-``[:, None]`` broadcasts or axis-0 reductions, which do the same operations in
-the same order several times slower.
+products. Eigen-based routines are backed by LAPACK via numpy. Eigenvectors
+keep the signs LAPACK gives them: every caller uses them only through products
+Q f(Lambda) Q^T or the squares of their entries, which a sign cannot change.
+``logistic`` is the one overflow-safe sigmoid, used by the logistic model and
+its leverage; one unmasked divide takes both of its branches. The fit's
+blocked passes and the gradient checks run along whole rows or columns, not
+through masked ufuncs, ``[:, None]`` broadcasts or axis-0 reductions, which do
+the same operations in the same order several times slower.
 ``BLOCK_UNITS`` sizes every blocked pass over the units, whether over the
 gradients in ``covariance`` and ``criteria`` or over the design rows of the
 logistic model.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,42 +46,13 @@ def as_symmetric(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``values`` are sorted descending; ``vectors`` holds the matching orthonormal
-    eigenvectors as columns, each signed so its first non-negligible component
-    is positive.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eigen(m) -> EigenPair:
-    """Full eigendecomposition of a symmetric matrix, descending order.
-
-    The sign convention (first component of each eigenvector with magnitude
-    above 1e-12 made positive) makes repeated calls on equal inputs return
-    identical output, which the seeded reproducibility contracts rely on.
-    """
+def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix in descending order, and the matching
+    orthonormal eigenvectors as the columns of a contiguous matrix."""
     a = as_symmetric(m)
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(values)[::-1]
-    values = np.ascontiguousarray(values[order])
-    vectors = np.ascontiguousarray(vectors[:, order])
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = nonzero[0] if nonzero.size else int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
-    return EigenPair(values=values, vectors=vectors)
+    return np.ascontiguousarray(values[order]), np.ascontiguousarray(vectors[:, order])
 
 
 def psd_factor(m) -> np.ndarray:
@@ -97,33 +67,30 @@ def psd_factor(m) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    pair = sym_eigen(a)
+    values, vectors = sym_eigen(a)
     tol = DEFAULT.psd_tol
-    scale = frob(a)
+    scale = float(np.linalg.norm(a, "fro"))
     floor = -tol * scale if scale > 0.0 else -tol
-    min_eig = float(pair.values[-1])
+    min_eig = float(values[-1])
     if min_eig < floor:
         raise NotPSD(
             f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e} "
             f"below tolerance {floor:.3e}"
         )
-    clamped = np.clip(pair.values, 0.0, None)
-    return pair.vectors * np.sqrt(clamped)
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
 def spd_inverse(m) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
     a = as_symmetric(m)
-    pair = sym_eigen(a)
-    min_eig = float(pair.values[-1])
-    scale = frob(a)
-    if min_eig <= DEFAULT.singular_rtol * scale:
+    values, q = sym_eigen(a)
+    min_eig = float(values[-1])
+    if min_eig <= DEFAULT.singular_rtol * float(np.linalg.norm(a, "fro")):
         raise SingularMatrix(
             f"matrix is singular to working precision (min eigenvalue {min_eig:.3e})",
             min_eigenvalue=min_eig,
         )
-    q = pair.vectors
-    inv = (q / pair.values) @ q.T
+    inv = (q / values) @ q.T
     return 0.5 * (inv + inv.T)
 
 

@@ -147,10 +147,8 @@ def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingSche
         raise InvalidBudget(
             f"cannot place expected size {n} without replacement in {n_units} units"
         )
+    # With n <= N checked, the rounded n/N is at most 1: no unit exceeds the cap.
     mu = np.full(n_units, float(n) / n_units)
-    # Guarantee the exact budget under the family cap despite division round-off.
-    if family is DesignFamily.PO_WOR:
-        mu = np.minimum(mu, 1.0)
     mu.flags.writeable = False
     return validate_scheme(mu, family, n)
 

@@ -22,7 +22,6 @@ from subdesign.criteria import (
     distance_opt,
     e_opt,
     l_opt,
-    leverage,
     objective_for_derivative,
     parse_criterion,
     phi_q,
@@ -34,7 +33,7 @@ from subdesign.evaluate import (
     rel_efficiency,
     reparam_invariance,
 )
-from subdesign.models import fit_full
+from subdesign.models import fit_full, leverage
 from subdesign.sampling import DesignFamily, derive_seed, draw, validate_scheme
 from subdesign.sequential import run_k_stages
 from subdesign.solver import SolveStatus, fixed_point_solve, l_optimal_scheme

@@ -73,6 +73,15 @@ class TestFit:
         err = capsys.readouterr().err
         assert "missing column 'w'" in err
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_bytes(b"id,w,y\n\xff,1,2\n2,1,3\n")
+        code = main(["fit", "--input", str(data), "--model", "lognormal"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"subdesign: error: cannot read {data}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_duplicate_ids_exit_2(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         data.write_text("id,w,y\n7,1,2\n8,1,3\n7,1,4\n", encoding="utf-8")
@@ -945,6 +954,15 @@ class TestConfigFile:
         assert code == 2
         assert "unknown option 'modle'" in capsys.readouterr().err
 
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"model=finpop\nn-units=\xff\n")
+        code = main(["synth", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"subdesign: error: cannot read config file {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_config_line_without_equals_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n", encoding="utf-8")
@@ -981,6 +999,35 @@ class TestUsage:
         assert code == 2
         assert err.endswith(f"subdesign {command}: error: unrecognized arguments: --seed 3\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "synth"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_not_a_directory_is_refused_before_the_load(
+        self, tmp_path, lognormal_csv, capsys, monkeypatch, command, under
+    ):
+        def no_data(*args):
+            raise AssertionError("data read before --out was checked")
+
+        monkeypatch.setattr(cli.dataio, "load_problem", no_data)
+        monkeypatch.setattr(cli, "make_pool", no_data)
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        out = blocker / "sub" / "dir" if under else blocker
+        flags = ["--n-units", "5"] if command == "synth" else ["--input", lognormal_csv]
+        code = main([command, "--model", "lognormal", *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"subdesign: error: --out {str(out)!r}: {str(blocker)!r} is not a directory\n"
+        )
+        assert blocker.read_text(encoding="utf-8") == "x"
+
+    def test_out_may_name_directories_yet_to_be_made(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        argv = ["synth", "--model", "finpop", "--n-units", "20", "--out", str(out)]
+        cli.build_config(cli._build_parser().parse_args(argv))
+        assert not (tmp_path / "a").exists()
+        assert main(argv) == 0
+        assert (out / "finpop.csv").is_file()
 
     def test_missing_model(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -16,7 +16,7 @@ from subdesign.covariance import (
 )
 from subdesign.criteria import coefficients, l_opt, parse_criterion
 from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsupported
-from subdesign.linalg import BLOCK_UNITS, psd_factor
+from subdesign.linalg import BLOCK_UNITS, psd_factor, unit_blocks
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.synth import make_pool, pool_problem
@@ -232,7 +232,7 @@ class TestVMatrix:
         n_units = 2 * BLOCK_UNITS + 123
         psi = balanced_psi(rng, n_units, 3)
         g = GradientSet(psi=psi, hessian=np.eye(3), theta0=np.zeros(3))
-        blocks = g.blocks()
+        blocks = unit_blocks(n_units)
         assert len(blocks) == 3
         units = np.arange(n_units)
         assert np.array_equal(np.concatenate([units[b] for b in blocks]), units)

@@ -14,7 +14,6 @@ from subdesign.criteria import (
     distance_opt,
     e_opt,
     l_opt,
-    leverage,
     objective_for_derivative,
     parse_criterion,
     phi_matrix_derivative,
@@ -29,7 +28,7 @@ from subdesign.errors import (
     SingularMatrix,
 )
 from subdesign.linalg import as_symmetric, psd_factor, spd_inverse
-from subdesign.models import fit_full, lognormal_problem, qblogit_problem
+from subdesign.models import fit_full, leverage, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, validate_scheme
 
 

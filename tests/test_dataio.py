@@ -134,6 +134,23 @@ class TestLoadProblem:
         with pytest.raises(InvalidData, match="no data rows"):
             load_problem(str(path), "lognormal")
 
+    @pytest.mark.parametrize(
+        "head, rows, tail",
+        [
+            (b"id,w,\xff\n", 0, b""),
+            (b"id,w,y\n", 0, b"\xff,1,2\n"),
+            (b"id,w,y\n", 20000, b"u\xff,1,2\n"),
+        ],
+    )
+    def test_non_utf8_bytes_rejected(self, tmp_path, head, rows, tail):
+        path = tmp_path / "d.csv"
+        path.write_bytes(head + b"".join(b"%d,1,2\n" % i for i in range(rows)) + tail)
+        with pytest.raises(InvalidData) as got:
+            load_problem(str(path), "lognormal")
+        assert str(got.value).startswith(
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
+        )
+
     def test_fractional_group_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,w,y1,g\n1,1,2,0.5\n2,1,3,1\n", encoding="utf-8")

@@ -3,35 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subdesign.criteria as criteria
+import subdesign.linalg as linalg
+from subdesign.covariance import GradientSet, gamma
+from subdesign.criteria import c_opt, coefficients, d_opt, e_opt, phi_matrix_derivative, phi_q
 from subdesign.errors import InvalidInput, NotPSD, SingularMatrix
 from subdesign.linalg import (
-    EigenPair,
     as_symmetric,
     logistic,
     psd_factor,
     spd_inverse,
     sym_eigen,
 )
+from subdesign.sampling import DesignFamily, uniform_scheme
 
 
 class TestSymEigen:
     def test_hand_2x2(self):
         # [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors
-        # (1,1)/sqrt(2) and (1,-1)/sqrt(2).
-        pair = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
-        assert pair.values == pytest.approx([3.0, 1.0], abs=1e-12)
-        s = 1.0 / np.sqrt(2.0)
-        assert pair.vectors[:, 0] == pytest.approx([s, s], abs=1e-12)
-        assert pair.vectors[:, 1] == pytest.approx([s, -s], abs=1e-12)
+        # (1,1)/sqrt(2) and (1,-1)/sqrt(2), each up to its sign.
+        values, vectors = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+        assert values == pytest.approx([3.0, 1.0], abs=1e-12)
+        for j, v in enumerate(([1.0, 1.0], [1.0, -1.0])):
+            projector = np.outer(vectors[:, j], vectors[:, j])
+            assert projector == pytest.approx(np.outer(v, v) / 2.0, abs=1e-12)
 
-    def test_descending_order_and_sign(self):
-        pair = sym_eigen(np.diag([1.0, 5.0, 3.0]))
-        assert pair.values == pytest.approx([5.0, 3.0, 1.0])
-        # Leading nonzero component of every eigenvector is positive.
-        for j in range(3):
-            col = pair.vectors[:, j]
-            lead = np.flatnonzero(np.abs(col) > 1e-12)[0]
-            assert col[lead] > 0.0
+    def test_descending_order(self):
+        values, vectors = sym_eigen(np.diag([1.0, 5.0, 3.0]))
+        assert values == pytest.approx([5.0, 3.0, 1.0])
+        assert np.abs(vectors) == pytest.approx(np.eye(3)[:, [1, 2, 0]])
+        assert values.flags.c_contiguous and vectors.flags.c_contiguous
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(20240817)
@@ -39,14 +40,12 @@ class TestSymEigen:
             p = rng.integers(1, 8)
             b = rng.standard_normal((p, p))
             m = 0.5 * (b + b.T)
-            pair = sym_eigen(m)
-            q = pair.vectors
-            err = np.linalg.norm((q * pair.values) @ q.T - m, "fro")
+            values, q = sym_eigen(m)
+            err = np.linalg.norm((q * values) @ q.T - m, "fro")
             scale = max(np.linalg.norm(m, "fro"), 1.0)
             assert err <= 1e-10 * scale
-            gram = pair.vectors.T @ pair.vectors
-            assert np.allclose(gram, np.eye(p), atol=1e-10)
-            assert np.all(np.diff(pair.values) <= 1e-12)
+            assert np.allclose(q.T @ q, np.eye(p), atol=1e-10)
+            assert np.all(np.diff(values) <= 1e-12)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(7)
@@ -54,8 +53,8 @@ class TestSymEigen:
         m = b + b.T
         first = sym_eigen(m)
         second = sym_eigen(m.copy())
-        assert np.array_equal(first.values, second.values)
-        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
@@ -64,6 +63,45 @@ class TestSymEigen:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             sym_eigen([[1.0, np.nan], [np.nan, 1.0]])
+
+
+def sign_dependent_outputs():
+    """Every output computed from eigenvectors, at a fixed random problem."""
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((200, 4))
+    psi -= psi.mean(axis=0)
+    b = rng.standard_normal((4, 4))
+    grads = GradientSet(psi=psi, hessian=b @ b.T + np.eye(4), theta0=np.zeros(4))
+    gam = gamma(grads, uniform_scheme(200, 20.0, DesignFamily.PO_WOR)).gamma
+    return [
+        # c c^T has rank one, so psd_factor takes its eigenvector branch.
+        coefficients(c_opt([1.0, -2.0, 0.0, 0.5]), grads),
+        spd_inverse(b @ b.T + np.eye(4)),
+        phi_matrix_derivative(d_opt(), gam),
+        phi_matrix_derivative(e_opt(), gam),
+        phi_matrix_derivative(phi_q(5.0), gam),
+    ]
+
+
+@pytest.mark.parametrize("flip", [[0], [1, 3], [0, 1, 2, 3]])
+def test_eigenvector_signs_do_not_reach_any_output(monkeypatch, flip):
+    expected = sign_dependent_outputs()
+    calls = []
+
+    def flipped(m):
+        values, vectors = sym_eigen(m)
+        calls.append(m)
+        vectors[:, flip] *= -1.0
+        return values, vectors
+
+    monkeypatch.setattr(linalg, "sym_eigen", flipped)
+    monkeypatch.setattr(criteria, "sym_eigen", flipped)
+    got = sign_dependent_outputs()
+    # H^-1 (in gamma and the coefficients), the rank-one factor, the inverse
+    # and the three derivatives each decompose through the flipped routine.
+    assert len(calls) == 6
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestPsdFactor:
@@ -159,8 +197,3 @@ class TestLogistic:
 def test_as_symmetric_symmetrizes():
     out = as_symmetric([[1.0, 2.0], [0.0, 1.0]])
     assert out == pytest.approx(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_eigenpair_dim():
-    pair = EigenPair(values=np.ones(3), vectors=np.eye(3))
-    assert pair.values.shape[0] == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdesign.errors import InvalidBudget, InvalidInput, OutOfDomain
 from subdesign.sampling import (
@@ -149,6 +151,18 @@ class TestUniformScheme:
     def test_powor_overfull_budget(self):
         with pytest.raises(InvalidBudget):
             uniform_scheme(5, 6, DesignFamily.PO_WOR)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_never_exceeds_one(self, data):
+        # n/N rounds to at most 1 whenever n <= N, so no cap is needed.
+        n_units = data.draw(st.integers(1, 5000))
+        n = data.draw(
+            st.integers(1, n_units)
+            | st.floats(1e-300, n_units, allow_nan=False, allow_infinity=False)
+        )
+        mu = uniform_scheme(n_units, n, DesignFamily.PO_WOR).mu
+        assert mu.max() <= 1.0
 
 
 class TestDraw:

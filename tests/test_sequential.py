@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import subdesign.models as models
-from subdesign.criteria import leverage
 from subdesign.errors import InvalidInput, StageFailure
 from subdesign.models import (
     finpop_problem,
     fit_full,
+    leverage,
     lognormal_problem,
     multiplier_fit,
     qblogit_problem,
