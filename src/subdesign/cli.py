@@ -130,7 +130,7 @@ def _read_config_file(path: str, command: str) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read config file {path}: {err}") from err
-    opts = {}
+    opts, set_on = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,6 +144,11 @@ def _read_config_file(path: str, command: str) -> dict:
         commands, kwargs = _OPTIONS[key]
         if command not in commands:
             raise InvalidInput(f"{path} line {lineno}: {command} takes no option {key!r}")
+        if key in set_on:
+            raise InvalidInput(
+                f"{path} line {lineno}: {key!r} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         convert = str.split if "nargs" in kwargs else kwargs.get("type", str)
         try:
             opts[key] = convert(value.strip())
@@ -245,14 +250,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 f"--stages says {stages} but --n lists {len(batch_sizes)} batch sizes"
             )
 
-    # The nearest part of --out that exists must be a directory; the
-    # directories below it are made when the first output is written.
-    out = existing = opts["out"]
-    while existing and not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise InvalidInput(f"--out {out!r}: {existing!r} is not a directory")
-
     n_units = opts["n_units"]
     if command == "synth":
         if n_units is None:
@@ -261,20 +258,51 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidInput(f"--n-units must be at least 1, got {n_units}")
 
     opts.update(family=family, n=n, criteria=criteria, batch_sizes=batch_sizes)
-    return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})
+    config = RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})
+
+    # The nearest part of --out that exists must be a directory, and no output
+    # file may be one; the directories below it are made when the outputs are
+    # written.
+    out = existing = config.out
+    if not out:
+        raise InvalidInput("--out must not be empty")
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise InvalidInput(f"--out {out!r}: {existing!r} is not a directory")
+    for path in _output_paths(config):
+        if os.path.isdir(path):
+            raise InvalidInput(f"output file {path!r} is a directory")
+    return config
 
 
-def _out_path(config: RunConfig, name: str) -> str:
+def _output_paths(config: RunConfig) -> list[str]:
+    """Every file the command can write, in --out. Sequential lists its
+    learning curve first, then, with one replication, each stage's scheme and
+    the stage log."""
+    stages = [f"scheme_stage_{k}.csv" for k in range(1, len(config.batch_sizes) + 1)]
+    names = {
+        "fit": ["theta0.csv", "gradients.csv"],
+        "design": ["scheme.csv", "trace.csv"],
+        "evaluate": ["efficiency.csv", "efficiency.txt"],
+        "sequential": ["learning_curve.csv"]
+        + (stages + ["stages.csv"] if config.replications == 1 else []),
+        "synth": [f"{config.model}.csv"],
+    }[config.command]
+    return [os.path.join(config.out, name) for name in names]
+
+
+def _make_outputs(config: RunConfig) -> list[str]:
+    """Make --out and return the command's output paths."""
     os.makedirs(config.out, exist_ok=True)
-    return os.path.join(config.out, name)
+    return _output_paths(config)
 
 
 def cmd_fit(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     fit = fit_full(data.problem, tol=config.tol, max_iter=config.max_iter)
     grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
-    theta_path = _out_path(config, "theta0.csv")
-    grad_path = _out_path(config, "gradients.csv")
+    theta_path, grad_path = _make_outputs(config)
     dataio.write_theta(theta_path, data.problem.param_names, fit.theta0)
     dataio.write_gradients(grad_path, data.ids, grads.psi, data.problem.param_names)
     summary = ", ".join(
@@ -294,8 +322,7 @@ def cmd_design(config: RunConfig) -> int:
     trace = fixed_point_solve(
         spec, grads, config.family, config.n, max_iter=config.max_iter, eps=config.eps
     )
-    scheme_path = _out_path(config, "scheme.csv")
-    trace_path = _out_path(config, "trace.csv")
+    scheme_path, trace_path = _make_outputs(config)
     dataio.write_scheme(scheme_path, data.ids, trace.final_scheme)
     dataio.write_trace(trace_path, trace)
     print(
@@ -326,8 +353,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     table = efficiency_table_from_gradients(
         grads, config.family, n, specs, specs, max_iter=config.max_iter, eps=config.eps
     )
-    csv_path = _out_path(config, "efficiency.csv")
-    text_path = _out_path(config, "efficiency.txt")
+    csv_path, text_path = _make_outputs(config)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(table.to_csv())
     with open(text_path, "w", encoding="utf-8") as fh:
@@ -337,16 +363,14 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _write_stage_outputs(config: RunConfig, data, records) -> None:
-    scheme_files = []
+def _write_stage_outputs(stage_paths: list[str], data, records) -> None:
+    """The scheme of each record (stage k in ``stage_paths[k - 1]``) and the
+    stage log (``stage_paths[-1]``)."""
     ids = dataio.id_fields(data.ids)
-    for rec in records:
-        path = _out_path(config, f"scheme_stage_{rec.k}.csv")
+    for rec, path in zip(records, stage_paths):
         dataio.write_scheme(path, ids, rec.scheme)
-        scheme_files.append(os.path.basename(path))
-    dataio.write_stage_log(
-        _out_path(config, "stages.csv"), records, data.problem, scheme_files
-    )
+    scheme_files = [os.path.basename(path) for path in stage_paths[: len(records)]]
+    dataio.write_stage_log(stage_paths[-1], records, data.problem, scheme_files)
 
 
 def cmd_sequential(config: RunConfig) -> int:
@@ -364,23 +388,23 @@ def cmd_sequential(config: RunConfig) -> int:
         final = float(np.linalg.norm(records[-1].theta_hat - theta_full))
         return first, final
 
-    curve_path = _out_path(config, "learning_curve.csv")
+    curve_path, *stage_paths = _make_outputs(config)
     if config.replications == 1:
         try:
             records = stages(config.seed)
         except StageFailure as err:
             if err.records:
-                _write_stage_outputs(config, data, err.records)
+                _write_stage_outputs(stage_paths, data, err.records)
             print(f"{PROG}: error: {err}", file=sys.stderr)
             return err.exit_code
-        _write_stage_outputs(config, data, records)
+        _write_stage_outputs(stage_paths, data, records)
         first, final = errors(records)
         dataio.write_learning_curve(curve_path, [(0, first, final)])
         print(
             f"{len(records)} stages complete; stage-1 error {first:.6g}, "
             f"final error {final:.6g}"
         )
-        print(f"wrote {os.path.join(config.out, 'stages.csv')} and {curve_path}")
+        print(f"wrote {stage_paths[-1]} and {curve_path}")
         return 0
 
     rows = []
@@ -411,7 +435,7 @@ def cmd_sequential(config: RunConfig) -> int:
 
 def cmd_synth(config: RunConfig) -> int:
     pool = make_pool(config.model, config.n_units, config.seed)
-    path = _out_path(config, f"{config.model}.csv")
+    (path,) = _make_outputs(config)
     dataio.write_pool(path, config.model, pool)
     print(f"wrote {path} ({config.n_units} units, seed {config.seed})")
     return 0

@@ -1,4 +1,4 @@
-"""Scheme comparison: efficiency tables, grid oracles, Monte-Carlo checks.
+"""Scheme comparison: efficiency tables, Monte-Carlo checks, reparameterization.
 
 Relative efficiency is always computed from the analytic asymptotic
 covariance, never from simulation; the Monte-Carlo helpers exist to verify
@@ -14,8 +14,7 @@ import pickle
 import signal
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from math import comb
+from functools import partial
 
 import numpy as np
 
@@ -43,11 +42,9 @@ from .sampling import (
     _draw_support,
     _nonnegative_int,
     derive_seed,
-    validate_scheme,
 )
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
-MAX_GRID_ROWS = 20_000_000
 # Above this share of failed replicates a Monte-Carlo run is refused: the
 # surviving replicates would be a biased selection.
 MAX_FAILURE_RATE = 0.05
@@ -174,76 +171,6 @@ def efficiency_table_from_gradients(
         statuses=tuple(traces[s.label].status for s in row_specs),
         iterations=tuple(traces[s.label].iterations for s in row_specs),
     )
-
-
-@lru_cache(maxsize=8)
-def _compositions(parts: int, steps: int) -> np.ndarray:
-    """All strictly positive integer vectors of length parts summing to steps."""
-    if parts == 1:
-        return np.array([[steps]], dtype=np.int64)
-    blocks = []
-    for first in range(1, steps - parts + 2):
-        rest = _compositions(parts - 1, steps - first)
-        head = np.full((len(rest), 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
-
-
-def _pairwise_refine(mu: np.ndarray, c: np.ndarray, cap: float | None) -> np.ndarray:
-    """One sweep of exact two-coordinate reallocations at fixed budget."""
-    mu = mu.copy()
-    s = np.sqrt(c)
-    n_units = len(mu)
-    for i in range(n_units):
-        for j in range(i + 1, n_units):
-            total = mu[i] + mu[j]
-            share = total * s[i] / (s[i] + s[j])
-            if cap is not None:
-                share = min(max(share, total - cap), cap)
-            lo = 1e-12 * total
-            share = min(max(share, lo), total - lo)
-            mu[i], mu[j] = share, total - share
-    return mu
-
-
-def brute_force_l_optimal(
-    c,
-    n: float,
-    family: DesignFamily,
-    grid_steps: int = 40,
-) -> SamplingScheme:
-    """Grid-search the linear-criterion allocation, then refine locally.
-
-    Exhaustive over a simplex lattice, so only small populations are
-    accepted. Serves as an independent check on the closed-form allocation.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or len(c) > 5:
-        raise Unsupported("grid search handles at most 5 units")
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
-        raise InvalidInput("coefficients must be strictly positive and finite")
-    n_units = len(c)
-    if comb(grid_steps - 1, n_units - 1) > MAX_GRID_ROWS:
-        raise Unsupported(
-            f"grid of {grid_steps} steps over {n_units} units is too large"
-        )
-    parts = _compositions(n_units, grid_steps)
-    mu_grid = (float(n) / grid_steps) * parts
-    cap = None
-    if family is DesignFamily.PO_WOR:
-        cap = 1.0
-        keep = np.all(mu_grid <= 1.0, axis=1)
-        mu_grid = mu_grid[keep]
-        if len(mu_grid) == 0:
-            raise Unsupported("no grid point satisfies the probability cap")
-    # The constant shift for without-replacement designs does not move the
-    # argmin, so one objective serves every family.
-    objective = (c / mu_grid).sum(axis=1)
-    best = mu_grid[int(np.argmin(objective))]
-    refined = _pairwise_refine(best, c, cap)
-    if (c / refined).sum() > (c / best).sum():
-        refined = best
-    return validate_scheme(refined, family, float(n))
 
 
 @dataclass(frozen=True)

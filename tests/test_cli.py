@@ -963,6 +963,34 @@ class TestConfigFile:
         assert err.startswith(f"subdesign: error: cannot read config file {cfg}: 'utf-8' codec")
         assert err.count("\n") == 1
 
+    def test_repeated_config_key_rejected(self, tmp_path, monkeypatch, capsys):
+        def no_data(*args):
+            raise AssertionError("data read before the config file was checked")
+
+        monkeypatch.setattr(cli, "make_pool", no_data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_units=20\nmodel=finpop\n\nn-units=30\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["synth", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"subdesign: error: {cfg} line 4: 'n_units' is already set on line 1\n"
+        )
+        assert not out.exists()
+
+    def test_empty_out_key_rejected(self, tmp_path, monkeypatch, capsys):
+        def no_data(*args):
+            raise AssertionError("data read before --out was checked")
+
+        monkeypatch.setattr(cli, "make_pool", no_data)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=finpop\nn-units=20\nout=\n", encoding="utf-8")
+        code = main(["synth", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == "subdesign: error: --out must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_config_line_without_equals_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n", encoding="utf-8")
@@ -1020,6 +1048,58 @@ class TestUsage:
             f"subdesign: error: --out {str(out)!r}: {str(blocker)!r} is not a directory\n"
         )
         assert blocker.read_text(encoding="utf-8") == "x"
+
+    def test_empty_out_flag_refused_before_the_load(self, tmp_path, monkeypatch, capsys):
+        def no_data(*args):
+            raise AssertionError("data read before --out was checked")
+
+        monkeypatch.setattr(cli, "make_pool", no_data)
+        monkeypatch.chdir(tmp_path)
+        code = main(["synth", "--model", "finpop", "--n-units", "20", "--out", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "subdesign: error: --out must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # For each command, flags and an output file that the run would write.
+    OUTPUT_CASES = [
+        ("fit", [], "gradients.csv"),
+        ("design", ["--criterion", "A", "--n", "10"], "scheme.csv"),
+        ("evaluate", [], "efficiency.txt"),
+        ("sequential", ["--n", "10,10"], "scheme_stage_2.csv"),
+        ("sequential", ["--n", "10,10", "--replications", "2"], "learning_curve.csv"),
+        ("synth", ["--n-units", "20", "--seed", "1"], "finpop.csv"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, name", OUTPUT_CASES)
+    def test_output_file_that_is_a_directory_is_refused_before_the_load(
+        self, tmp_path, finpop_csv, capsys, monkeypatch, command, flags, name
+    ):
+        def no_data(*args):
+            raise AssertionError("data read before the output files were checked")
+
+        monkeypatch.setattr(cli.dataio, "load_problem", no_data)
+        monkeypatch.setattr(cli, "make_pool", no_data)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        source = [] if command == "synth" else ["--input", finpop_csv]
+        code = main([command, *source, "--model", "finpop", *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"subdesign: error: output file {str(out / name)!r} is a directory\n"
+        )
+        assert [p.name for p in out.iterdir()] == [name]
+        assert list((out / name).iterdir()) == []
+
+    @pytest.mark.parametrize("command, flags, name", OUTPUT_CASES)
+    def test_output_paths_are_the_files_written(
+        self, tmp_path, finpop_csv, command, flags, name
+    ):
+        out = tmp_path / "out"
+        source = [] if command == "synth" else ["--input", finpop_csv]
+        argv = [command, *source, "--model", "finpop", *flags, "--out", str(out)]
+        listed = cli._output_paths(cli.build_config(cli._build_parser().parse_args(argv)))
+        assert main(argv) == 0
+        assert sorted(listed) == sorted(str(p) for p in out.iterdir())
 
     def test_out_may_name_directories_yet_to_be_made(self, tmp_path):
         out = tmp_path / "a" / "b"

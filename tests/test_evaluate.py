@@ -29,7 +29,6 @@ from subdesign.evaluate import (
     EfficiencyTable,
     MonteCarloCovariance,
     Reparameterization,
-    brute_force_l_optimal,
     efficiency_table_from_gradients,
     monte_carlo_covariance,
     rel_efficiency,
@@ -47,7 +46,7 @@ from subdesign.sampling import (
     uniform_scheme,
     validate_scheme,
 )
-from subdesign.solver import SolveStatus, fixed_point_solve, l_optimal_scheme
+from subdesign.solver import SolveStatus, fixed_point_solve
 
 
 def lognormal_example(seed=0, n=200):
@@ -221,47 +220,6 @@ class TestEfficiencyTable:
         at_row = phi_value(d_opt(), gamma(grads, row.final_scheme).gamma, grads)
         at_col = phi_value(d_opt(), gamma(grads, col.final_scheme).gamma, grads)
         assert table.cells[0][0] == pytest.approx(min(at_row, at_col) / at_row, rel=1e-12)
-
-
-class TestBruteForce:
-    def test_uniform_coefficients(self):
-        scheme = brute_force_l_optimal(np.ones(4), 2.0, DesignFamily.PO_WR, grid_steps=20)
-        assert scheme.mu == pytest.approx(np.full(4, 0.5), abs=1e-9)
-
-    def test_two_unit_closed_form(self):
-        scheme = brute_force_l_optimal(np.array([4.0, 1.0]), 1.0, DesignFamily.PO_WR)
-        assert scheme.mu == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
-
-    def test_capping_case(self):
-        scheme = brute_force_l_optimal(
-            np.array([100.0, 1.0, 1.0, 1.0]), 2.0, DesignFamily.PO_WOR, grid_steps=30
-        )
-        assert scheme.mu == pytest.approx([1.0, 1 / 3, 1 / 3, 1 / 3], abs=0.02)
-
-    def test_agrees_with_closed_form_allocation(self):
-        rng = np.random.default_rng(7)
-        for family in (DesignFamily.PO_WR, DesignFamily.PO_WOR):
-            for _ in range(5):
-                c = rng.uniform(0.2, 5.0, 4)
-                exact = l_optimal_scheme(c, 2.0, family)
-                grid = brute_force_l_optimal(c, 2.0, family, grid_steps=60)
-                obj_exact = np.sum(c / exact.mu)
-                obj_grid = np.sum(c / grid.mu)
-                assert obj_exact <= obj_grid + 1e-6
-
-    def test_population_too_large(self):
-        with pytest.raises(Unsupported):
-            brute_force_l_optimal(np.ones(6), 2.0, DesignFamily.PO_WR)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInput):
-            brute_force_l_optimal(np.array([1.0, 0.0]), 1.0, DesignFamily.PO_WR)
-
-    def test_po_wor_grid_respects_cap(self):
-        scheme = brute_force_l_optimal(
-            np.array([10.0, 1.0, 1.0]), 2.5, DesignFamily.PO_WOR, grid_steps=40
-        )
-        assert np.all(scheme.mu <= 1.0 + 1e-12)
 
 
 class TestMonteCarloCovariance:
