@@ -8,9 +8,10 @@ not take, or an abbreviated flag, is a usage error, and a stray flag is
 reported with that command's usage line. Options resolve as flags over
 config file over built-in defaults, and every token is checked before
 any data is loaded; a criterion token that needs the model (bare ``c``,
-``V``) is checked once the data are in. Exit codes: 0 success, 2 usage or
-schema error, 3 estimation failure, 4 solver stopped without converging, 5
-infeasible allocation.
+``V``) or its parameter count (a ``c:`` vector's length, an ``L:@``
+matrix's rows) is checked once the data are in, before the fit. Exit
+codes: 0 success, 2 usage or schema error, 3 estimation failure, 4 solver
+stopped without converging, 5 infeasible allocation.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str, command: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read config file {path}: {err}") from err

@@ -316,14 +316,22 @@ def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:
     return model_spec(model_kind).anticipate(aux)
 
 
+def _sized(spec: CriterionSpec, problem) -> CriterionSpec:
+    """``spec`` once its c or L fits the problem's parameter count, if given."""
+    if problem is not None:
+        _static_phi(spec, problem.n_params, None)
+    return spec
+
+
 def parse_criterion(token: str, problem=None) -> CriterionSpec:
     """Build a CriterionSpec from its text form.
 
     Recognized tokens: ``A``, ``c`` or ``c:v1,...,vp``, ``L:@file.csv``, ``V``,
     ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets
     the first parameter coordinate; ``V`` derives its Gram matrix from the
-    problem, which must then be supplied. A relative ``L:@`` path is read
-    from the working directory.
+    problem, which must then be supplied. Given the problem, a ``c:`` vector
+    or ``L:@`` matrix of the wrong size is refused here, before any fit. A
+    relative ``L:@`` path is read from the working directory.
     """
     text = token.strip()
     low = text.lower()
@@ -350,7 +358,7 @@ def parse_criterion(token: str, problem=None) -> CriterionSpec:
             vec = np.array([float(v) for v in text[2:].split(",")])
         except ValueError:
             raise InvalidInput(f"cannot parse c vector from {token!r}")
-        return c_opt(vec)
+        return _sized(c_opt(vec), problem)
     if low.startswith("l:@"):
         path = os.path.abspath(text[3:])
         try:
@@ -365,7 +373,7 @@ def parse_criterion(token: str, problem=None) -> CriterionSpec:
             raise InvalidInput(f"cannot parse L matrix in {path!r}: {err}")
         if mat.size == 0:
             raise InvalidInput(f"L matrix file {path!r} is empty")
-        return l_opt(mat)
+        return _sized(l_opt(mat), problem)
     if low.startswith("phi:"):
         try:
             q = float(text[4:])

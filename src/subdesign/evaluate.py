@@ -39,9 +39,9 @@ from .models import RiskProblem, _fit_on_support, fit_full, model_spec, weighted
 from .sampling import (
     DesignFamily,
     SamplingScheme,
-    _draw_support,
     _nonnegative_int,
     derive_seed,
+    draw,
 )
 from .solver import SolveStatus, SolveTrace, fixed_point_solve
 
@@ -203,10 +203,10 @@ def _replicate_outcomes(problem, scheme, seed, replicates, tol, max_iter) -> lis
     """Each replicate's fitted theta, or the class name of the fit error it raised."""
     outcomes = []
     for r in replicates:
-        support, support_counts = _draw_support(scheme, derive_seed(seed, r))
+        result = draw(scheme, derive_seed(seed, r))
         try:
             fit = _fit_on_support(
-                problem, support, support_counts / scheme.mu[support],
+                problem, result.support, result.support_counts / scheme.mu[result.support],
                 tol=tol, max_iter=max_iter,
             )
         except FIT_ERRORS as err:
@@ -270,11 +270,10 @@ def monte_carlo_covariance(
 ) -> MonteCarloCovariance:
     """Estimate the covariance of the weighted estimator by simulation.
 
-    Each replicate is the ``weighted_fit`` of one draw, run straight on the
-    draw's support: the loop takes the drawn units and their counts from the
-    random core of ``draw``, builds no N-length ``counts`` and skips the
-    full-length checks, so a replicate's fit costs in the sample size, not the
-    population.
+    Each replicate is the ``weighted_fit`` of one ``draw``, run straight on
+    the drawn units and their counts: it never reads the draw's N-length
+    ``counts`` and skips the full-length checks, so a replicate costs in the
+    sample size, not the population.
     Replicates that fail to fit (an empty draw raises EmptySample) are dropped
     and counted by exception class; the run aborts when more than
     MAX_FAILURE_RATE of them do.

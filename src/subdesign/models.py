@@ -696,8 +696,8 @@ def _finpop_aux(problem, selected, theta, config) -> dict:
         missing = 0
         for label in np.unique(groups):
             in_group = groups == label
-            seen = in_group & selected
-            if not np.any(seen):
+            seen = selected[in_group[selected]]
+            if not seen.size:
                 missing += 1
                 continue
             mean = y[seen].mean(axis=0)
@@ -756,7 +756,7 @@ class ModelSpec:
     optional: tuple[str, ...]  # optional columns, parsed after the block
     build: Callable[[dict], RiskProblem]
     gram: Callable[[RiskProblem], np.ndarray]  # default V-optimality Gram matrix
-    update_aux: Callable[..., dict]  # (problem, selected, theta, AuxConfig) -> aux
+    update_aux: Callable[..., dict]  # (problem, drawn units ascending, theta, AuxConfig) -> aux
     anticipate: Callable[[dict], np.ndarray]  # aux -> coefficients
 
 

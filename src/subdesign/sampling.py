@@ -19,7 +19,8 @@ O(n log N) after one O(N) set-up per scheme. Without-replacement draws stay
 one uniform per unit, since no exact shortcut is known for unequal mu. Both
 paths are IEEE-754 arithmetic on Philox output (a sequential ``cumsum``, one
 product per uniform and a binary search), so equal (scheme, seed) pairs
-produce bitwise identical counts on any platform.
+produce bitwise identical counts on any platform. A draw keeps the drawn
+units alone; its N-length ``counts`` is built when first read.
 """
 
 from __future__ import annotations
@@ -81,26 +82,25 @@ class SamplingScheme:
 
 @dataclass(frozen=True)
 class DrawResult:
-    """Realized selection counts from one seeded draw.
+    """The units one seeded draw selected.
 
-    ``counts`` has one entry per population unit. ``support`` lists the units
-    drawn at least once in increasing order and ``support_counts`` their
-    counts, so estimators can work on the sample alone. A result built from
-    ``counts`` only derives the two from it.
+    ``support`` lists the units drawn at least once in increasing order and
+    ``support_counts`` their counts, so estimators work on the sample alone.
     """
 
-    counts: np.ndarray
+    support: np.ndarray = field(repr=False)
+    support_counts: np.ndarray = field(repr=False)
+    n_units: int
     realized_size: int
     seed: int
-    support: np.ndarray = field(default=None, repr=False)
-    support_counts: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.support is None:
-            counts = np.asarray(self.counts)
-            support = np.flatnonzero(counts)
-            object.__setattr__(self, "support", support)
-            object.__setattr__(self, "support_counts", counts[support])
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The selection count of every population unit, built on first read."""
+        counts = np.zeros(self.n_units, dtype=np.int64)
+        counts[self.support] = self.support_counts
+        counts.flags.writeable = False
+        return counts
 
 
 def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
@@ -175,38 +175,6 @@ def derive_seed(*keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _draw_support(scheme: SamplingScheme, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units :func:`draw` selects, in increasing order, and their counts.
-
-    Every random step of a draw happens here; callers that read only the
-    sample skip the N-length ``counts``.
-    """
-    if _nonnegative_int(seed, "seed") > np.iinfo(np.uint64).max:
-        raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    mu = scheme.mu
-    if scheme.family is DesignFamily.PO_WOR:
-        support = np.flatnonzero(rng.random(mu.shape[0]) < mu)
-        return support, np.ones(support.shape[0], dtype=np.int64)
-    cdf = scheme.cdf
-    total = cdf[-1]
-    if scheme.family is DesignFamily.PO_WR:
-        k = int(rng.poisson(total))
-    else:
-        k = int(round(scheme.budget_n))
-    # Sorted targets let each binary search start where the last one
-    # ended; the order of the K draws does not change the counts.
-    uniforms = rng.random(k)
-    uniforms.sort()
-    # Unit i takes the targets in [cdf[i-1], cdf[i]). A uniform below one
-    # times cdf[-1] stays below cdf[-1] under round-to-nearest; a target
-    # reaching it would map to index N, so it is clamped to the last unit.
-    units = np.searchsorted(cdf, uniforms * total, side="right")
-    units = np.minimum(units, mu.shape[0] - 1)
-    support, support_counts = np.unique(units, return_counts=True)
-    return support, support_counts.astype(np.int64, copy=False)
-
-
 def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
     """One seeded draw of selection counts from the scheme's distribution.
 
@@ -215,16 +183,36 @@ def draw(scheme: SamplingScheme, seed: int) -> DrawResult:
     scheme's cached running sum (see the module docstring). po-wor draws one
     Bernoulli(mu_i) indicator per unit.
     """
-    support, support_counts = _draw_support(scheme, seed)
-    counts = np.zeros(scheme.n_units, dtype=np.int64)
-    counts[support] = support_counts
-    for arr in (counts, support, support_counts):
-        arr.flags.writeable = False
+    if _nonnegative_int(seed, "seed") > np.iinfo(np.uint64).max:
+        raise InvalidInput(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    mu = scheme.mu
+    if scheme.family is DesignFamily.PO_WOR:
+        support = np.flatnonzero(rng.random(mu.shape[0]) < mu)
+        support_counts = np.ones(support.shape[0], dtype=np.int64)
+    else:
+        cdf = scheme.cdf
+        total = cdf[-1]
+        if scheme.family is DesignFamily.PO_WR:
+            k = int(rng.poisson(total))
+        else:
+            k = int(round(scheme.budget_n))
+        # Sorted targets let each binary search start where the last one
+        # ended; the order of the K draws does not change the counts.
+        uniforms = rng.random(k)
+        uniforms.sort()
+        # Unit i takes the targets in [cdf[i-1], cdf[i]). A uniform below one
+        # times cdf[-1] stays below cdf[-1] under round-to-nearest; a target
+        # reaching it would map to index N, so it is clamped to the last unit.
+        units = np.searchsorted(cdf, uniforms * total, side="right")
+        units = np.minimum(units, mu.shape[0] - 1)
+        support, support_counts = np.unique(units, return_counts=True)
+        support_counts = support_counts.astype(np.int64, copy=False)
+    support.flags.writeable = support_counts.flags.writeable = False
     return DrawResult(
-        counts=counts,
-        realized_size=int(support_counts.sum()),
-        seed=int(seed),
         support=support,
         support_counts=support_counts,
+        n_units=mu.shape[0],
+        realized_size=int(support_counts.sum()),
+        seed=int(seed),
     )
-

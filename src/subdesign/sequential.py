@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import anticipated_coefficients
-from .errors import InvalidInput, SubdesignError, StageFailure
+from .errors import InvalidBudget, InvalidInput, SubdesignError, StageFailure
 from .models import FitResult, RiskProblem, _fit_on_support, model_spec
 from .sampling import (
     DesignFamily,
@@ -76,6 +76,13 @@ class StageRecord:
         object.__setattr__(self, "theta_hat", theta)
 
 
+def _drawn_units(records) -> np.ndarray:
+    """Units drawn in some stage, in increasing order."""
+    if not records:
+        raise InvalidInput("need at least one stage record")
+    return np.unique(np.concatenate([r.draw.support for r in records]))
+
+
 def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
     """Units drawn in some stage, in increasing order, and their pooled multipliers.
 
@@ -85,11 +92,9 @@ def _pooled_support(records) -> tuple[np.ndarray, np.ndarray]:
     in stage order, so every multiplier is the same float as in a sum over
     the full population.
     """
-    if not records:
-        raise InvalidInput("need at least one stage record")
+    support = _drawn_units(records)
     sizes = np.array([float(r.scheme.budget_n) for r in records])
     m_k = sizes.sum()
-    support = np.unique(np.concatenate([r.draw.support for r in records]))
     u = np.zeros(support.size)
     for rec, n_j in zip(records, sizes):
         drawn = rec.draw.support
@@ -115,13 +120,6 @@ def pooled_estimate(
     return _fit_on_support(problem, support, u, theta_init, tol, max_iter)
 
 
-def _selected_mask(records) -> np.ndarray:
-    mask = np.zeros(records[0].scheme.n_units, dtype=bool)
-    for rec in records:
-        mask[rec.draw.support] = True
-    return mask
-
-
 def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -> dict:
     """Refresh the auxiliary inputs that anticipation needs.
 
@@ -129,10 +127,8 @@ def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -
     cover the whole population. The returned mapping feeds straight into
     anticipated_coefficients for the problem's model kind.
     """
-    if not records:
-        raise InvalidInput("need at least one stage record")
     return model_spec(problem.kind).update_aux(
-        problem, _selected_mask(records), records[-1].theta_hat, config
+        problem, _drawn_units(records), records[-1].theta_hat, config
     )
 
 
@@ -164,13 +160,19 @@ def run_k_stages(
     The first stage samples uniformly; each later stage reallocates using
     coefficients anticipated from everything revealed so far. Any failure
     (empty draw, singular fit, infeasible allocation) aborts with the
-    records of the completed stages attached.
+    records of the completed stages attached. A stage size above N under
+    po-wor is refused before stage 1.
     """
     sizes = [float(n) for n in np.atleast_1d(np.asarray(batch_sizes, dtype=float))]
     if len(sizes) < 1:
         raise InvalidInput("need at least one batch size")
     if any(n <= 0 for n in sizes):
         raise InvalidInput("batch sizes must be positive")
+    if family is DesignFamily.PO_WOR and max(sizes) > problem.n_units:
+        raise InvalidBudget(
+            f"cannot place expected size {max(sizes)} without replacement "
+            f"in {problem.n_units} units"
+        )
 
     records: list[StageRecord] = []
     theta = None

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from subdesign import cli, errors
+from subdesign import cli, errors, sequential
 from subdesign.cli import main
 from subdesign.dataio import write_pool
 from subdesign.models import weighted_fit
 from subdesign.sampling import DesignFamily
 from subdesign.sequential import run_k_stages
-from subdesign.synth import finpop_pool, lognormal_pool, pool_problem
+from subdesign.synth import finpop_pool, lognormal_pool, pool_problem, qblogit_pool
 
 
 def read_rows(path):
@@ -707,10 +707,11 @@ class TestSequential:
                      "learning_curve.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_stage_failure_keeps_partial_logs(self, tmp_path, capsys):
+    def test_stage_failure_keeps_partial_logs(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "small.csv"
         write_pool(str(data), "finpop", finpop_pool(50, seed=1))
         out = tmp_path / "out"
+        fail_second_pooled_fit(monkeypatch)
         code = main(
             [
                 "sequential",
@@ -723,7 +724,7 @@ class TestSequential:
                 "--stages",
                 "2",
                 "--n",
-                "30,80",
+                "30,20",
                 "--seed",
                 "4",
                 "--out",
@@ -734,6 +735,44 @@ class TestSequential:
         assert "stage 2 failed" in capsys.readouterr().err
         _, rows = read_rows(out / "stages.csv")
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("replications", ["1", "3"])
+    def test_po_wor_stage_above_n_is_refused_before_stage_one(
+        self, tmp_path, capsys, monkeypatch, replications
+    ):
+        def no_draw(*args):
+            raise AssertionError("a stage was drawn before the sizes were checked")
+
+        monkeypatch.setattr(sequential, "draw", no_draw)
+        data = tmp_path / "finpop.csv"
+        write_pool(str(data), "finpop", finpop_pool(100, seed=1))
+        out = tmp_path / "out"
+        code = main(
+            ["sequential", "--input", str(data), "--model", "finpop", "--family", "po-wor",
+             "--n", "200", "--stages", "2", "--replications", replications,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "subdesign: error: cannot place expected size 200.0 without replacement "
+            "in 100 units\n"
+        )
+        assert not (out / "stages.csv").exists()
+        assert not (out / "learning_curve.csv").exists()
+
+
+def fail_second_pooled_fit(monkeypatch):
+    """Make the pooled fit of stage 2 raise SingularHessian."""
+    real = sequential.pooled_estimate
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise errors.SingularHessian("forced failure of the second pooled fit")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequential, "pooled_estimate", failing)
 
 
 class TestSynth:
@@ -963,6 +1002,15 @@ class TestConfigFile:
         assert err.startswith(f"subdesign: error: cannot read config file {cfg}: 'utf-8' codec")
         assert err.count("\n") == 1
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=finpop\nn-units=20\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbfmodel=")
+        out = tmp_path / "out"
+        code = main(["synth", "--config", str(cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert (out / "finpop.csv").exists()
+
     def test_repeated_config_key_rejected(self, tmp_path, monkeypatch, capsys):
         def no_data(*args):
             raise AssertionError("data read before the config file was checked")
@@ -997,6 +1045,35 @@ class TestConfigFile:
         code = main(["fit", "--config", str(cfg)])
         assert code == 2
         assert "expected key=value" in capsys.readouterr().err
+
+
+class TestCriterionSize:
+    """A c vector or L matrix that does not fit the model is refused before the fit."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("design", ["--criterion", "c:1,2", "--n", "20"], "c has length 2, expected 3"),
+            ("evaluate", ["--criteria", "A", "c:1,2"], "c has length 2, expected 3"),
+            ("design", ["--criterion", "L:@L.csv", "--n", "20"], "L has 2 rows, expected 3"),
+            ("evaluate", ["--criteria", "A", "L:@L.csv"], "L has 2 rows, expected 3"),
+        ],
+    )
+    def test_refused_before_the_fit(
+        self, tmp_path, monkeypatch, capsys, command, flags, message
+    ):
+        fits = []
+        monkeypatch.setattr(cli, "fit_full", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "L.csv").write_text("1,0\n0,1\n", encoding="utf-8")
+        write_pool("qblogit.csv", "qblogit", qblogit_pool(200, seed=3))
+        code = main(
+            [command, "--input", "qblogit.csv", "--model", "qblogit", *flags, "--out", "out"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"subdesign: error: {message}\n"
+        assert fits == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -343,6 +343,28 @@ class TestMonteCarloCost:
         assert max(newton_sizes) < n_units
         assert poisson_sizes == [1] * 1000
 
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_each_replicate_is_one_public_draw(self, family, monkeypatch):
+        problem = finpop_example(seed=17, n=120)
+        scheme = uniform_scheme(120, 30, family)
+        seeds = []
+
+        def recording_draw(scheme_arg, seed):
+            assert scheme_arg is scheme
+            seeds.append(seed)
+            return draw(scheme_arg, seed)
+
+        monkeypatch.setattr(evaluate, "_worker_count", lambda: 1)
+        monkeypatch.setattr(evaluate, "draw", recording_draw)
+        mc = monte_carlo_covariance(problem, scheme, R=1000, seed=4)
+        assert seeds == [derive_seed(4, r) for r in range(1000)]
+        # Each theta is the weighted_fit of that replicate's dense counts.
+        expected = np.array(
+            [models.weighted_fit(problem, draw(scheme, s).counts, scheme).theta0 for s in seeds]
+        )
+        assert mc.n_failed == 0
+        assert mc.thetas.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
     def test_no_population_length_array_per_replicate(self, family, monkeypatch):
         # tracemalloc sees this process only; keep all R replicates in it.

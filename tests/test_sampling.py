@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from subdesign.errors import InvalidBudget, InvalidInput, OutOfDomain
 from subdesign.sampling import (
     DesignFamily,
-    _draw_support,
-    DrawResult,
     SamplingScheme,
     derive_seed,
     draw,
@@ -350,22 +350,47 @@ class TestSplittingDistribution:
             assert not result.support_counts.flags.writeable
 
     @pytest.mark.parametrize("family", list(DesignFamily))
-    def test_support_core_matches_the_dense_reference(self, family):
+    def test_draw_matches_the_dense_reference(self, family):
         mu = np.random.default_rng(15).uniform(0.05, 0.9, 500)
         scheme = validate_scheme(mu / mu.sum() * 200, family, 200)
         for r in range(100):
             seed = derive_seed(15, r)
             expected = reference_counts(scheme, seed)
-            support, support_counts = _draw_support(scheme, seed)
             result = draw(scheme, seed)
+            assert result.support.dtype == np.intp
+            assert np.array_equal(result.support, np.flatnonzero(expected))
+            assert result.support_counts.dtype == np.int64
+            assert np.array_equal(result.support_counts, expected[expected > 0])
+            assert result.n_units == 500
+            assert result.realized_size == expected.sum()
             assert result.counts.dtype == np.int64
             assert np.array_equal(result.counts, expected)
-            for got in (support, result.support):
-                assert got.dtype == np.intp
-                assert np.array_equal(got, np.flatnonzero(expected))
-            for got in (support_counts, result.support_counts):
-                assert got.dtype == np.int64
-                assert np.array_equal(got, expected[expected > 0])
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_counts_are_built_on_first_read_and_kept(self, family):
+        scheme = unequal_scheme(family, n=3.0)
+        result = draw(scheme, 16)
+        assert "counts" not in vars(result)
+        counts = result.counts
+        assert np.array_equal(counts, reference_counts(scheme, 16))
+        assert counts.dtype == np.int64
+        assert not counts.flags.writeable
+        assert result.counts is counts
+
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
+    def test_draw_allocates_in_the_sample_not_the_population(self, family):
+        # One N-length int64 array at N = 2e5 is 1.6 MB; the draw's own
+        # arrays hold its 100 targets and units.
+        scheme = uniform_scheme(200_000, 100.0, family)
+        draw(scheme, 0)  # builds the scheme's cdf, once, before the measured draws
+        tracemalloc.start()
+        try:
+            for r in range(5):
+                draw(scheme, derive_seed(17, r))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
 
     @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.MULTI])
     def test_target_at_the_total_maps_to_the_last_unit(self, family, monkeypatch):
@@ -406,12 +431,6 @@ class TestDesignFamily:
     def test_unknown_token(self):
         with pytest.raises(InvalidInput):
             DesignFamily.from_token("systematic")
-
-
-def test_draw_result_fields():
-    result = DrawResult(counts=np.array([1, 0, 2]), realized_size=3, seed=9)
-    assert result.realized_size == 3
-    assert result.seed == 9
 
 
 class TestDeriveSeed:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import subdesign.models as models
-from subdesign.errors import InvalidInput, StageFailure
+import subdesign.sequential as sequential
+from subdesign.errors import InvalidBudget, InvalidInput, SingularHessian, StageFailure
 from subdesign.models import (
     finpop_problem,
     fit_full,
@@ -141,7 +142,7 @@ class TestPooledEstimate:
 
 
 def unequal_stages(family, n_units=400, seed=21):
-    """Three stages of unequal schemes; the last record is built from counts alone."""
+    """Three stages of unequal schemes; the last record is built by hand from dense counts."""
     rng = np.random.default_rng(seed)
     recs = []
     for k, n_k in enumerate((20, 30, 50), start=1):
@@ -149,7 +150,15 @@ def unequal_stages(family, n_units=400, seed=21):
         scheme = validate_scheme(mu / mu.sum() * n_k, family, n_k)
         result = draw(scheme, derive_seed(seed, k))
         if k == 3:
-            result = DrawResult(result.counts, result.realized_size, result.seed)
+            counts = np.array(result.counts)
+            support = np.flatnonzero(counts)
+            result = DrawResult(
+                support=support,
+                support_counts=counts[support],
+                n_units=n_units,
+                realized_size=int(counts.sum()),
+                seed=result.seed,
+            )
         recs.append(StageRecord(k=k, scheme=scheme, draw=result, theta_hat=np.zeros(2), m_k=0))
     return recs
 
@@ -419,15 +428,37 @@ class TestRunKStages:
         assert np.all(records[1].scheme.mu > 0)
         assert np.all(records[1].scheme.mu <= 1.0)
 
-    def test_stage_failure_carries_partial_records(self):
+    def test_stage_failure_carries_partial_records(self, monkeypatch):
         y, w, _ = finpop_population(seed=27, n=50)
         problem = finpop_problem(y, w)
-        # Second batch is infeasible without replacement: n > N.
+        real = sequential.pooled_estimate
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularHessian("forced failure of the second pooled fit")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sequential, "pooled_estimate", fail_second)
         with pytest.raises(StageFailure) as exc:
-            run_k_stages(problem, [20, 80], DesignFamily.PO_WOR, seed=27)
+            run_k_stages(problem, [20, 20], DesignFamily.PO_WOR, seed=27)
         assert exc.value.stage == 2
         assert len(exc.value.records) == 1
         assert exc.value.records[0].k == 1
+
+    @pytest.mark.parametrize("sizes", [[80, 20], [20, 80], [20, 20, 51]])
+    def test_po_wor_size_above_n_refused_before_stage_one(self, sizes, monkeypatch):
+        y, w, _ = finpop_population(seed=27, n=50)
+        problem = finpop_problem(y, w)
+        draws = []
+        monkeypatch.setattr(sequential, "draw", lambda *args: draws.append(args))
+        with pytest.raises(InvalidBudget, match="^cannot place expected size"):
+            run_k_stages(problem, sizes, DesignFamily.PO_WOR, seed=27)
+        assert draws == []
+        # With replacement the same sizes are feasible.
+        monkeypatch.undo()
+        assert len(run_k_stages(problem, sizes, DesignFamily.PO_WR, seed=27)) == len(sizes)
 
     def test_stage_one_failure_has_no_records(self):
         x = np.column_stack([np.ones(30), np.linspace(-2, 2, 30)])
