@@ -9,7 +9,8 @@ reported with that command's usage line. Options resolve as flags over
 config file over built-in defaults, and every token is checked before
 any data is loaded; a criterion token that needs the model (bare ``c``,
 ``V``) or its parameter count (a ``c:`` vector's length, an ``L:@``
-matrix's rows) is checked once the data are in, before the fit. Exit
+matrix's rows) is checked once the data are in, before the fit, and so is
+a ``po-wor`` budget or stage size above the number of units. Exit
 codes: 0 success, 2 usage or schema error, 3 estimation failure, 4 solver
 stopped without converging, 5 infeasible allocation.
 """
@@ -30,7 +31,7 @@ from .criteria import parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
 from .models import MODELS, fit_full, model_spec
-from .sampling import DesignFamily, derive_seed
+from .sampling import DesignFamily, derive_seed, uniform_scheme
 from .sequential import run_k_stages
 from .solver import SolveStatus, fixed_point_solve
 from .synth import make_pool
@@ -318,6 +319,7 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_design(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     spec = parse_criterion(config.criterion, data.problem)
+    uniform_scheme(data.problem.n_units, config.n, config.family)  # po-wor n > N fails here
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     trace = fixed_point_solve(
@@ -349,6 +351,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     n = config.n if config.n is not None else math.ceil(0.01 * data.problem.n_units)
     specs = [parse_criterion(token, data.problem) for token in config.criteria]
+    uniform_scheme(data.problem.n_units, n, config.family)  # po-wor n > N fails here
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     table = efficiency_table_from_gradients(
@@ -377,6 +380,8 @@ def _write_stage_outputs(stage_paths: list[str], data, records) -> None:
 def cmd_sequential(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     sizes = config.batch_sizes
+    # A po-wor stage above N fails here, as run_k_stages words it.
+    uniform_scheme(data.problem.n_units, float(max(sizes)), config.family)
     theta_full = fit_full(data.problem, tol=config.tol).theta0
 
     def stages(seed):

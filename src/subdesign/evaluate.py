@@ -32,10 +32,7 @@ from .errors import (
     Unsupported,
     UnreliableEstimate,
 )
-# ``weighted_fit`` is the estimator each Monte-Carlo replicate computes. The
-# loop calls its support-only core directly, but the name stays importable
-# from this module, as callers and the benchmark's tracer expect.
-from .models import RiskProblem, _fit_on_support, fit_full, model_spec, weighted_fit  # noqa: F401
+from .models import RiskProblem, fit_full, model_spec, weighted_fit
 from .sampling import (
     DesignFamily,
     SamplingScheme,
@@ -203,12 +200,9 @@ def _replicate_outcomes(problem, scheme, seed, replicates, tol, max_iter) -> lis
     """Each replicate's fitted theta, or the class name of the fit error it raised."""
     outcomes = []
     for r in replicates:
-        result = draw(scheme, derive_seed(seed, r))
+        sample = draw(scheme, derive_seed(seed, r))
         try:
-            fit = _fit_on_support(
-                problem, result.support, result.support_counts / scheme.mu[result.support],
-                tol=tol, max_iter=max_iter,
-            )
+            fit = weighted_fit(problem, sample, scheme, tol=tol, max_iter=max_iter)
         except FIT_ERRORS as err:
             outcomes.append(type(err).__name__)
             continue
@@ -270,19 +264,17 @@ def monte_carlo_covariance(
 ) -> MonteCarloCovariance:
     """Estimate the covariance of the weighted estimator by simulation.
 
-    Each replicate is the ``weighted_fit`` of one ``draw``, run straight on
-    the drawn units and their counts: it never reads the draw's N-length
-    ``counts`` and skips the full-length checks, so a replicate costs in the
-    sample size, not the population.
-    Replicates that fail to fit (an empty draw raises EmptySample) are dropped
-    and counted by exception class; the run aborts when more than
-    MAX_FAILURE_RATE of them do.
+    Replicate r is the ``weighted_fit`` of its own independent draw,
+    ``draw(scheme, derive_seed(seed, r))``; the fit reads only the drawn units
+    and their counts, so a replicate costs in the sample size, not the
+    population. Replicates that fail to fit (an empty draw raises
+    EmptySample) are dropped and counted by exception class; the run aborts
+    when more than MAX_FAILURE_RATE of them do.
 
-    Replicate r draws with ``derive_seed(seed, r)``, so replicates are
-    independent, and they are spread in contiguous shards over the CPUs this
-    process may use, one forked worker each. The results are gathered in
-    replicate order, so they are bit-identical whatever the number of CPUs.
-    Where ``os.fork`` is missing the loop runs in this process.
+    The replicates are spread in contiguous shards over the CPUs this process
+    may use, one forked worker each, and gathered in replicate order, so the
+    results are bit-identical whatever the number of CPUs. Where ``os.fork``
+    is missing the loop runs in this process.
     """
     seed = _nonnegative_int(seed, "seed")
     R = _nonnegative_int(R, "R")

@@ -15,14 +15,14 @@ arrays to a private builder. ``RiskProblem.take(idx)`` calls the same builder
 on a row subset, so the restricted model keeps what was fixed over the full
 population: the weight normalization and, for finpop, the starting point.
 
-``fit_full`` minimizes the total loss over all units; ``multiplier_fit``
-minimizes a multiplier-weighted loss; ``weighted_fit`` minimizes the
-inverse-probability weighted loss given realized selection counts. The last
-two check their full-length inputs, then evaluate only the rows with positive
-weight, since the others contribute nothing; so does the Monte-Carlo loop in
-``evaluate``, which starts from a draw's support. All of them run damped
-Newton with step halving so the objective never increases within an
-iteration. Newton reads a problem through one closure, ``newton_terms``,
+``fit_full`` minimizes the total loss over all units, ``weighted_fit`` the
+inverse-probability weighted loss of one ``DrawResult``, and
+``multiplier_fit`` a loss weighted by multipliers on a support of unit
+indices, as the pooled stage fit assembles them. The last two evaluate only
+those rows, since the others carry zero weight, and check their inputs at
+the cost of the sample, not of the population. All three run damped Newton
+with step halving so the objective never increases within an iteration.
+Newton reads a problem through one closure, ``newton_terms``,
 which returns the total risk, gradient and Hessian from one evaluation; a
 line-search candidate costs one evaluation, and an accepted candidate's
 gradient and Hessian are the next iterate's. qblogit's closure walks the
@@ -59,7 +59,7 @@ from .errors import (
     SingularHessian,
 )
 from .linalg import BLOCK_UNITS, as_symmetric, logistic, spd_inverse, unit_blocks
-from .sampling import SamplingScheme
+from .sampling import DrawResult, SamplingScheme
 
 P_CLAMP = 1e-12
 
@@ -496,78 +496,65 @@ def fit_full(
 
 def weighted_fit(
     problem: RiskProblem,
-    counts,
+    sample: DrawResult,
     scheme: SamplingScheme,
     theta_init=None,
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> FitResult:
-    """Minimize the inverse-probability weighted loss sum(S_i/mu_i * loss_i).
+    """Minimize one draw's inverse-probability weighted loss sum(S_i/mu_i * loss_i).
 
-    Units with zero counts carry zero weight, so the fit evaluates the sampled
-    rows only (``problem.take`` on the support of ``counts``) and its Newton
-    iterations cost in the sample, not the population. Inputs are checked at
-    full length; the fit fails with EmptySample when nothing was selected.
+    Unsampled units carry zero weight, so Newton runs on ``problem.take`` of
+    the draw's support with multipliers ``support_counts / mu``, and costs in
+    the sample, not the population. The draw is trusted to be what ``draw``
+    returns; only its N is checked against the scheme's and the problem's.
+    An empty draw raises EmptySample.
     """
-    s = np.asarray(counts, dtype=float)
-    if s.shape != (problem.n_units,):
+    if not sample.n_units == scheme.n_units == problem.n_units:
         raise InvalidInput(
-            f"counts have shape {s.shape}, expected ({problem.n_units},)"
+            f"draw covers {sample.n_units} units and scheme {scheme.n_units}, "
+            f"problem has {problem.n_units}"
         )
-    if scheme.n_units != problem.n_units:
-        raise InvalidInput(
-            f"scheme covers {scheme.n_units} units, problem has {problem.n_units}"
-        )
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
-        raise InvalidInput("counts must be non-negative and finite")
-    support = np.flatnonzero(s)
-    return _fit_on_support(
-        problem, support, s[support] / scheme.mu[support], theta_init, tol, max_iter
-    )
+    support = sample.support
+    if support.size == 0:
+        raise EmptySample("no units were selected")
+    u = sample.support_counts / scheme.mu[support]
+    return _newton(problem.take(support), u, theta_init, tol, max_iter)
 
 
 def multiplier_fit(
     problem: RiskProblem,
+    support,
     multipliers,
     theta_init=None,
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> FitResult:
-    """Minimize sum(u_i * loss_i) for externally assembled multipliers u.
+    """Minimize sum(u_i * loss_i) over the units ``support`` with multipliers u.
 
-    Used by callers that combine several draws into one weight vector. As in
-    ``weighted_fit``, the multipliers are checked at full length and Newton
-    runs on the rows where they are positive.
+    Used by callers that combine several draws into one weight vector.
+    ``support`` holds increasing integer unit indices and ``multipliers`` one
+    positive, finite u_i each; both are checked in their own length, never
+    the population's. An empty support raises EmptySample.
     """
+    idx = np.asarray(support)
     u = np.asarray(multipliers, dtype=float)
-    if u.shape != (problem.n_units,):
+    if idx.ndim != 1 or u.shape != idx.shape:
         raise InvalidInput(
-            f"multipliers have shape {u.shape}, expected ({problem.n_units},)"
+            f"support {idx.shape} and multipliers {u.shape} must be vectors of one length"
         )
-    if np.any(u < 0) or not np.all(np.isfinite(u)):
-        raise InvalidInput("multipliers must be non-negative and finite")
-    if u.sum() == 0:
+    if idx.size == 0:
         raise EmptySample("no units carry positive weight")
-    support = np.flatnonzero(u)
-    return _fit_on_support(problem, support, u[support], theta_init, tol, max_iter)
-
-
-def _fit_on_support(
-    problem: RiskProblem,
-    support: np.ndarray,
-    multipliers: np.ndarray,
-    theta_init=None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-) -> FitResult:
-    """Newton on the rows ``support`` (increasing unit indices) with their multipliers.
-
-    Callers pass unchecked but valid inputs: positive finite multipliers, one
-    per support unit. An empty support raises EmptySample.
-    """
-    if support.size == 0:
-        raise EmptySample("no units were selected")
-    return _newton(problem.take(support), multipliers, theta_init, tol, max_iter)
+    if (
+        idx.dtype.kind not in "iu" or idx[0] < 0 or idx[-1] >= problem.n_units
+        or np.any(idx[1:] <= idx[:-1])
+    ):
+        raise InvalidInput(
+            f"support must be increasing integer unit indices in [0, {problem.n_units})"
+        )
+    if not np.all((u > 0.0) & (u < np.inf)):  # NaN fails too
+        raise InvalidInput("multipliers must be positive and finite")
+    return _newton(problem.take(idx), u, theta_init, tol, max_iter)
 
 
 # Floors that keep the anticipated dispersions of the sequential pipeline

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import anticipated_coefficients
-from .errors import InvalidBudget, InvalidInput, SubdesignError, StageFailure
-from .models import FitResult, RiskProblem, _fit_on_support, model_spec
+from .errors import InvalidInput, SubdesignError, StageFailure
+from .models import FitResult, RiskProblem, model_spec, multiplier_fit
 from .sampling import (
     DesignFamily,
     DrawResult,
@@ -113,11 +113,11 @@ def pooled_estimate(
 ) -> FitResult:
     """Fit theta on the stage-share weighted combination of all draws.
 
-    Newton runs on the union of the stage supports; no stage drew the other
-    units, so their multipliers are zero.
+    One ``multiplier_fit`` on the union of the stage supports and their
+    pooled multipliers; no stage drew the other units, so they weigh nothing.
     """
     support, u = _pooled_support(records)
-    return _fit_on_support(problem, support, u, theta_init, tol, max_iter)
+    return multiplier_fit(problem, support, u, theta_init, tol, max_iter)
 
 
 def update_aux(records, problem: RiskProblem, config: AuxConfig | None = None) -> dict:
@@ -168,11 +168,8 @@ def run_k_stages(
         raise InvalidInput("need at least one batch size")
     if any(n <= 0 for n in sizes):
         raise InvalidInput("batch sizes must be positive")
-    if family is DesignFamily.PO_WOR and max(sizes) > problem.n_units:
-        raise InvalidBudget(
-            f"cannot place expected size {max(sizes)} without replacement "
-            f"in {problem.n_units} units"
-        )
+    if family is DesignFamily.PO_WOR:
+        uniform_scheme(problem.n_units, max(sizes), family)  # refuses a size above N
 
     records: list[StageRecord] = []
     theta = None

@@ -1076,6 +1076,37 @@ class TestCriterionSize:
         assert not (tmp_path / "out").exists()
 
 
+class TestWorSizeBeforeFit:
+    """A po-wor budget or stage size above N is refused before the full fit."""
+
+    @pytest.mark.parametrize(
+        "command, flags, size",
+        [
+            ("design", ["--criterion", "A", "--n", "500"], "500"),
+            ("evaluate", ["--n", "500"], "500"),
+            ("sequential", ["--n", "500", "--stages", "2"], "500.0"),
+        ],
+    )
+    def test_refused_before_the_fit(
+        self, tmp_path, monkeypatch, capsys, command, flags, size
+    ):
+        fits = []
+        monkeypatch.setattr(cli, "fit_full", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.chdir(tmp_path)
+        write_pool("finpop.csv", "finpop", finpop_pool(100, seed=1))
+        code = main(
+            [command, "--input", "finpop.csv", "--model", "finpop", "--family", "po-wor",
+             *flags, "--out", "out"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"subdesign: error: cannot place expected size {size} without replacement "
+            "in 100 units\n"
+        )
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_missing_subcommand(self):
         assert main([]) == 2

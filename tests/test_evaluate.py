@@ -344,23 +344,29 @@ class TestMonteCarloCost:
         assert poisson_sizes == [1] * 1000
 
     @pytest.mark.parametrize("family", list(DesignFamily))
-    def test_each_replicate_is_one_public_draw(self, family, monkeypatch):
+    def test_each_replicate_is_one_public_draw_and_weighted_fit(self, family, monkeypatch):
         problem = finpop_example(seed=17, n=120)
         scheme = uniform_scheme(120, 30, family)
-        seeds = []
+        seeds, fitted = [], []
 
         def recording_draw(scheme_arg, seed):
             assert scheme_arg is scheme
             seeds.append(seed)
             return draw(scheme_arg, seed)
 
+        def recording_fit(problem_arg, sample, scheme_arg, **kwargs):
+            assert problem_arg is problem and scheme_arg is scheme
+            fitted.append(sample.seed)
+            return models.weighted_fit(problem_arg, sample, scheme_arg, **kwargs)
+
         monkeypatch.setattr(evaluate, "_worker_count", lambda: 1)
         monkeypatch.setattr(evaluate, "draw", recording_draw)
+        monkeypatch.setattr(evaluate, "weighted_fit", recording_fit)
         mc = monte_carlo_covariance(problem, scheme, R=1000, seed=4)
-        assert seeds == [derive_seed(4, r) for r in range(1000)]
-        # Each theta is the weighted_fit of that replicate's dense counts.
+        assert seeds == fitted == [derive_seed(4, r) for r in range(1000)]
+        # Bit for bit the serial loop of public draws and fits.
         expected = np.array(
-            [models.weighted_fit(problem, draw(scheme, s).counts, scheme).theta0 for s in seeds]
+            [models.weighted_fit(problem, draw(scheme, s), scheme).theta0 for s in seeds]
         )
         assert mc.n_failed == 0
         assert mc.thetas.tobytes() == expected.tobytes()

@@ -26,7 +26,7 @@ from subdesign.models import (
     qblogit_problem,
     weighted_fit,
 )
-from subdesign.sampling import DesignFamily, draw, uniform_scheme, validate_scheme
+from subdesign.sampling import DesignFamily, DrawResult, draw, uniform_scheme, validate_scheme
 from subdesign.sequential import run_k_stages, update_aux
 from subdesign.synth import make_pool, pool_problem
 
@@ -274,8 +274,9 @@ class TestWeightedFit:
     def test_census_equals_full_fit(self):
         for prob in random_problems(seed=13):
             scheme = uniform_scheme(prob.n_units, prob.n_units, DesignFamily.PO_WOR)
-            counts = np.ones(prob.n_units)
-            wfit = weighted_fit(prob, counts, scheme)
+            census = draw(scheme, seed=0)
+            assert census.realized_size == prob.n_units
+            wfit = weighted_fit(prob, census, scheme)
             ffit = fit_full(prob)
             assert wfit.theta0 == pytest.approx(ffit.theta0, abs=1e-9)
 
@@ -291,20 +292,21 @@ class TestWeightedFit:
         u = counts / scheme.mu
         wn = prob.weights
         expected = (u * wn) @ y / np.sum(u * wn)
-        fit = weighted_fit(prob, counts, scheme)
+        fit = weighted_fit(prob, result, scheme)
         assert fit.theta0 == pytest.approx(expected, abs=1e-10)
 
     def test_empty_sample(self):
         prob = finpop_problem([[1.0], [2.0]], [1.0, 1.0])
         scheme = uniform_scheme(2, 1, DesignFamily.PO_WR)
         with pytest.raises(EmptySample):
-            weighted_fit(prob, np.zeros(2), scheme)
+            weighted_fit(prob, drawn_units(2, [], []), scheme)
 
-    def test_shape_mismatch(self):
+    @pytest.mark.parametrize("draw_n, scheme_n", [(3, 2), (2, 3), (3, 3)])
+    def test_refuses_a_draw_or_scheme_of_another_size(self, draw_n, scheme_n):
         prob = finpop_problem([[1.0], [2.0]], [1.0, 1.0])
-        scheme = uniform_scheme(3, 1, DesignFamily.PO_WR)
-        with pytest.raises(InvalidInput):
-            weighted_fit(prob, np.ones(2), scheme)
+        scheme = uniform_scheme(scheme_n, 1, DesignFamily.PO_WR)
+        with pytest.raises(InvalidInput, match="problem has 2"):
+            weighted_fit(prob, drawn_units(draw_n, [0, 1], [1, 1]), scheme)
 
     def test_hh_risk_unbiased_po_wr(self):
         # The weighted risk at fixed theta averages to the full risk.
@@ -439,26 +441,48 @@ def fit_or_error(fit, *args):
         return type(err)
 
 
+def drawn_units(n_units, support, counts):
+    """A DrawResult of the given units and counts, as ``draw`` builds one."""
+    support = np.asarray(support, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    return DrawResult(support, counts, n_units, int(counts.sum()), seed=0)
+
+
 class TestSupportFit:
     @pytest.mark.parametrize("family", list(DesignFamily))
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_full_length_multiplier_fit(self, kind, family, seed):
+    def test_matches_newton_over_the_full_population(self, kind, family, seed):
         rng = np.random.default_rng(seed)
         prob = make_problem(kind, rng, 300)
         scheme = random_scheme(rng, 300, 40, family)
-        counts = draw(scheme, seed).counts
-        if counts.sum() == 0:
+        result = draw(scheme, seed)
+        if result.realized_size == 0:
             return
-        wfit = fit_or_error(weighted_fit, prob, counts, scheme)
-        mfit = fit_or_error(multiplier_fit, prob, counts / scheme.mu)
-        if isinstance(mfit, type):
-            assert wfit is mfit
+        wfit = fit_or_error(weighted_fit, prob, result, scheme)
+        # Zero multipliers off the draw: the fit without the row subset.
+        ffit = fit_or_error(models._newton, prob, result.counts / scheme.mu, None, 1e-10, 60)
+        if isinstance(ffit, type):
+            assert wfit is ffit
             return
+        assert wfit.iterations == ffit.iterations
+        err = np.max(np.abs(wfit.theta0 - ffit.theta0))
+        assert err <= 1e-12 * np.max(np.abs(ffit.theta0))
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weighted_fit_is_the_multiplier_fit_of_its_draw(self, kind, family):
+        rng = np.random.default_rng(36)
+        prob = make_problem(kind, rng, 300)
+        scheme = random_scheme(rng, 300, 40, family)
+        result = draw(scheme, 37)
+        wfit = weighted_fit(prob, result, scheme)
+        u = result.support_counts / scheme.mu[result.support]
+        mfit = multiplier_fit(prob, result.support, u)
         assert wfit.iterations == mfit.iterations
-        err = np.max(np.abs(wfit.theta0 - mfit.theta0))
-        assert err <= 1e-12 * np.max(np.abs(mfit.theta0))
+        assert wfit.theta0.tobytes() == mfit.theta0.tobytes()
+        assert wfit.risk == mfit.risk
 
     def test_newton_sees_only_the_support(self, monkeypatch):
         seen = []
@@ -473,20 +497,40 @@ class TestSupportFit:
         for kind in KINDS:
             prob = make_problem(kind, rng, 2_000)
             scheme = random_scheme(rng, 2_000, 60, DesignFamily.PO_WR)
-            counts = draw(scheme, 34).counts
-            weighted_fit(prob, counts, scheme)
-            assert seen[-1] == np.count_nonzero(counts) < 2_000
-        assert len(seen) == len(KINDS)
+            result = draw(scheme, 34)
+            weighted_fit(prob, result, scheme)
+            assert seen[-1] == result.support.size < 2_000
+            multiplier_fit(prob, result.support, result.support_counts.astype(float))
+            assert seen[-1] == result.support.size
+        assert len(seen) == 2 * len(KINDS)
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-    def test_counts_checked_at_full_length(self, bad):
+    @pytest.mark.parametrize(
+        "support, multipliers",
+        [
+            ([7, 2], [1.0, 1.0]),  # unsorted
+            ([2, 2], [1.0, 1.0]),  # repeated
+            ([-1, 2], [1.0, 1.0]),  # negative
+            ([2, 10], [1.0, 1.0]),  # >= N
+            ([2.0, 7.0], [1.0, 1.0]),  # not integers
+            ([True, False], [1.0, 1.0]),  # not integers either
+            ([[2, 7]], [[1.0, 1.0]]),  # not a vector
+            ([2, 7], [1.0]),  # length mismatch
+            ([2, 7], [1.0, 0.0]),
+            ([2, 7], [1.0, -1.0]),
+            ([2, 7], [1.0, np.nan]),
+            ([2, 7], [1.0, np.inf]),
+        ],
+    )
+    def test_multiplier_fit_refuses(self, support, multipliers):
         prob = make_problem("lognormal", np.random.default_rng(35), 10)
-        scheme = uniform_scheme(10, 4, DesignFamily.PO_WR)
-        counts = np.zeros(10)
-        counts[[2, 7]] = 1.0
-        counts[5] = bad
         with pytest.raises(InvalidInput):
-            weighted_fit(prob, counts, scheme)
+            multiplier_fit(prob, support, multipliers)
+
+    @pytest.mark.parametrize("support", [[], np.array([], dtype=np.int64)])
+    def test_multiplier_fit_of_an_empty_support(self, support):
+        prob = make_problem("lognormal", np.random.default_rng(35), 10)
+        with pytest.raises(EmptySample):
+            multiplier_fit(prob, support, [])
 
 
 class TestModelTable:

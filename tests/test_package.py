@@ -45,3 +45,15 @@ def test_no_unused_imports():
     package = pathlib.Path(subdesign.__file__).parent
     unused = [hit for path in sorted(package.glob("*.py")) for hit in _unused_imports(path)]
     assert unused == []
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README's Python block runs as written against the installed API."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, str(readme), "exec"), namespace)
+    refit, problem = namespace["refit"], namespace["problem"]
+    assert refit.theta0.shape == (problem.n_params,)
+    assert capsys.readouterr().out

@@ -88,7 +88,7 @@ class TestPooledEstimate:
         result = draw(scheme, 11)
         rec = StageRecord(k=1, scheme=scheme, draw=result, theta_hat=np.zeros(2), m_k=50)
         pooled = pooled_estimate([rec], problem)
-        direct = weighted_fit(problem, result.counts, scheme)
+        direct = weighted_fit(problem, result, scheme)
         assert pooled.theta0 == pytest.approx(direct.theta0, abs=1e-12)
 
     def test_census_stages_recover_full_fit(self):
@@ -178,7 +178,7 @@ class TestPooledSupport:
         problem = finpop_problem(y, w)
         recs = unequal_stages(family)
         u = dense_multipliers(recs)
-        reference = multiplier_fit(problem, u)
+        reference = multiplier_fit(problem, np.flatnonzero(u), u[u > 0])
         seen = []
         real = models._newton
 
@@ -204,7 +204,7 @@ class TestUpdateAux:
     def run_one_stage(self, problem, n, seed=13, family=DesignFamily.PO_WR):
         scheme = uniform_scheme(problem.n_units, n, family)
         result = draw(scheme, seed)
-        fit = weighted_fit(problem, result.counts, scheme)
+        fit = weighted_fit(problem, result, scheme)
         return [
             StageRecord(
                 k=1, scheme=scheme, draw=result, theta_hat=fit.theta0, m_k=n
@@ -319,9 +319,27 @@ class TestRunKStages:
         assert np.ptp(rec.scheme.mu) == 0.0
         expected = draw(rec.scheme, derive_seed(20, 1))
         assert np.array_equal(rec.draw.counts, expected.counts)
-        direct = weighted_fit(problem, rec.draw.counts, rec.scheme)
+        direct = weighted_fit(problem, rec.draw, rec.scheme)
         assert rec.theta_hat == pytest.approx(direct.theta0, abs=1e-12)
         assert rec.m_k == 40
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_each_stage_is_one_public_multiplier_fit(self, family, monkeypatch):
+        y, w, _ = finpop_population(seed=16, n=300)
+        problem = finpop_problem(y, w)
+        calls = []
+
+        def recording_fit(problem_arg, support, multipliers, *args):
+            assert problem_arg is problem
+            calls.append(support)
+            return multiplier_fit(problem_arg, support, multipliers, *args)
+
+        monkeypatch.setattr(sequential, "multiplier_fit", recording_fit)
+        records = run_k_stages(problem, [30, 30, 30], family, seed=24)
+        assert len(calls) == len(records) == 3
+        for k, support in enumerate(calls, start=1):
+            drawn = np.concatenate([rec.draw.support for rec in records[:k]])
+            assert np.array_equal(support, np.unique(drawn))
 
     def test_two_stage_scheme_matches_external_recompute(self):
         y, w, g = finpop_population(seed=15)
