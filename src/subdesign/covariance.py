@@ -40,11 +40,13 @@ class GradientSet:
     The gradients are stored once, as the read-only C-contiguous p x N array
     ``psi_t`` whose row j holds parameter j's gradient for every unit, so each
     pass over the units reads contiguous rows. ``psi`` is its transpose, an
-    F-ordered N x p view with one gradient per row, not a second copy; the
-    array passed as ``psi`` is copied into ``psi_t``. Construction checks the
-    first-order condition (columns of psi sum to nearly zero) and that the
-    Hessian is positive definite, so downstream covariance algebra can rely
-    on both.
+    F-ordered N x p view with one gradient per row, not a second copy. When
+    the ``psi`` passed is the transpose of a read-only C-contiguous p x N
+    array that owns its data, as ``gradients_at`` hands over, that array is
+    kept as ``psi_t``; any other ``psi`` is copied into it, so a caller's
+    writeable array is never aliased. Construction checks the first-order
+    condition (columns of psi sum to nearly zero) and that the Hessian is
+    positive definite, so downstream covariance algebra can rely on both.
     """
 
     psi: np.ndarray
@@ -57,10 +59,13 @@ class GradientSet:
         psi = np.asarray(self.psi, dtype=float)
         if psi.ndim != 2 or min(psi.shape) < 1:
             raise InvalidInput(f"psi must be an N x p matrix, got shape {psi.shape}")
-        # The checks read the copy's contiguous rows a block at a time: a
+        # The checks read psi_t's contiguous rows a block at a time: a
         # row-wise pass costs a fraction of an axis pass over the N x p array,
         # and no temporary grows with N.
-        psi_t = psi.T.copy(order="C")
+        rows, owner = psi.T, psi.T.base
+        kept = owner.flags.owndata and owner.flags.c_contiguous and not owner.flags.writeable
+        same = (owner.shape, owner.strides, owner.dtype) == (rows.shape, rows.strides, rows.dtype)
+        psi_t = owner if kept and same else rows.copy(order="C")
         top = 0.0
         for units in unit_blocks(psi_t.shape[1]):
             block = psi_t[:, units]
@@ -130,12 +135,16 @@ class DispersionKind(enum.Enum):
 
 def gradients_at(problem, theta0, *, hessian=None) -> GradientSet:
     """Evaluate a risk problem's gradients and Hessians at a fitted parameter;
-    ``hessian``, when given, is the Hessian at ``theta0`` (a fit's ``hessian_at_opt``)."""
+    ``hessian``, when given, is the Hessian at ``theta0`` (a fit's ``hessian_at_opt``).
+
+    The model writes the gradients once, as the p x N rows that the
+    ``GradientSet`` keeps without a copy."""
     theta = np.asarray(theta0, dtype=float)
-    psi = problem.unit_gradients(theta)
+    rows = problem.gradient_rows(theta)
+    rows.flags.writeable = False
     hess = problem.hessian(theta, None) if hessian is None else hessian
     expected = hess if problem.expected_hessian is None else problem.expected_hessian(theta)
-    return GradientSet(psi=psi, hessian=hess, theta0=theta, expected_hessian=expected)
+    return GradientSet(psi=rows.T, hessian=hess, theta0=theta, expected_hessian=expected)
 
 
 def v_matrix(grads: GradientSet, scheme: SamplingScheme) -> np.ndarray:

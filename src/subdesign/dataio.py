@@ -181,6 +181,7 @@ def load_problem(path: str, kind: str) -> LoadedData:
     for name in spec.optional:
         if name in header:
             cols[name] = matrix([name])[:, 0]
+    del rows, matrix  # the table, now copied into the columns and the ids
 
     aux, groups = cols.get("z"), cols.get("g")
     if aux is not None and not np.all(np.isfinite(aux)):
@@ -233,9 +234,12 @@ def _write_units(path: str, header, ids, columns, groups=None) -> None:
     Each chunk of rows is one ``%`` call on a repeated row template. ``'%.17g'
     % v`` is ``format(v, '.17g')`` for every float and ``'%d' % v`` is
     ``str(int(v))``, so the bytes are those of ``csv.writer`` with
-    :func:`_fmt`.
+    :func:`_fmt`. ``ids`` is a sequence (a tuple, a range) or the
+    :class:`IdFields` of one; any but the latter is rendered a chunk at a
+    time, so no more than a chunk of id strings exists at once. A field
+    needs quoting by what it holds alone, so the chunks render as the whole
+    would.
     """
-    ids = id_fields(ids)
     columns = [np.asarray(col, dtype=float) for col in columns]
     fields = ["%s"] + ["%.17g"] * len(columns)
     if groups is not None:
@@ -249,7 +253,8 @@ def _write_units(path: str, header, ids, columns, groups=None) -> None:
         for start in range(0, len(ids), _CHUNK_ROWS):
             m = min(_CHUNK_ROWS, len(ids) - start)
             cells = [None] * (m * width)
-            cells[::width] = ids[start:start + m]
+            chunk_ids = ids[start:start + m]
+            cells[::width] = chunk_ids if isinstance(ids, IdFields) else id_fields(chunk_ids)
             for j, col in enumerate(columns, 1):
                 cells[j::width] = col[start:start + m].tolist()
             template = full_chunk if m == _CHUNK_ROWS else row * m

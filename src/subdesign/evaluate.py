@@ -15,6 +15,7 @@ import signal
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .sampling import (
     derive_seed,
     draw,
 )
-from .solver import SolveStatus, SolveTrace, fixed_point_solve
+from .solver import SolveStatus, fixed_point_solve
 
 # Above this share of failed replicates a Monte-Carlo run is refused: the
 # surviving replicates would be a biased selection.
@@ -113,6 +114,12 @@ class EfficiencyTable:
         return "\n".join(lines) + "\n"
 
 
+class _SolveSummary(NamedTuple):
+    status: SolveStatus
+    iterations: int
+    final_gamma: np.ndarray
+
+
 def efficiency_table_from_gradients(
     grads: GradientSet,
     family: DesignFamily,
@@ -130,12 +137,14 @@ def efficiency_table_from_gradients(
     """
     row_specs = list(row_specs)
     col_specs = list(col_specs)
-    traces: dict[str, SolveTrace] = {}
+    # Per solve only what the table reads: a trace's N-long schemes are
+    # dropped as soon as its solve returns.
+    traces: dict[str, _SolveSummary] = {}
     for spec in row_specs + col_specs:
         if spec.label not in traces:
-            traces[spec.label] = fixed_point_solve(
-                spec, grads, family, n, max_iter=max_iter, eps=eps
-            )
+            trace = fixed_point_solve(spec, grads, family, n, max_iter=max_iter, eps=eps)
+            traces[spec.label] = _SolveSummary(trace.status, trace.iterations, trace.final_gamma)
+            del trace
 
     # Each column's criterion at every solve's final Gamma, one column at a
     # time: the column's reference is their minimum, the cells divide it by

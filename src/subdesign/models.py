@@ -75,8 +75,12 @@ CURVATURE_RTOL = 1e-8
 class RiskProblem:
     """Per-unit evaluators for one estimation problem on a fixed dataset.
 
-    ``unit_losses`` and ``unit_gradients`` map a parameter vector to per-unit
-    values (shapes (N,) and (N, p)). ``hessian(theta, multipliers)`` returns
+    ``unit_losses`` maps a parameter vector to the per-unit losses, shape
+    (N,), and ``gradient_rows`` to the per-unit gradients as one C-ordered
+    p x N array whose row j holds parameter j's gradient for every unit,
+    written once without an N x p intermediate; ``unit_gradients`` is the
+    same values as a C-ordered N x p array, so its ``sum(axis=0)`` adds the
+    units in order. ``hessian(theta, multipliers)`` returns
     the Hessian of the multiplier-weighted total loss; multipliers of None
     mean the plain full-data sum. ``newton_terms(theta, multipliers)`` returns
     that total loss (a float), its gradient and its Hessian together, sharing
@@ -96,13 +100,16 @@ class RiskProblem:
     weights: np.ndarray | None
     data: dict = field(repr=False)
     unit_losses: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    unit_gradients: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    gradient_rows: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     hessian: Callable[[np.ndarray, np.ndarray | None], np.ndarray] = field(repr=False)
     newton_terms: Callable[..., tuple[float, np.ndarray, np.ndarray]] = field(repr=False)
     expected_hessian: Callable[[np.ndarray], np.ndarray] | None = field(repr=False)
     default_init: Callable[[np.ndarray | None], np.ndarray] = field(repr=False)
     in_domain: Callable[[np.ndarray], bool] = field(repr=False)
     take: Callable[[np.ndarray], "RiskProblem"] = field(repr=False)
+
+    def unit_gradients(self, theta: np.ndarray) -> np.ndarray:
+        return self.gradient_rows(theta).T.copy()
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,12 @@ def _finpop(y: np.ndarray, w_norm: np.ndarray, y_mean: np.ndarray) -> RiskProble
     def gradients(resid):
         return -w_norm[:, None] * resid
 
+    def gradient_rows(theta):
+        """``gradients`` at theta, written in place into one m x N array."""
+        rows = np.subtract(y.T, theta[:, None], out=np.empty((m, n)))
+        rows *= w_norm
+        return np.negative(rows, out=rows)
+
     def hess(theta, multipliers=None):
         total = w_norm.sum() if multipliers is None else float(multipliers @ w_norm)
         return total * np.eye(m)
@@ -177,7 +190,7 @@ def _finpop(y: np.ndarray, w_norm: np.ndarray, y_mean: np.ndarray) -> RiskProble
         weights=w_norm,
         data={"y": y},
         unit_losses=lambda theta: losses(y - theta),
-        unit_gradients=lambda theta: gradients(y - theta),
+        gradient_rows=gradient_rows,
         hessian=hess,
         newton_terms=newton_terms,
         expected_hessian=lambda theta: np.eye(m),
@@ -215,6 +228,19 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
         """The unit gradients as one row per parameter: eta's, then sigma's."""
         return -w_norm * r / sigma**2, -w_norm * (r * r - sigma**2) / sigma**3
 
+    def gradient_rows(theta):
+        """``gradients`` at theta, written in place into one 2 x N array;
+        Newton keeps ``gradients``, whose r it shares with the loss."""
+        sigma, rows = theta[1], np.empty((2, n))
+        r = np.subtract(log_y, theta[0], out=rows[0])
+        np.multiply(r, r, out=rows[1])
+        rows[1] -= sigma**2
+        rows *= w_norm
+        np.negative(rows, out=rows)
+        rows[0] /= sigma**2
+        rows[1] /= sigma**3
+        return rows
+
     def hess(r, sigma, multipliers):
         uw = w_norm if multipliers is None else multipliers * w_norm
         h_ee = np.sum(uw) / sigma**2
@@ -251,7 +277,7 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
         weights=w_norm,
         data={"y": obs, "log_y": log_y},
         unit_losses=lambda theta: losses(log_y - theta[0], theta[1]),
-        unit_gradients=lambda theta: np.column_stack(gradients(log_y - theta[0], theta[1])),
+        gradient_rows=gradient_rows,
         hessian=lambda theta, multipliers=None: hess(log_y - theta[0], theta[1], multipliers),
         newton_terms=newton_terms,
         expected_hessian=lambda theta: np.diag([1.0, 2.0]) / theta[1] ** 2,
@@ -288,8 +314,12 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         t = x @ theta
         return np.logaddexp(0.0, t) - resp * t
 
-    def gradients(theta):
-        return (logistic(x @ theta) - resp)[:, None] * x
+    def gradient_rows(theta):
+        """(pr - y) x, from one full-N product x @ theta: BLAS gemv may round
+        a row differently when fewer rows share the call."""
+        r = logistic(x @ theta)
+        r -= resp
+        return np.multiply(r, x.T, out=np.empty((p, n)))
 
     def hess(theta, multipliers=None):
         total, xw = np.zeros((p, p)), np.empty((min(n, BLOCK_UNITS), p))
@@ -338,7 +368,7 @@ def _qblogit(x: np.ndarray, resp: np.ndarray) -> RiskProblem:
         weights=None,
         data={"X": x, "y": resp},
         unit_losses=losses,
-        unit_gradients=gradients,
+        gradient_rows=gradient_rows,
         hessian=hess,
         newton_terms=newton_terms,
         expected_hessian=None,

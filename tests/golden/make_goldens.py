@@ -18,7 +18,11 @@ each id ``<id>`` replaced by the text ``u,<id>`` plus a double quote, written
 quoted with that quote doubled, so that the loader's quoting and the id
 quoting of ``gradients.csv`` are covered too. The ``help`` directory holds
 the ``--help`` output of the top level and of each subcommand, as
-``<command>.log/``. Commands run with ``COLUMNS=80``, so that argparse wraps
+``<command>.log/``. Each model also has a multi-block case,
+``<model>-blocks``: ``synth`` then ``fit`` at seed 1 on
+N = 2 * BLOCK_UNITS + 123 units, so that every pass over the units there
+crosses block boundaries and ends in a partial block, which N = 3000, inside
+one block, never does. Commands run with ``COLUMNS=80``, so that argparse wraps
 its help the same way on every terminal, in a fresh interpreter on the ``src/`` beside this file, with relative
 paths, so that two checkouts can be compared byte for byte:
 
@@ -35,12 +39,17 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+sys.path.insert(0, str(SRC))
+from subdesign.linalg import BLOCK_UNITS  # noqa: E402
+
 MODELS = ("finpop", "lognormal", "qblogit")
 SEEDS = (1, 7, 42)
 N_UNITS = 3000
 DESIGN_CRITERIA = ("A", "D", "phi:5", "E", "V", "d-kl", "L:@L.csv")
 QUOTED_CASE = ("lognormal", 1)
 COMMANDS = ("fit", "design", "evaluate", "sequential", "synth")
+BLOCKS_SEED = 1
+BLOCKS_UNITS = 2 * BLOCK_UNITS + 123
 
 
 def write_l_matrix(case: Path) -> None:
@@ -55,6 +64,15 @@ def write_quoted_input(case: Path, model: str) -> None:
     header, *rows = (case / "synth" / f"{model}.csv").read_text().splitlines()
     body = [f'"u,{uid}""",{rest}' for uid, rest in (row.split(",", 1) for row in rows)]
     (case / "quoted.csv").write_text("\n".join([header, "", *body]) + "\n", newline="")
+
+
+def block_runs(model: str) -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments) of a model's multi-block case."""
+    return [
+        ("synth", ["synth", "--model", model, "--n-units", str(BLOCKS_UNITS),
+                   "--seed", str(BLOCKS_SEED), "--out", "synth"]),
+        ("fit", ["fit", "--input", f"synth/{model}.csv", "--model", model, "--out", "fit"]),
+    ]
 
 
 def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
@@ -120,6 +138,10 @@ def main(argv=None) -> int:
                 if name == "fit-quoted":
                     write_quoted_input(case, model)
                 record(case, name, cli_args, env)
+        case = root / f"{model}-blocks"
+        case.mkdir(parents=True, exist_ok=True)
+        for name, cli_args in block_runs(model):
+            record(case, name, cli_args, env)
     return 0
 
 

@@ -16,7 +16,7 @@ from subdesign.covariance import (
 )
 from subdesign.criteria import coefficients, l_opt, parse_criterion
 from subdesign.errors import InvalidInput, SingularHessian, SingularMatrix, Unsupported
-from subdesign.linalg import BLOCK_UNITS, psd_factor, unit_blocks
+from subdesign.linalg import BLOCK_UNITS, logistic, psd_factor, unit_blocks
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.synth import make_pool, pool_problem
@@ -94,6 +94,27 @@ class TestGradientSet:
         assert not g.psi_t.flags.writeable
         assert np.array_equal(g.psi, psi)
 
+    def test_readonly_owned_p_by_n_array_is_kept(self):
+        rng = np.random.default_rng(11)
+        rows = balanced_psi(rng, 7, 3).T.copy()
+        rows.flags.writeable = False
+        g = GradientSet(psi=rows.T, hessian=np.eye(3), theta0=np.zeros(3))
+        assert g.psi_t is rows
+        assert np.shares_memory(g.psi, rows)
+        assert not g.psi.flags.writeable
+
+    def test_readonly_view_is_copied(self):
+        # Read-only, but the data belongs to a wider array: keeping the view
+        # would keep the whole of it.
+        rng = np.random.default_rng(11)
+        wide = np.concatenate([balanced_psi(rng, 7, 3).T, np.zeros((3, 5))], axis=1)
+        wide.flags.writeable = False
+        rows = wide[:, :7]
+        g = GradientSet(psi=rows.T, hessian=np.eye(3), theta0=np.zeros(3))
+        assert g.psi_t.flags.owndata
+        assert not np.shares_memory(g.psi_t, wide)
+        assert np.array_equal(g.psi_t, rows)
+
     def test_hessian_inv_cached(self):
         g = make_grads(seed=3)
         assert g.hessian_inv @ g.hessian == pytest.approx(np.eye(3), abs=1e-9)
@@ -148,6 +169,56 @@ class TestGradientSet:
         prob = pool_problem(kind, make_pool(kind, n_units, 3))
         fit = fit_full(prob)
         assert np.array_equal(fit.hessian_at_opt, prob.hessian(fit.theta0, None))
+
+
+def reference_unit_gradients(prob, theta):
+    """The N x p unit gradients as plain expressions of the model's data."""
+    if prob.kind == "finpop":
+        return -prob.weights[:, None] * (prob.data["y"] - theta)
+    if prob.kind == "lognormal":
+        r, sigma, w = prob.data["log_y"] - theta[0], theta[1], prob.weights
+        return np.column_stack([-w * r / sigma**2, -w * (r * r - sigma**2) / sigma**3])
+    x = prob.data["X"]
+    return (logistic(x @ theta) - prob.data["y"])[:, None] * x
+
+
+class TestGradientRows:
+    @pytest.mark.parametrize("kind", ["finpop", "lognormal", "qblogit"])
+    def test_rows_are_the_unit_gradients_bit_for_bit(self, kind):
+        n_units = 2 * BLOCK_UNITS + 123
+        prob = pool_problem(kind, make_pool(kind, n_units, 9))
+        theta = fit_full(prob).theta0
+        expected = reference_unit_gradients(prob, theta)
+        unit = prob.unit_gradients(theta)
+        assert unit.shape == (n_units, prob.n_params)
+        assert unit.flags.c_contiguous
+        assert unit.tobytes() == expected.tobytes()
+        rows = prob.gradient_rows(theta)
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == unit.T.copy().tobytes()
+        g = gradients_at(prob, theta)
+        assert g.psi_t.flags.owndata
+        assert g.psi_t.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("kind", ["finpop", "lognormal", "qblogit"])
+    def test_gradients_at_holds_one_p_by_n_array(self, kind):
+        # The result is the p rows of N floats. Beside them qblogit holds one
+        # N-long residual while it fills them, and before that the product
+        # x @ theta and the logistic's three temporaries plus its 1-byte
+        # mask. No model holds more than p + 1.5 columns of 8 bytes per unit
+        # at once; an N x p array copied into p x N rows holds 2p.
+        n_units = 100_000
+        prob = pool_problem(kind, make_pool(kind, n_units, 4))
+        fit = fit_full(prob)
+        gradients_at(prob, fit.theta0, hessian=fit.hessian_at_opt)  # first-call caches
+        tracemalloc.start()
+        try:
+            g = gradients_at(prob, fit.theta0, hessian=fit.hessian_at_opt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n_units == n_units
+        assert peak < (prob.n_params + 1.5) * 8 * n_units
 
 
 class TestVMatrix:

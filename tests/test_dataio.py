@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -181,6 +182,35 @@ class TestWriters:
         assert header == ["id", "grad_eta", "grad_sigma"]
         assert rows[0][0] == "u1"
         assert float(rows[1][2]) == 2.0
+
+    def test_ids_rendered_by_chunk_match_ids_rendered_whole(self, tmp_path):
+        # Only the second chunk holds ids that need quoting.
+        n_units = dataio._CHUNK_ROWS + 10
+        ids = tuple(str(i) for i in range(n_units - 2)) + ('u,1', 'say "hi"')
+        scheme = uniform_scheme(n_units, 3.0, DesignFamily.PO_WR)
+        write_scheme(str(tmp_path / "chunked.csv"), ids, scheme)
+        write_scheme(str(tmp_path / "whole.csv"), dataio.id_fields(ids), scheme)
+        chunked = (tmp_path / "chunked.csv").read_bytes()
+        assert chunked == (tmp_path / "whole.csv").read_bytes()
+        lines = chunked.split(b"\r\n")
+        assert lines[-4].startswith(b"%d," % (n_units - 3))
+        assert lines[-3].startswith(b'"u,1",')
+        assert lines[-2].startswith(b'"say ""hi""",')
+
+    def test_write_pool_holds_one_chunk_of_rows(self, tmp_path):
+        # One chunk of 4096 rows of five fields holds about 1.5 MB: its cells
+        # as Python objects, their tuple and the formatted text. No N-long
+        # structure is built: the N = 1e5 id strings alone would take 6 MB.
+        n_units = 100_000
+        pool = qblogit_pool(n_units, seed=8)
+        write_pool(str(tmp_path / "warm.csv"), "qblogit", qblogit_pool(20, seed=8))
+        tracemalloc.start()
+        try:
+            write_pool(str(tmp_path / "pool.csv"), "qblogit", pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_scheme_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +119,41 @@ class TestRelEfficiency:
 
 
 class TestEfficiencyTable:
+    def test_keeps_no_scheme_per_solve(self, monkeypatch):
+        # A trace kept whole holds its N-long final scheme, 8 N bytes. What
+        # the table keeps per solve is its status, its iteration count and
+        # its p x p final Gamma; beside that, a solve leaves a few hundred
+        # bytes that numpy and the solver keep from one solve to the next
+        # (repeated solves with nothing kept grow by about 250 B each). The
+        # bound is 1 % of one scheme per solve, and each solve's scheme must
+        # be freed before the next solve starts.
+        n_units = 100_000
+        grads = full_fit_grads(lognormal_example(seed=7, n=n_units))
+        specs = [a_opt(), d_opt(), e_opt(), phi_q(2), c_opt([1.0, 0.0])]
+        held, freed, schemes = [], [], []
+
+        def solve(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            freed.append([ref() is None for ref in schemes])
+            trace = fixed_point_solve(*args, **kwargs)
+            schemes.append(weakref.ref(trace.final_scheme.mu))
+            return trace
+
+        monkeypatch.setattr(evaluate, "fixed_point_solve", solve)
+        efficiency_table_from_gradients(grads, DesignFamily.PO_WR, 1000.0, specs, specs)
+        held.clear()
+        tracemalloc.start()
+        try:
+            table = efficiency_table_from_gradients(
+                grads, DesignFamily.PO_WR, 1000.0, specs, specs
+            )
+        finally:
+            tracemalloc.stop()
+        assert len(held) == len(table.cells) == len(specs)
+        assert all(all(at_entry) for at_entry in freed)
+        per_solve = [(h - held[0]) / k for k, h in enumerate(held[1:], 1)]
+        assert max(per_solve) < 8 * n_units / 100
+
     def test_single_a_cell(self):
         problem = lognormal_example(seed=2)
         table = efficiency_table_from_gradients(

@@ -1,20 +1,105 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from subdesign.covariance import gradients_at
 from subdesign.criteria import d_opt, e_opt
 from subdesign.errors import InvalidInput
+from subdesign.linalg import BLOCK_UNITS
 from subdesign.models import fit_full
 from subdesign.sampling import DesignFamily
 from subdesign.solver import SolveStatus, fixed_point_solve
 from subdesign.synth import (
     FINPOP_SCALE_GAP,
+    _rng,
     finpop_pool,
     lognormal_pool,
     make_pool,
     pool_problem,
     qblogit_pool,
 )
+
+
+# The generators as plain expressions, before they were made to fill their
+# arrays in place; make_pool must give these values bit for bit.
+def reference_lognormal(n, seed):
+    rng = _rng(seed)
+    n_cases = max(2, n // 4)
+    case = rng.integers(0, n_cases, n)
+    case_weight = rng.lognormal(0.0, 0.5, n_cases)
+    w = case_weight[case]
+    z1 = rng.normal(0.0, 1.0, n)
+    z2 = rng.normal(0.0, 1.0, n)
+    resid = rng.normal(0.0, 0.5, n)
+    log_y = 0.6 + 0.8 * z1 + resid
+    return {"w": w, "y": np.exp(log_y), "z": np.column_stack([z1, z2])}
+
+
+def reference_qblogit(n, seed):
+    rng = _rng(seed)
+    n_groups = 5
+    g = rng.integers(0, n_groups, n)
+    icept = rng.normal(0.0, 0.6, n_groups)
+    slope1 = 1.0 + rng.normal(0.0, 0.7, n_groups)
+    slope2 = -0.6 + rng.normal(0.0, 0.5, n_groups)
+    x1 = rng.normal(0.0, 1.0, n)
+    x2 = rng.normal(0.0, 1.0, n)
+    lin = icept[g] + slope1[g] * x1 + slope2[g] * x2
+    p = 1.0 / (1.0 + np.exp(-lin))
+    y = np.clip(p + rng.normal(0.0, 0.07, n), 0.0, 1.0)
+    return {"X": np.column_stack([np.ones(n), x1, x2]), "y": y}
+
+
+def reference_finpop(n, seed):
+    rng = _rng(seed)
+    n_groups = 3
+    g = rng.integers(0, n_groups, n)
+    shift = rng.normal(0.0, 1.0, n_groups)
+    factor = rng.normal(0.0, 1.0, n)
+    y1 = FINPOP_SCALE_GAP * (5.0 + 0.7 * shift[g] + 0.55 * factor + rng.normal(0.0, 0.4, n))
+    y2 = 4.0 + 0.8 * shift[g] + 0.7 * factor + rng.normal(0.0, 0.5, n)
+    y3 = 2.5 + 0.3 * shift[g] + 0.5 * factor + rng.normal(0.0, 0.5, n)
+    w = rng.lognormal(0.0, 0.8, n)
+    return {"w": w, "y": np.column_stack([y1, y2, y3]), "g": g}
+
+
+REFERENCES = {
+    "finpop": reference_finpop,
+    "lognormal": reference_lognormal,
+    "qblogit": reference_qblogit,
+}
+
+
+class TestMatchesPlainExpressions:
+    @pytest.mark.parametrize("kind", sorted(REFERENCES))
+    @pytest.mark.parametrize("n", [10, 3000, 2 * BLOCK_UNITS + 123])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bitwise(self, kind, n, seed):
+        pool = make_pool(kind, n, seed)
+        expected = REFERENCES[kind](n, seed)
+        assert pool.keys() == expected.keys()
+        for key, want in expected.items():
+            got = pool[key]
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), key
+
+    def test_qblogit_peak_is_six_columns(self):
+        # The outputs X and y take 4 N-long float columns. Beside them the
+        # generator holds at most the group index g, the linear predictor
+        # and one term of it: 6 columns of 8 bytes per unit. The plain
+        # expressions hold about ten.
+        n_units = 100_000
+        make_pool("qblogit", 10)  # imports and first-call caches, outside the count
+        tracemalloc.start()
+        try:
+            make_pool("qblogit", n_units, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * n_units + 65_536
 
 
 class TestDeterminism:
