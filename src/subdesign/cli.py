@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dataio
+from .config import DEFAULT
 from .covariance import gradients_at
 from .criteria import parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
@@ -185,7 +186,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     opts = {
         **dict.fromkeys(_OPTIONS),
-        "family": "po-wor", "seed": 0, "tol": 1e-10, "eps": 1e-3, "out": ".",
+        "family": "po-wor", "seed": 0, "tol": DEFAULT.newton_tol, "eps": 1e-3, "out": ".",
         "criteria": DEFAULT_BATTERY, "replications": 1,
         "max_iter": 60 if command in ("fit", "sequential") else 100,
         **(_read_config_file(args.config, command) if args.config else {}),

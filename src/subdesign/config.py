@@ -2,7 +2,8 @@
 
 The algorithms need only fixed tolerances, so there is one frozen
 :data:`DEFAULT` and every tolerance-sensitive operation reads
-``DEFAULT.<field>`` where it uses it; no function takes a per-call override.
+``DEFAULT.<field>`` where it uses it. The one per-call override is the
+fits' ``tol`` (the CLI's ``--tol``), whose default is ``newton_tol``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,23 @@ class NumericConfig:
     stationarity_tol: float = 1e-6
     # Absolute slack before an objective increase counts as divergence.
     divergence_slack: float = 1e-12
+    # A without-replacement expected count at 1 - cap_tol or above is capped.
+    cap_tol: float = 1e-12
+    # Newton stops at max |risk gradient| <= newton_tol (the default --tol); a
+    # line-search step may raise the risk by line_search_rtol * max(1, |risk|).
+    newton_tol: float = 1e-10
+    line_search_rtol: float = 1e-12
+    # Singular Hessian (rank deficiency, separation) at this least eigenvalue
+    # once each parameter is scaled by its largest curvature along the fit.
+    curvature_rtol: float = 1e-8
+    # Logistic probabilities are clipped to [p_clamp, 1 - p_clamp].
+    p_clamp: float = 1e-12
+    # Floors of the lognormal fit's starting scale and, in the sequential
+    # anticipation, of the lognormal residual scale and finpop's least
+    # covariance eigenvalue.
+    scale_floor: float = 1e-8
+    sigma_floor: float = 1e-6
+    cov_eigen_floor: float = 1e-8
 
 
 DEFAULT = NumericConfig()

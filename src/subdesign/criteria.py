@@ -11,15 +11,19 @@ where phi is the criterion's matrix derivative. The derivative of the
 objective in the expected count mu_i is then -c_i / mu_i^2, which is what the
 finite-difference tests pin down.
 
-Normalization constants (1/p for the average-variance criteria, 1/m for a
-p x m target matrix) are kept in both the value and the derivative so paired
-criteria coincide exactly, not just up to scale.
+``CRITERIA`` is the criterion table: one ``Criterion`` per kind, holding all
+that the package reads about it. ``parse_criterion`` reads the text forms
+through one token table, so no other code tests a kind. Normalization
+constants (1/p for the average-variance criteria, 1/m for a p x m target
+matrix) are kept in both the value and the derivative so paired criteria
+coincide exactly, not just up to scale.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +35,12 @@ from .linalg import as_symmetric, psd_factor, sym_eigen, unit_blocks
 from .models import model_spec
 from .sampling import SamplingScheme
 
-LINEAR_KINDS = frozenset({"A", "C", "L", "V", "Distance"})
-
 
 @dataclass(frozen=True)
 class CriterionSpec:
-    """One design criterion, fully parameterized.
-
-    Exactly the fields relevant to ``kind`` are set: a target vector for C,
-    a p x m target matrix for L, a feature Gram matrix for V, the exponent for
-    PhiQ, and a dispersion kind for Distance.
-    """
+    """One design criterion: ``kind``, a key of ``CRITERIA``, and the fields it
+    uses: a target vector for C, a p x m target matrix for L, a feature Gram
+    matrix for V, the exponent for PhiQ, and a dispersion kind for Distance."""
 
     kind: str
     c: np.ndarray | None = None
@@ -50,19 +49,17 @@ class CriterionSpec:
     q: float | None = None
     dispersion: DispersionKind | None = None
 
+    def __post_init__(self):
+        if self.kind not in CRITERIA:
+            raise InvalidInput(f"unknown criterion kind {self.kind!r}")
+
     @property
     def is_linear(self) -> bool:
-        return self.kind in LINEAR_KINDS
+        return CRITERIA[self.kind].linear
 
     @property
     def label(self) -> str:
-        if self.kind == "C":
-            return "c:" + ",".join(format(v, "g") for v in self.c)
-        if self.kind == "PhiQ":
-            return f"phi:{self.q:g}"
-        if self.kind == "Distance":
-            return self.dispersion.value
-        return self.kind
+        return CRITERIA[self.kind].label(self)
 
 
 def a_opt() -> CriterionSpec:
@@ -94,8 +91,7 @@ def l_opt(l_matrix) -> CriterionSpec:
 
 def v_opt(gram) -> CriterionSpec:
     """Average prediction variance against a feature Gram matrix."""
-    g = as_symmetric(gram)
-    return CriterionSpec(kind="V", gram=g)
+    return CriterionSpec(kind="V", gram=as_symmetric(gram))
 
 
 def d_opt() -> CriterionSpec:
@@ -120,35 +116,15 @@ def distance_opt(kind: DispersionKind) -> CriterionSpec:
     return CriterionSpec(kind="Distance", dispersion=kind)
 
 
-def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.ndarray:
-    """Constant derivative matrix of a linear criterion."""
-    if spec.kind == "A":
-        return np.eye(p) / p
-    if spec.kind == "C":
-        if spec.c.shape[0] != p:
-            raise InvalidInput(f"c has length {spec.c.shape[0]}, expected {p}")
-        return np.outer(spec.c, spec.c)
-    if spec.kind == "L":
-        if spec.l_matrix.shape[0] != p:
-            raise InvalidInput(
-                f"L has {spec.l_matrix.shape[0]} rows, expected {p}"
-            )
-        return (spec.l_matrix @ spec.l_matrix.T) / spec.l_matrix.shape[1]
-    if spec.kind == "V":
-        if spec.gram.shape[0] != p:
-            raise InvalidInput(f"Gram matrix is {spec.gram.shape}, expected {p} x {p}")
-        return spec.gram / p
-    if spec.kind == "Distance":
-        if grads is None:
-            raise InvalidInput(
-                f"{spec.label} needs the problem's gradients to build its "
-                "dispersion matrix"
-            )
-        return dispersion_matrix(spec.dispersion, grads) / p
-    raise InvalidInput(f"{spec.kind} has no constant derivative matrix")
+def _dispersion_phi(spec, p, grads):
+    if grads is None:
+        raise InvalidInput(
+            f"{spec.label} needs the problem's gradients to build its dispersion matrix"
+        )
+    return dispersion_matrix(spec.dispersion, grads) / p
 
 
-def _positive_spectrum(gam: np.ndarray, what: str):
+def _full_rank(gam: np.ndarray, what: str):
     values, vectors = sym_eigen(gam)
     low = float(values[-1])
     if values[0] <= 0.0 or low <= DEFAULT.singular_rtol * float(values[0]):
@@ -159,124 +135,155 @@ def _positive_spectrum(gam: np.ndarray, what: str):
     return values, vectors
 
 
-def phi_value(
-    spec: CriterionSpec,
-    gam,
-    grads: GradientSet | None = None,
-) -> float:
+def _d_derivative(spec, g):
+    values, q_mat = _full_rank(g, "D-optimality")
+    return as_symmetric((q_mat / values) @ q_mat.T)
+
+
+def _e_derivative(spec, g):
+    values, vectors = sym_eigen(g)
+    top = float(values[0])
+    if top <= 0.0:
+        raise NotDifferentiable("E-optimality derivative undefined at Gamma = 0")
+    gap = (top - float(values[1])) / top if g.shape[0] > 1 else 1.0
+    if gap < DEFAULT.eigen_gap_error:
+        raise NotDifferentiable(
+            f"leading eigenvalue is numerically repeated (relative gap {gap:.2e}); "
+            "E-optimality is not differentiable here"
+        )
+    if gap < DEFAULT.eigen_gap_warn:
+        warnings.warn(
+            f"E-optimality eigen-gap {gap:.2e} is small; the derivative is ill-conditioned",
+            stacklevel=3,
+        )
+    return np.outer(vectors[:, 0], vectors[:, 0])
+
+
+def _phi_q_derivative(spec, g):
+    values, q_mat = _full_rank(g, spec.label)
+    q = spec.q
+    trace_q = float(np.sum(values**q))
+    scale = g.shape[0] ** (-1.0 / q) * trace_q ** (1.0 / q - 1.0)
+    power = (q_mat * values ** (q - 1.0)) @ q_mat.T
+    return as_symmetric(scale * power)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion kind. A linear one gives ``phi(spec, p, grads)``, its constant
+    derivative matrix, valued tr(Gamma phi), and ``misfit`` for a target that
+    does not fit p; a spectral one ``value`` and ``derivative`` of Gamma, and
+    ``objective`` where that derivative is another's with the same minimizer."""
+
+    label: Callable = lambda spec: spec.kind
+    phi: Callable | None = None
+    misfit: str = ""
+    value: Callable | None = None
+    derivative: Callable | None = None
+    objective: Callable | None = None
+
+    @property
+    def linear(self) -> bool:  # the coefficients do not depend on the scheme
+        return self.phi is not None
+
+
+CRITERIA = {
+    "A": Criterion(phi=lambda spec, p, grads: np.eye(p) / p),
+    "C": Criterion(
+        label=lambda spec: "c:" + ",".join(format(v, "g") for v in spec.c),
+        phi=lambda spec, p, grads: np.outer(spec.c, spec.c),
+        misfit="c has length {}, expected {}",
+    ),
+    "L": Criterion(
+        phi=lambda spec, p, grads: (spec.l_matrix @ spec.l_matrix.T) / spec.l_matrix.shape[1],
+        misfit="L has {} rows, expected {}",
+    ),
+    "V": Criterion(
+        phi=lambda spec, p, grads: spec.gram / p,
+        misfit="Gram matrix is ({0}, {0}), expected {1} x {1}",
+    ),
+    "Distance": Criterion(label=lambda spec: spec.dispersion.value, phi=_dispersion_phi),
+    # The derivative Gamma^-1 belongs to log det(Gamma), not det(Gamma)^(1/p).
+    "D": Criterion(
+        value=lambda spec, g: float(np.exp(np.mean(np.log(_full_rank(g, "D-optimality")[0])))),
+        derivative=_d_derivative,
+        objective=lambda spec, g: float(np.sum(np.log(_full_rank(g, "D-optimality")[0]))),
+    ),
+    "E": Criterion(
+        value=lambda spec, g: float(np.linalg.eigvalsh(g)[-1]), derivative=_e_derivative
+    ),
+    "PhiQ": Criterion(
+        label=lambda spec: f"phi:{spec.q:g}",
+        value=lambda spec, g: float(
+            (np.sum(_full_rank(g, spec.label)[0] ** spec.q) / g.shape[0]) ** (1.0 / spec.q)
+        ),
+        derivative=_phi_q_derivative,
+    ),
+}
+
+
+def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.ndarray:
+    """Constant derivative matrix of a linear criterion, refused unless p x p."""
+    entry = CRITERIA[spec.kind]
+    phi = entry.phi(spec, p, grads)
+    if phi.shape[0] != p:
+        raise InvalidInput(entry.misfit.format(phi.shape[0], p))
+    return phi
+
+
+def phi_value(spec: CriterionSpec, gam, grads: GradientSet | None = None) -> float:
     """Scalar objective of the criterion at the covariance matrix."""
     g = as_symmetric(gam)
-    p = g.shape[0]
     if spec.is_linear:
-        phi = _static_phi(spec, p, grads)
-        return float(np.sum(g * phi))
-    if spec.kind == "D":
-        values, _ = _positive_spectrum(g, "D-optimality")
-        return float(np.exp(np.mean(np.log(values))))
-    if spec.kind == "E":
-        return float(np.linalg.eigvalsh(g)[-1])
-    if spec.kind == "PhiQ":
-        values, _ = _positive_spectrum(g, f"phi:{spec.q:g}")
-        return float((np.sum(values**spec.q) / p) ** (1.0 / spec.q))
-    raise InvalidInput(f"unknown criterion kind {spec.kind!r}")
+        return float(np.sum(g * _static_phi(spec, g.shape[0], grads)))
+    return CRITERIA[spec.kind].value(spec, g)
 
 
-def objective_for_derivative(
-    spec: CriterionSpec,
-    gam,
-    grads: GradientSet | None = None,
-) -> float:
-    """The objective whose gradient the coefficients represent.
-
-    Identical to ``phi_value`` except for D, where the derivative matrix
-    Gamma^-1 belongs to log det(Gamma), not to det(Gamma)^(1/p). The two
-    share their minimizer; ``fixed_point_solve`` tracks ``phi_value``, and the
-    finite-difference checks of the coefficients differentiate this one.
-    """
-    if spec.kind == "D":
-        values, _ = _positive_spectrum(as_symmetric(gam), "D-optimality")
-        return float(np.sum(np.log(values)))
-    return phi_value(spec, gam, grads)
+def objective_for_derivative(spec: CriterionSpec, gam, grads: GradientSet | None = None) -> float:
+    """The objective whose gradient the coefficients represent, which their
+    finite-difference checks differentiate: ``phi_value``, or the entry's
+    ``objective`` with the same minimizer (D's log det)."""
+    objective = CRITERIA[spec.kind].objective
+    if objective is None:
+        return phi_value(spec, gam, grads)
+    return objective(spec, as_symmetric(gam))
 
 
 def phi_matrix_derivative(
-    spec: CriterionSpec,
-    gam,
-    grads: GradientSet | None = None,
+    spec: CriterionSpec, gam, grads: GradientSet | None = None
 ) -> np.ndarray:
     """Derivative matrix phi(Gamma) of the objective with respect to Gamma."""
     g = as_symmetric(gam)
-    p = g.shape[0]
     if spec.is_linear:
-        return _static_phi(spec, p, grads)
-    if spec.kind == "D":
-        values, q_mat = _positive_spectrum(g, "D-optimality")
-        return as_symmetric((q_mat / values) @ q_mat.T)
-    if spec.kind == "E":
-        values, vectors = sym_eigen(g)
-        top = float(values[0])
-        if top <= 0.0:
-            raise NotDifferentiable("E-optimality derivative undefined at Gamma = 0")
-        gap = (top - float(values[1])) / top if p > 1 else 1.0
-        if gap < DEFAULT.eigen_gap_error:
-            raise NotDifferentiable(
-                f"leading eigenvalue is numerically repeated (relative gap "
-                f"{gap:.2e}); E-optimality is not differentiable here"
-            )
-        if gap < DEFAULT.eigen_gap_warn:
-            warnings.warn(
-                f"E-optimality eigen-gap {gap:.2e} is small; the derivative "
-                "is ill-conditioned",
-                stacklevel=2,
-            )
-        return np.outer(vectors[:, 0], vectors[:, 0])
-    if spec.kind == "PhiQ":
-        values, q_mat = _positive_spectrum(g, f"phi:{spec.q:g}")
-        q = spec.q
-        trace_q = float(np.sum(values**q))
-        scale = p ** (-1.0 / q) * trace_q ** (1.0 / q - 1.0)
-        power = (q_mat * values ** (q - 1.0)) @ q_mat.T
-        return as_symmetric(scale * power)
-    raise InvalidInput(f"unknown criterion kind {spec.kind!r}")
+        return _static_phi(spec, g.shape[0], grads)
+    return CRITERIA[spec.kind].derivative(spec, g)
 
 
 def coefficients(
-    spec: CriterionSpec,
-    grads: GradientSet,
-    at: SamplingScheme | None = None,
+    spec: CriterionSpec, grads: GradientSet, at: SamplingScheme | None = None
 ) -> np.ndarray:
-    """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion.
-
-    Linear criteria have a fixed L; the spectral ones are linearized at the
-    scheme ``at``, which is therefore required for them. The coefficients
-    drive the optimal allocation mu ~ sqrt(c) on their raw scale (the solver
-    normalizes); a zero entry makes that scheme infeasible.
-    """
-    p = grads.n_params
+    """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion, on
+    the raw scale of the allocation mu ~ sqrt(c); a zero entry makes it
+    infeasible. The spectral criteria are linearized at the scheme ``at``."""
     if spec.is_linear:
-        phi = _static_phi(spec, p, grads)
+        phi = _static_phi(spec, grads.n_params, grads)
+    elif at is None:
+        raise InvalidInput(
+            f"{spec.label} is linearized around a scheme; pass the current iterate as `at`"
+        )
     else:
-        if at is None:
-            raise InvalidInput(
-                f"{spec.label} is linearized around a scheme; pass the current "
-                "iterate as `at`"
-            )
         phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads)
     return _coefficients_from_phi(grads, phi)[0]
 
 
 def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = False):
-    """Coefficients c for a derivative matrix phi, and the sums of their closed form.
-
-    Returns (c, sums). With ``fuse`` the same pass over the units also sums
-    r_i = sqrt(c_i), S = sum r_i and W = sum psi_i psi_i^T / r_i, and ``sums``
-    is (r, S, min r, max r, W). A coefficient that is zero, negative or not
-    finite stops the sums before its root is taken, and ``sums`` is None, as
-    it is without ``fuse``.
-    """
+    """(c, None) for a derivative matrix phi. With ``fuse`` the same pass writes
+    r_i = sqrt(c_i) in place of c, sums S = sum r_i and W = sum psi_i psi_i^T
+    / r_i, and returns (None, (r, S, min r, max r, W)); a coefficient that is
+    zero, negative or not finite stops it before its root is taken, and c
+    comes from a pass of its own."""
     m_t = (grads.hessian_inv @ psd_factor(phi)).T
-    c = np.empty(grads.n_units)
-    roots = np.empty(grads.n_units) if fuse else None
+    out = np.empty(grads.n_units)
     w = np.zeros((grads.n_params, grads.n_params))
     total, low, top = 0.0, np.inf, 0.0
     for units in unit_blocks(grads.n_units):
@@ -285,105 +292,95 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
         block = grads.psi_t[:, units]
         t = m_t @ block
         t *= t
-        cb = t.sum(axis=0, out=c[units])
-        if roots is None:
-            continue
-        cb_min, cb_max = cb.min(), cb.max()
-        if not (cb_min > 0.0 and cb_max < np.inf):  # NaN fails too
-            roots = None
-            continue
-        low, top = min(low, cb_min), max(top, cb_max)
-        rb = np.sqrt(cb, out=roots[units])
-        total += rb.sum()
-        # One product for the block; W is symmetric up to rounding, and only
-        # the symmetrized covariance built from it is used.
-        w += (block / rb) @ block.T
-    if roots is None:
-        return c, None
+        cb = t.sum(axis=0, out=out[units])
+        if fuse:
+            cb_min, cb_max = cb.min(), cb.max()
+            if not (cb_min > 0.0 and cb_max < np.inf):  # NaN fails too
+                return _coefficients_from_phi(grads, phi)
+            low, top = min(low, cb_min), max(top, cb_max)
+            rb = np.sqrt(cb, out=cb)
+            total += rb.sum()
+            # One product for the block; W is symmetric up to rounding, and
+            # only the symmetrized covariance built from it is used.
+            w += (block / rb) @ block.T
+    if not fuse:
+        return out, None
     # sqrt rounds monotonically, so it maps the extreme c to the extreme r.
-    return c, (roots, total, float(np.sqrt(low)), float(np.sqrt(top)), w)
+    return None, (out, total, float(np.sqrt(low)), float(np.sqrt(top)), w)
 
 
 def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:
-    """Coefficients with unobserved responses replaced by model expectations.
-
-    The exact c_i depend on outcomes that are unknown before sampling; taking
-    expectations under a working model yields strictly positive surrogates
-    whenever the assumed dispersions are positive, so no unit is starved of
+    """Coefficients with the unknown outcomes replaced by model expectations,
+    positive whenever the assumed dispersions are, so no unit is starved of
     selection mass. The auxiliary inputs, the formula and the criterion it
-    targets are the model's entry in ``models.MODELS``.
-    """
+    targets are the model's entry in ``models.MODELS``."""
     return model_spec(model_kind).anticipate(aux)
 
 
-def _sized(spec: CriterionSpec, problem) -> CriterionSpec:
-    """``spec`` once its c or L fits the problem's parameter count, if given."""
-    if problem is not None:
-        _static_phi(spec, problem.n_params, None)
-    return spec
+def _bare_c(text: str, token: str, problem) -> CriterionSpec:
+    if problem is None:
+        raise InvalidInput("bare criterion c needs the model to size its target vector")
+    return c_opt(np.eye(problem.n_params)[0])
+
+
+def _gram(text: str, token: str, problem) -> CriterionSpec:
+    if problem is None:
+        raise InvalidInput("criterion V needs the model to build its Gram matrix")
+    return v_opt(model_spec(problem.kind).gram(problem))
+
+
+def _numbers(parse, text: str, token: str, what: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidInput(f"cannot parse {what} from {token!r}")
+
+
+def _l_file(text: str, token: str, problem) -> CriterionSpec:
+    path = os.path.abspath(text)
+    try:
+        # An empty file is reported below, so loadtxt's warning would repeat it.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            mat = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError:
+        raise InvalidInput(f"cannot read L matrix from {path!r}")
+    except ValueError as err:
+        raise InvalidInput(f"cannot parse L matrix in {path!r}: {err}")
+    if mat.size == 0:
+        raise InvalidInput(f"L matrix file {path!r} is empty")
+    return l_opt(mat)
+
+
+# Text forms in lower case: a key ending in ":" or "@" prefixes parameters. A
+# builder takes the text after the key, the token and the problem (or None).
+_TOKENS = {
+    "a": lambda *_: a_opt(),
+    "c": _bare_c,
+    "c:": lambda text, token, problem: c_opt(
+        _numbers(lambda s: [float(v) for v in s.split(",")], text, token, "c vector")
+    ),
+    "l:@": _l_file,
+    "v": _gram,
+    "d": lambda *_: d_opt(),
+    "e": lambda *_: e_opt(),
+    "phi:": lambda text, token, problem: phi_q(_numbers(float, text, token, "phi exponent")),
+    **{kind.value: lambda *_, kind=kind: distance_opt(kind) for kind in DispersionKind},
+}
 
 
 def parse_criterion(token: str, problem=None) -> CriterionSpec:
-    """Build a CriterionSpec from its text form.
-
-    Recognized tokens: ``A``, ``c`` or ``c:v1,...,vp``, ``L:@file.csv``, ``V``,
-    ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets
-    the first parameter coordinate; ``V`` derives its Gram matrix from the
-    problem, which must then be supplied. Given the problem, a ``c:`` vector
-    or ``L:@`` matrix of the wrong size is refused here, before any fit. A
-    relative ``L:@`` path is read from the working directory.
-    """
+    """Build a CriterionSpec from its text form, in any case: ``A``, ``c`` or
+    ``c:v1,...,vp``, ``L:@file.csv`` (read from the working directory), ``V``,
+    ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets the
+    first coordinate; it and ``V`` need the problem. Given the problem, a c or
+    L of the wrong size is refused here, before any fit."""
     text = token.strip()
     low = text.lower()
-    if low == "a":
-        return a_opt()
-    if low == "d":
-        return d_opt()
-    if low == "e":
-        return e_opt()
-    if low == "v":
-        if problem is None:
-            raise InvalidInput("criterion V needs the model to build its Gram matrix")
-        return v_opt(model_spec(problem.kind).gram(problem))
-    if low == "c":
-        if problem is None:
-            raise InvalidInput(
-                "bare criterion c needs the model to size its target vector"
-            )
-        vec = np.zeros(problem.n_params)
-        vec[0] = 1.0
-        return c_opt(vec)
-    if low.startswith("c:"):
-        try:
-            vec = np.array([float(v) for v in text[2:].split(",")])
-        except ValueError:
-            raise InvalidInput(f"cannot parse c vector from {token!r}")
-        return _sized(c_opt(vec), problem)
-    if low.startswith("l:@"):
-        path = os.path.abspath(text[3:])
-        try:
-            # An empty file is reported below; loadtxt's own warning about it
-            # would only repeat that on stderr.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                mat = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError:
-            raise InvalidInput(f"cannot read L matrix from {path!r}")
-        except ValueError as err:
-            raise InvalidInput(f"cannot parse L matrix in {path!r}: {err}")
-        if mat.size == 0:
-            raise InvalidInput(f"L matrix file {path!r} is empty")
-        return _sized(l_opt(mat), problem)
-    if low.startswith("phi:"):
-        try:
-            q = float(text[4:])
-        except ValueError:
-            raise InvalidInput(f"cannot parse phi exponent from {token!r}")
-        return phi_q(q)
-    if low == "d-er":
-        return distance_opt(DispersionKind.ER)
-    if low == "d-kl":
-        return distance_opt(DispersionKind.KL)
-    if low == "d-s":
-        return distance_opt(DispersionKind.SANDWICH)
+    for key, build in _TOKENS.items():
+        if low == key or key[-1] in ":@" and low.startswith(key):
+            spec = build(text[len(key):], token, problem)
+            if problem is not None and CRITERIA[spec.kind].misfit:
+                _static_phi(spec, problem.n_params, None)
+            return spec
     raise InvalidInput(f"unknown criterion token {token!r}")

@@ -268,7 +268,7 @@ def monte_carlo_covariance(
     scheme: SamplingScheme,
     R: int,
     seed: int,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> MonteCarloCovariance:
     """Estimate the covariance of the weighted estimator by simulation.

@@ -61,16 +61,6 @@ from .errors import (
 from .linalg import BLOCK_UNITS, as_symmetric, logistic, spd_inverse, unit_blocks
 from .sampling import DrawResult, SamplingScheme
 
-P_CLAMP = 1e-12
-
-# A Hessian whose smallest eigenvalue, with each parameter measured in units
-# of the largest curvature seen for it during a fit, falls to this is treated
-# as singular. Catches both rank-deficient designs and complete separation,
-# where the curvature decays exponentially along the Newton path while the
-# gradient does the same.
-CURVATURE_RTOL = 1e-8
-
-
 @dataclass(frozen=True)
 class RiskProblem:
     """Per-unit evaluators for one estimation problem on a fixed dataset.
@@ -267,7 +257,7 @@ def _lognormal(obs: np.ndarray, log_y: np.ndarray, w_norm: np.ndarray) -> RiskPr
             raise EmptySample("no effective weight in the sample")
         eta = float(uw @ log_y) / total
         var = float(uw @ (log_y - eta) ** 2) / total
-        return np.array([eta, max(np.sqrt(var), 1e-8)])
+        return np.array([eta, max(np.sqrt(var), DEFAULT.scale_floor)])
 
     return RiskProblem(
         kind="lognormal",
@@ -408,7 +398,7 @@ def _scaled_rows(xb: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 def _logistic_weights(pr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic curvature weights pr (1 - pr), at probabilities clipped off 0 and 1."""
-    w = np.clip(pr, P_CLAMP, 1.0 - P_CLAMP, out=out)
+    w = np.clip(pr, DEFAULT.p_clamp, 1.0 - DEFAULT.p_clamp, out=out)
     w *= 1.0 - w
     return w
 
@@ -479,7 +469,8 @@ def _newton(
             candidate = theta + alpha * step
             if problem.in_domain(candidate) and np.all(np.isfinite(candidate)):
                 terms = problem.newton_terms(candidate, u)
-                if np.isfinite(terms[0]) and terms[0] <= risk + 1e-12 * max(1.0, abs(risk)):
+                slack = DEFAULT.line_search_rtol * max(1.0, abs(risk))
+                if np.isfinite(terms[0]) and terms[0] <= risk + slack:
                     theta, (risk, grad, hess) = candidate, terms
                     break
             alpha *= 0.5
@@ -507,7 +498,7 @@ def _require_pd(hess: np.ndarray, d_ref: np.ndarray) -> None:
         )
     scale = 1.0 / np.sqrt(d_ref)
     min_eig = float(np.linalg.eigvalsh(hess * np.outer(scale, scale))[0])
-    if min_eig <= CURVATURE_RTOL:
+    if min_eig <= DEFAULT.curvature_rtol:
         raise SingularHessian(
             f"Hessian is singular to working precision (min eigenvalue {min_eig:.3e} "
             "of the Jacobi-scaled Hessian)"
@@ -517,7 +508,7 @@ def _require_pd(hess: np.ndarray, d_ref: np.ndarray) -> None:
 def fit_full(
     problem: RiskProblem,
     theta_init=None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> FitResult:
     """Minimize the total loss over all units by damped Newton."""
@@ -529,7 +520,7 @@ def weighted_fit(
     sample: DrawResult,
     scheme: SamplingScheme,
     theta_init=None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> FitResult:
     """Minimize one draw's inverse-probability weighted loss sum(S_i/mu_i * loss_i).
@@ -557,7 +548,7 @@ def multiplier_fit(
     support,
     multipliers,
     theta_init=None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> FitResult:
     """Minimize sum(u_i * loss_i) over the units ``support`` with multipliers u.
@@ -585,12 +576,6 @@ def multiplier_fit(
     if not np.all((u > 0.0) & (u < np.inf)):  # NaN fails too
         raise InvalidInput("multipliers must be positive and finite")
     return _newton(problem.take(idx), u, theta_init, tol, max_iter)
-
-
-# Floors that keep the anticipated dispersions of the sequential pipeline
-# strictly positive when few outcomes have been revealed.
-SIGMA_FLOOR = 1e-6
-COV_EIGEN_FLOOR = 1e-8
 
 
 def _lognormal_anticipate(aux: dict) -> np.ndarray:
@@ -685,7 +670,7 @@ def _lognormal_aux(problem, selected, theta, config) -> dict:
     else:
         pred = design @ coef
         resid = y_sel - x_sel @ coef
-    sigma = max(float(np.sqrt(np.mean(resid**2))), SIGMA_FLOOR)
+    sigma = max(float(np.sqrt(np.mean(resid**2))), DEFAULT.sigma_floor)
     return {
         "weights": problem.weights,
         "predictions": pred,
@@ -730,8 +715,8 @@ def _finpop_aux(problem, selected, theta, config) -> dict:
     cov = resid.T @ resid / max(len(resid), 1)
     cov = 0.5 * (cov + cov.T)
     min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig < COV_EIGEN_FLOOR:
-        cov = cov + (COV_EIGEN_FLOOR - min_eig) * np.eye(m)
+    if min_eig < DEFAULT.cov_eigen_floor:
+        cov = cov + (DEFAULT.cov_eigen_floor - min_eig) * np.eye(m)
 
     w = problem.weights
     centered = pred - theta

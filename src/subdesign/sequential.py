@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULT
 from .criteria import anticipated_coefficients
 from .errors import InvalidInput, SubdesignError, StageFailure
 from .models import FitResult, RiskProblem, model_spec, multiplier_fit
@@ -108,7 +109,7 @@ def pooled_estimate(
     records,
     problem: RiskProblem,
     theta_init=None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> FitResult:
     """Fit theta on the stage-share weighted combination of all draws.
@@ -152,7 +153,7 @@ def run_k_stages(
     family: DesignFamily,
     seed: int,
     aux_config: AuxConfig | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT.newton_tol,
     max_iter: int = 60,
 ) -> tuple[StageRecord, ...]:
     """Run the full multi-stage pipeline and return one record per stage.

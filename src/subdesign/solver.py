@@ -14,16 +14,17 @@ iteration has no general convergence guarantee, so the status field is the
 honest record of what happened.
 
 Each refinement reads the gradients once. The pass that sums the
-coefficients c also sums r = sqrt(c), S = sum r and W = sum psi psi^T / r, so
-the next scheme mu' = n r / S and its middle matrix V(mu') = (S/n) W, less
-sum psi psi^T without replacement, need no second pass. The solver falls
-back to ``l_optimal_scheme(c)`` and a fresh V pass when a without-replacement
-unit would reach the cap or max mu' exceeds 1/2, where that subtraction would
-lose more than one bit, and when a coefficient is zero, negative or not
-finite, which the closed form then reports. A refinement from a
-without-replacement scheme that itself exceeds 1/2 skips the fused sums and
-takes the fallback at once. The uniform start's objective comes from
-``gamma``.
+coefficients c writes r = sqrt(c) over them and sums S = sum r and
+W = sum psi psi^T / r, so the next scheme mu' = n r / S and its middle matrix
+V(mu') = (S/n) W, less sum psi psi^T without replacement, need no second pass
+and no N-long c. The solver falls back to ``l_optimal_scheme(c)``, with c and
+V from passes of their own, when a without-replacement unit would reach the
+cap or max mu' exceeds 1/2, where that subtraction would lose more than one
+bit, and when a coefficient is zero, negative or not finite, which the closed
+form then reports; a linear criterion's residual reads c afresh too. A
+refinement from a without-replacement scheme that itself exceeds 1/2 skips
+the fused sums and takes the fallback at once. The uniform start's objective
+comes from ``gamma``.
 
 The stationarity check of a scheme mu solves for the next scheme mu' at once:
 with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
@@ -43,9 +44,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .covariance import GradientSet, _sandwich, gamma
-# ``coefficients`` is no longer called here; the name stays importable from
-# this module, as the benchmark's tracer expects.
-from .criteria import (  # noqa: F401
+from .criteria import (
     CriterionSpec,
     _coefficients_from_phi,
     coefficients,
@@ -53,9 +52,8 @@ from .criteria import (  # noqa: F401
     phi_value,
 )
 from .errors import Infeasible, InvalidBudget, InvalidInput, SubdesignError
+from .linalg import unit_blocks
 from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
-
-CAP_TOL = 1e-12
 
 
 class SolveStatus(enum.Enum):
@@ -180,9 +178,9 @@ def stationarity_residual(
     mu_max = float(mu.max())
     # With nothing at the cap every unit is free and only proportionality
     # can fail, so the masked copies below are not needed.
-    if family is not DesignFamily.PO_WOR or mu_max < 1.0 - CAP_TOL:
+    if family is not DesignFamily.PO_WOR or mu_max < 1.0 - DEFAULT.cap_tol:
         return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
-    capped = mu >= 1.0 - CAP_TOL
+    capped = mu >= 1.0 - DEFAULT.cap_tol
     cap_violation = max(0.0, mu_max - 1.0)
     prop_violation = 0.0
     threshold_violation = 0.0
@@ -202,8 +200,8 @@ def stationarity_residual(
 
 def _closed_form_step(grads, phi, n, family, fuse=True):
     """Coefficients c of phi, their closed form mu', V(mu') and max mu', from
-    one pass over psi; all but c are None where the module docstring's
-    fallback runs, and without ``fuse``."""
+    one pass over psi: c is None where that pass gives mu', the rest where
+    the module docstring's fallback (c from a pass of its own) runs."""
     cs, sums = _coefficients_from_phi(grads, phi, fuse)
     if sums is None:
         return cs, None, None, None
@@ -213,7 +211,7 @@ def _closed_form_step(grads, phi, n, family, fuse=True):
     # top * scale are the least and the largest entry of mu'.
     top = float(top * scale)
     if not low * scale > 0.0 or (family is DesignFamily.PO_WOR and top > 0.5):
-        return cs, None, None, None
+        return _coefficients_from_phi(grads, phi)[0], None, None, None
     mu = np.multiply(roots, scale, out=roots)
     mu.flags.writeable = False
     v = np.multiply(w, total / n, out=w)
@@ -221,7 +219,7 @@ def _closed_form_step(grads, phi, n, family, fuse=True):
         v -= grads.v_theta0
     # mu is positive and under the cap by the test above, and it sums to n
     # up to rounding, so validate_scheme's passes over it would find nothing.
-    return cs, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v, top
+    return None, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v, top
 
 
 def _residual_and_next(
@@ -230,7 +228,8 @@ def _residual_and_next(
     """Residual of ``scheme``, and ``nxt``: the closed form of ``cs``, solved
     here when not given, None if that raises. ``top`` is max ``nxt.mu`` when
     known; ``fused`` says that ``scheme`` came from ``_closed_form_step``, so
-    no entry of it exceeds 1/2."""
+    no entry of it exceeds 1/2. ``cs`` is None only beside a fused ``nxt``,
+    which never reads it; max|mu - mu'| is taken a block at a time."""
     if nxt is None:
         try:
             nxt = l_optimal_scheme(cs, n, family)
@@ -239,11 +238,11 @@ def _residual_and_next(
     if top is None:
         top = float(nxt.mu.max())
     if family is DesignFamily.PO_WOR and (
-        top >= 1.0 or not fused and scheme.mu.max() >= 1.0 - CAP_TOL
+        top >= 1.0 or not fused and scheme.mu.max() >= 1.0 - DEFAULT.cap_tol
     ):
         return stationarity_residual(scheme, cs, family), nxt
-    diff = scheme.mu - nxt.mu
-    return float(np.abs(diff, out=diff).max()) / top, nxt
+    gap = max(float(np.abs(scheme.mu[u] - nxt.mu[u]).max()) for u in unit_blocks(scheme.n_units))
+    return gap / top, nxt
 
 
 def fixed_point_solve(
@@ -274,13 +273,12 @@ def fixed_point_solve(
         # Past a without-replacement scheme above 1/2 the next one is most
         # likely capped too, and the fused sums would be thrown away.
         fuse = v_at is not None or family is not DesignFamily.PO_WOR or at.mu.max() <= 0.5
-        phi = phi_matrix_derivative(spec, gam, grads)
-        return _closed_form_step(grads, phi, n, family, fuse)
+        return _closed_form_step(grads, phi_matrix_derivative(spec, gam, grads), n, family, fuse)
 
     def stop(status, t, scheme, gam, stationarity=None, zero_ids=()):
         capped = 0
         if scheme.family is DesignFamily.PO_WOR:
-            capped = int(np.sum(scheme.mu >= 1.0 - CAP_TOL))
+            capped = int(np.sum(scheme.mu >= 1.0 - DEFAULT.cap_tol))
         return SolveTrace(
             status, t, tuple(objs), scheme, capped, stationarity, zero_ids, gam
         )
@@ -303,11 +301,10 @@ def fixed_point_solve(
                 )
         obj, gam = objective(scheme, v)
         objs.append(obj)
-        if spec.is_linear:
-            return stop(
-                SolveStatus.CONVERGED, t, scheme, gam,
-                stationarity_residual(scheme, cs, family),
-            )
+        if spec.is_linear:  # c again, where the fused pass kept only its roots
+            cs = coefficients(spec, grads) if cs is None else cs
+            resid = stationarity_residual(scheme, cs, family)
+            return stop(SolveStatus.CONVERGED, t, scheme, gam, resid)
         if obj > objs[-2] + DEFAULT.divergence_slack:
             return stop(SolveStatus.DIVERGED, t, *best)
         if obj < best_obj:

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from subdesign.config import DEFAULT
 from subdesign.covariance import DispersionKind, GradientSet, gamma, gradients_at
 from subdesign.criteria import (
+    CRITERIA,
+    CriterionSpec,
     a_opt,
     anticipated_coefficients,
     c_opt,
@@ -668,3 +673,99 @@ class TestCoefficientReduction:
                 sequential += t[:, j] * t[:, j]
             assert np.array_equal(c, sequential)
             assert np.allclose(c, row_sum, rtol=1e-13, atol=0.0)
+
+
+class TestCriterionTable:
+    """Every criterion is one ``CRITERIA`` entry, reached through one token table."""
+
+    # The README's criterion tokens, with the placeholders filled in.
+    TOKENS = {
+        "A": "A", "c": "c:1,0", "c:v1,...,vp": "c:0.5,-2", "L:@matrix.csv": "L", "V": "V",
+        "D": "D", "E": "E", "phi:q": "phi:2.5", "d-er": "d-er", "d-kl": "d-kl", "d-s": "d-s",
+    }
+
+    @staticmethod
+    def readme_tokens():
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        sentence = re.search(r"Criterion tokens: (.*?)\.\s", text, re.S).group(1)
+        return re.findall(r"`([^`]+)`", sentence)
+
+    def test_every_readme_token_parses_to_an_entry_with_the_old_label(self, tmp_path):
+        np.savetxt(tmp_path / "matrix.csv", np.eye(2), delimiter=",")
+        prob = lognormal_problem([1.0, 2.0, 3.0], np.ones(3))
+        concrete = {
+            "c:v1,...,vp": "c:0.5,-2", "L:@matrix.csv": f"L:@{tmp_path}/matrix.csv",
+            "phi:q": "phi:2.5",
+        }
+        tokens = self.readme_tokens()
+        assert tokens == list(self.TOKENS)
+        for token in tokens:
+            spec = parse_criterion(concrete.get(token, token), prob)
+            assert spec.kind in CRITERIA
+            assert spec.label == self.TOKENS[token], token
+            assert spec.is_linear == CRITERIA[spec.kind].linear
+
+    def test_tokens_ignore_case_and_surrounding_space(self):
+        assert parse_criterion(" phi:3 ").label == "phi:3"
+        assert parse_criterion("D-KL").label == "d-kl"
+        assert parse_criterion("C:1,2").label == "c:1,2"
+
+    @pytest.mark.parametrize(
+        "token, problem, message",
+        [
+            ("G", False, "unknown criterion token 'G'"),
+            ("", False, "unknown criterion token ''"),
+            ("d-er:1", False, "unknown criterion token 'd-er:1'"),
+            ("L:foo.csv", False, "unknown criterion token 'L:foo.csv'"),
+            ("c:one,two", False, "cannot parse c vector from 'c:one,two'"),
+            ("c:", False, "cannot parse c vector from 'c:'"),
+            ("phi:abc", False, "cannot parse phi exponent from 'phi:abc'"),
+            ("phi:1,2", False, "cannot parse phi exponent from 'phi:1,2'"),
+            ("phi:0", False, "phi exponent must be positive, got 0.0"),
+            ("c:0,0", False, "c must be non-zero"),
+            ("c", False, "bare criterion c needs the model to size its target vector"),
+            ("V", False, "criterion V needs the model to build its Gram matrix"),
+            ("c:1,2,3", True, "c has length 3, expected 2"),
+        ],
+    )
+    def test_refused_tokens_keep_their_messages(self, token, problem, message):
+        prob = lognormal_problem([1.0, 2.0, 3.0], np.ones(3)) if problem else None
+        with pytest.raises(InvalidInput) as info:
+            parse_criterion(token, prob)
+        assert str(info.value) == message
+
+    def test_misfit_targets_keep_their_messages(self):
+        gam = np.eye(3)
+        cases = [
+            (c_opt([1.0, 2.0]), "c has length 2, expected 3"),
+            (l_opt(np.ones((2, 2))), "L has 2 rows, expected 3"),
+            (v_opt(np.eye(2)), "Gram matrix is (2, 2), expected 3 x 3"),
+            (distance_opt(DispersionKind.ER), "d-er needs the problem's gradients to build "
+             "its dispersion matrix"),
+        ]
+        for spec, message in cases:
+            with pytest.raises(InvalidInput) as info:
+                phi_value(spec, gam)
+            assert str(info.value) == message
+
+    def test_a_spec_names_a_table_entry(self):
+        with pytest.raises(InvalidInput, match="^unknown criterion kind 'G'$"):
+            CriterionSpec(kind="G")
+
+    def test_linear_exactly_where_a_solve_converges_after_one_refinement(self):
+        from subdesign.solver import SolveStatus, fixed_point_solve
+        from subdesign.synth import make_pool, pool_problem
+
+        problem = pool_problem("qblogit", make_pool("qblogit", 800, 5))
+        grads = gradients_at(problem, fit_full(problem).theta0)
+        specs = [
+            a_opt(), c_opt([1.0, 0.0, 0.0]), l_opt(np.ones((3, 2))),
+            parse_criterion("V", problem), distance_opt(DispersionKind.SANDWICH),
+            d_opt(), e_opt(), phi_q(2.0),
+        ]
+        assert {spec.kind for spec in specs} == set(CRITERIA)
+        for spec in specs:
+            for family in DesignFamily:
+                trace = fixed_point_solve(spec, grads, family, 40)
+                one = trace.status is SolveStatus.CONVERGED and trace.iterations == 1
+                assert one == spec.is_linear == CRITERIA[spec.kind].linear, (spec.label, family)

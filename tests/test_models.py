@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import subdesign.models as models
 from subdesign.cli import _build_parser
+from subdesign.config import DEFAULT
 from subdesign.criteria import anticipated_coefficients, parse_criterion
 from subdesign.dataio import load_problem, write_pool
 from subdesign.errors import (
@@ -575,7 +576,7 @@ def reference_hessian(prob, theta, u):
     if prob.kind != "qblogit":
         return prob.hessian(theta, u)
     x = prob.data["X"]
-    pr = np.clip(logistic(x @ theta), models.P_CLAMP, 1.0 - models.P_CLAMP)
+    pr = np.clip(logistic(x @ theta), DEFAULT.p_clamp, 1.0 - DEFAULT.p_clamp)
     w = pr * (1.0 - pr)
     if u is not None:
         w = w * u
@@ -694,7 +695,7 @@ def two_divide_logistic(t):
 
 def broadcast_weights(t):
     pr = two_divide_logistic(t)
-    w = np.clip(pr, models.P_CLAMP, 1.0 - models.P_CLAMP)
+    w = np.clip(pr, DEFAULT.p_clamp, 1.0 - DEFAULT.p_clamp)
     w *= 1.0 - w
     return pr, w
 
@@ -794,7 +795,7 @@ class TestContiguousPasses:
 class TestBlockedLeverage:
     @staticmethod
     def unblocked(x, theta):
-        pr = np.clip(logistic(x @ theta), models.P_CLAMP, 1.0 - models.P_CLAMP)
+        pr = np.clip(logistic(x @ theta), DEFAULT.p_clamp, 1.0 - DEFAULT.p_clamp)
         w = pr * (1.0 - pr)
         h_inv = spd_inverse((x * w[:, None]).T @ x)
         return w * np.sum((x @ h_inv) * x, axis=1)

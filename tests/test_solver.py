@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,6 @@ from subdesign.linalg import psd_factor
 from subdesign.models import fit_full
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.solver import (
-    CAP_TOL,
     SolveStatus,
     SolveTrace,
     fixed_point_solve,
@@ -418,7 +418,8 @@ def reference_solve(spec, grads, family, n, max_iter=100, eps=1e-3):
         # scheme reaches the cap, the public residual otherwise.
         nxt = l_optimal_scheme(c, n, family)
         top = float(nxt.mu.max())
-        if family is DesignFamily.PO_WOR and (top >= 1.0 or scheme.mu.max() >= 1.0 - CAP_TOL):
+        capped = scheme.mu.max() >= 1.0 - DEFAULT.cap_tol
+        if family is DesignFamily.PO_WOR and (top >= 1.0 or capped):
             return stationarity_residual(scheme, c, family)
         return float(np.max(np.abs(scheme.mu - nxt.mu))) / top
 
@@ -484,7 +485,7 @@ class TestFixedPointMatchesReference:
                 assert trace.iterations == iters, where
                 capped = 0
                 if family is DesignFamily.PO_WOR:
-                    capped = int(np.sum(final.mu >= 1.0 - CAP_TOL))
+                    capped = int(np.sum(final.mu >= 1.0 - DEFAULT.cap_tol))
                 assert trace.capped_set_size == capped, where
                 if n == 700:
                     assert np.array_equal(trace.objective_per_iter, objs), where
@@ -561,12 +562,14 @@ class TestFusedClosedForm:
         top = float(ref.mu.max())
         assume(abs(top - 0.5) > 1e-9)
         cs, scheme, v, mu_max = solver._closed_form_step(grads, phi, n, family)
-        assert np.array_equal(cs, c)
         if family is DesignFamily.PO_WOR and top > 0.5:
             # Capped, or so close to a census that the subtraction of
             # sum psi psi^T would lose more than one bit.
             assert scheme is None and v is None and mu_max is None
+            assert np.array_equal(cs, c)
             return
+        # The pass that gave the closed form kept no coefficients.
+        assert cs is None
         assert scheme.family is family and scheme.budget_n == n
         assert mu_max == scheme.mu.max()
         assert rel_gap(scheme.mu, ref.mu) <= 1e-13
@@ -645,7 +648,7 @@ class TestResidualFromNextScheme:
         # stationarity tolerance.
         w = nxt.mu * np.exp(10.0**log_noise * rng.standard_normal(n_units))
         mu = w * (n / w.sum())
-        capped = max(mu.max(), nxt.mu.max()) >= 1.0 - CAP_TOL
+        capped = max(mu.max(), nxt.mu.max()) >= 1.0 - DEFAULT.cap_tol
         assume(family is not DesignFamily.PO_WOR or not capped)
         scheme = validate_scheme(mu, family, n)
         resid, got = solver._residual_and_next(scheme, c, n, family)
@@ -729,10 +732,11 @@ class TestResidualFromNextScheme:
         assert calls["step"] == calls["closed_form"] == trace.iterations + 1
 
 
-    @pytest.mark.parametrize("n, first", [(700, [True]), (900, [False])])
+    @pytest.mark.parametrize("n, first", [(700, [True, False]), (900, [False])])
     def test_no_fused_sums_after_a_scheme_above_one_half(self, n, first, monkeypatch):
-        # The uniform start fuses only below 1/2 (700 / 1500, not 900 / 1500);
-        # every later scheme here is capped, so no later pass fuses.
+        # The uniform start fuses only below 1/2 (700 / 1500, not 900 / 1500),
+        # and a fused pass whose closed form is capped takes c from a pass of
+        # its own; every later scheme here is capped, so no later pass fuses.
         fused = []
         real = solver._coefficients_from_phi
 
@@ -760,11 +764,10 @@ class TestBadCoefficientsAfterFailedCheck:
         linearized = []
 
         def spoiled(grads, phi, fuse=False):
-            cs, sums = real(grads, phi, fuse)
             linearized.append(phi)
             if len(linearized) == 1:
-                return cs, sums
-            c = cs.copy()
+                return real(grads, phi, fuse)
+            c = real(grads, phi)[0]
             c[[3, 7]] = bad
             # The pass stops its sums at a block with a bad coefficient.
             return c, None
@@ -803,3 +806,56 @@ class TestBadCoefficientsAfterFailedCheck:
         assert trace.iterations == 1
         assert np.array_equal(trace.final_scheme.mu, first.mu)
         assert trace.zero_ids == ()
+
+
+class TestSolveMemory:
+    """The fused pass keeps only the roots that become the next scheme, and
+    the stationarity check compares two schemes a block of units at a time,
+    so a spectral solve holds about three N-long float arrays: the current
+    scheme, the best one and the next."""
+
+    @pytest.fixture(scope="class")
+    def grads(self):
+        problem = pool_problem("qblogit", make_pool("qblogit", 100_000, 5))
+        grads = gradients_at(problem, fit_full(problem).theta0)
+        grads.v_theta0, grads.hessian_inv  # cached before the measurement
+        return grads
+
+    @pytest.mark.parametrize("token", ["D", "phi:2"])
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.PO_WOR])
+    def test_spectral_solve_peak_below_three_and_a_half_columns(self, grads, token, family):
+        spec = parse_criterion(token)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = fixed_point_solve(spec, grads, family, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.status is SolveStatus.CONVERGED and trace.iterations > 1
+        columns = (peak - base) / (8 * grads.n_units)
+        assert columns < 3.5, columns
+
+
+POOLS = {kind: pool_grads(kind, 2000, seed=9)[0] for kind in ("finpop", "lognormal", "qblogit")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(POOLS)),
+    token=st.sampled_from(["A", "D", "phi:2"]),
+    family=st.sampled_from(list(DesignFamily)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_the_units_permutes_the_scheme(kind, token, family, seed):
+    grads = POOLS[kind]
+    perm = np.random.default_rng(seed).permutation(grads.n_units)
+    shuffled = GradientSet(
+        psi=grads.psi[perm], hessian=grads.hessian, theta0=grads.theta0,
+        expected_hessian=grads.expected_hessian,
+    )
+    spec = parse_criterion(token)
+    want = fixed_point_solve(spec, grads, family, 100)
+    got = fixed_point_solve(spec, shuffled, family, 100)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert rel_gap(got.final_scheme.mu, want.final_scheme.mu[perm]) <= 1e-9
