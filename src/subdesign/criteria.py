@@ -38,9 +38,12 @@ from .sampling import SamplingScheme
 
 @dataclass(frozen=True)
 class CriterionSpec:
-    """One design criterion: ``kind``, a key of ``CRITERIA``, and the fields it
-    uses: a target vector for C, a p x m target matrix for L, a feature Gram
-    matrix for V, the exponent for PhiQ, and a dispersion kind for Distance."""
+    """One design criterion, fully parameterized.
+
+    ``kind`` is a key of ``CRITERIA``. Exactly the fields relevant to it are
+    set: a target vector for C, a p x m target matrix for L, a feature Gram
+    matrix for V, the exponent for PhiQ, and a dispersion kind for Distance.
+    """
 
     kind: str
     c: np.ndarray | None = None
@@ -91,7 +94,8 @@ def l_opt(l_matrix) -> CriterionSpec:
 
 def v_opt(gram) -> CriterionSpec:
     """Average prediction variance against a feature Gram matrix."""
-    return CriterionSpec(kind="V", gram=as_symmetric(gram))
+    g = as_symmetric(gram)
+    return CriterionSpec(kind="V", gram=g)
 
 
 def d_opt() -> CriterionSpec:
@@ -124,7 +128,7 @@ def _dispersion_phi(spec, p, grads):
     return dispersion_matrix(spec.dispersion, grads) / p
 
 
-def _full_rank(gam: np.ndarray, what: str):
+def _positive_spectrum(gam: np.ndarray, what: str):
     values, vectors = sym_eigen(gam)
     low = float(values[-1])
     if values[0] <= 0.0 or low <= DEFAULT.singular_rtol * float(values[0]):
@@ -135,8 +139,18 @@ def _full_rank(gam: np.ndarray, what: str):
     return values, vectors
 
 
+def _d_value(spec, g):
+    values, _ = _positive_spectrum(g, "D-optimality")
+    return float(np.exp(np.mean(np.log(values))))
+
+
+def _d_log_det(spec, g):
+    values, _ = _positive_spectrum(g, "D-optimality")
+    return float(np.sum(np.log(values)))
+
+
 def _d_derivative(spec, g):
-    values, q_mat = _full_rank(g, "D-optimality")
+    values, q_mat = _positive_spectrum(g, "D-optimality")
     return as_symmetric((q_mat / values) @ q_mat.T)
 
 
@@ -159,8 +173,13 @@ def _e_derivative(spec, g):
     return np.outer(vectors[:, 0], vectors[:, 0])
 
 
+def _phi_q_value(spec, g):
+    values, _ = _positive_spectrum(g, spec.label)
+    return float((np.sum(values**spec.q) / g.shape[0]) ** (1.0 / spec.q))
+
+
 def _phi_q_derivative(spec, g):
-    values, q_mat = _full_rank(g, spec.label)
+    values, q_mat = _positive_spectrum(g, spec.label)
     q = spec.q
     trace_q = float(np.sum(values**q))
     scale = g.shape[0] ** (-1.0 / q) * trace_q ** (1.0 / q - 1.0)
@@ -195,7 +214,7 @@ CRITERIA = {
         misfit="c has length {}, expected {}",
     ),
     "L": Criterion(
-        phi=lambda spec, p, grads: (spec.l_matrix @ spec.l_matrix.T) / spec.l_matrix.shape[1],
+        phi=lambda spec, p, grads: spec.l_matrix @ spec.l_matrix.T / spec.l_matrix.shape[1],
         misfit="L has {} rows, expected {}",
     ),
     "V": Criterion(
@@ -203,20 +222,13 @@ CRITERIA = {
         misfit="Gram matrix is ({0}, {0}), expected {1} x {1}",
     ),
     "Distance": Criterion(label=lambda spec: spec.dispersion.value, phi=_dispersion_phi),
-    # The derivative Gamma^-1 belongs to log det(Gamma), not det(Gamma)^(1/p).
-    "D": Criterion(
-        value=lambda spec, g: float(np.exp(np.mean(np.log(_full_rank(g, "D-optimality")[0])))),
-        derivative=_d_derivative,
-        objective=lambda spec, g: float(np.sum(np.log(_full_rank(g, "D-optimality")[0]))),
-    ),
+    "D": Criterion(value=_d_value, derivative=_d_derivative, objective=_d_log_det),
     "E": Criterion(
         value=lambda spec, g: float(np.linalg.eigvalsh(g)[-1]), derivative=_e_derivative
     ),
     "PhiQ": Criterion(
         label=lambda spec: f"phi:{spec.q:g}",
-        value=lambda spec, g: float(
-            (np.sum(_full_rank(g, spec.label)[0] ** spec.q) / g.shape[0]) ** (1.0 / spec.q)
-        ),
+        value=_phi_q_value,
         derivative=_phi_q_derivative,
     ),
 }
@@ -231,7 +243,11 @@ def _static_phi(spec: CriterionSpec, p: int, grads: GradientSet | None) -> np.nd
     return phi
 
 
-def phi_value(spec: CriterionSpec, gam, grads: GradientSet | None = None) -> float:
+def phi_value(
+    spec: CriterionSpec,
+    gam,
+    grads: GradientSet | None = None,
+) -> float:
     """Scalar objective of the criterion at the covariance matrix."""
     g = as_symmetric(gam)
     if spec.is_linear:
@@ -239,10 +255,19 @@ def phi_value(spec: CriterionSpec, gam, grads: GradientSet | None = None) -> flo
     return CRITERIA[spec.kind].value(spec, g)
 
 
-def objective_for_derivative(spec: CriterionSpec, gam, grads: GradientSet | None = None) -> float:
-    """The objective whose gradient the coefficients represent, which their
-    finite-difference checks differentiate: ``phi_value``, or the entry's
-    ``objective`` with the same minimizer (D's log det)."""
+def objective_for_derivative(
+    spec: CriterionSpec,
+    gam,
+    grads: GradientSet | None = None,
+) -> float:
+    """The objective whose gradient the coefficients represent.
+
+    Identical to ``phi_value`` except where the criterion's entry gives an
+    ``objective``: for D the derivative matrix Gamma^-1 belongs to
+    log det(Gamma), not to det(Gamma)^(1/p). The two share their minimizer;
+    ``fixed_point_solve`` tracks ``phi_value``, and the finite-difference
+    checks of the coefficients differentiate this one.
+    """
     objective = CRITERIA[spec.kind].objective
     if objective is None:
         return phi_value(spec, gam, grads)
@@ -250,7 +275,9 @@ def objective_for_derivative(spec: CriterionSpec, gam, grads: GradientSet | None
 
 
 def phi_matrix_derivative(
-    spec: CriterionSpec, gam, grads: GradientSet | None = None
+    spec: CriterionSpec,
+    gam,
+    grads: GradientSet | None = None,
 ) -> np.ndarray:
     """Derivative matrix phi(Gamma) of the objective with respect to Gamma."""
     g = as_symmetric(gam)
@@ -260,11 +287,17 @@ def phi_matrix_derivative(
 
 
 def coefficients(
-    spec: CriterionSpec, grads: GradientSet, at: SamplingScheme | None = None
+    spec: CriterionSpec,
+    grads: GradientSet,
+    at: SamplingScheme | None = None,
 ) -> np.ndarray:
-    """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion, on
-    the raw scale of the allocation mu ~ sqrt(c); a zero entry makes it
-    infeasible. The spectral criteria are linearized at the scheme ``at``."""
+    """Per-unit coefficients c_i = ||L^T H^-1 psi_i||^2 for the criterion.
+
+    Linear criteria have a fixed L; the spectral ones are linearized at the
+    scheme ``at``, which is therefore required for them. The coefficients
+    drive the optimal allocation mu ~ sqrt(c) on their raw scale (the solver
+    normalizes); a zero entry makes that scheme infeasible.
+    """
     if spec.is_linear:
         phi = _static_phi(spec, grads.n_params, grads)
     elif at is None:
@@ -277,11 +310,15 @@ def coefficients(
 
 
 def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = False):
-    """(c, None) for a derivative matrix phi. With ``fuse`` the same pass writes
-    r_i = sqrt(c_i) in place of c, sums S = sum r_i and W = sum psi_i psi_i^T
-    / r_i, and returns (None, (r, S, min r, max r, W)); a coefficient that is
-    zero, negative or not finite stops it before its root is taken, and c
-    comes from a pass of its own."""
+    """Coefficients c for a derivative matrix phi, or the sums of their closed form.
+
+    Without ``fuse`` returns (c, None). With ``fuse`` the same pass over the
+    units writes r_i = sqrt(c_i) over c_i and sums S = sum r_i and
+    W = sum psi_i psi_i^T / r_i, returning (None, (r, S, min r, max r, W)), so
+    no N-long c is kept. A coefficient that is zero, negative or not finite
+    stops the sums before its root is taken, and c comes from a pass without
+    ``fuse``.
+    """
     m_t = (grads.hessian_inv @ psd_factor(phi)).T
     out = np.empty(grads.n_units)
     w = np.zeros((grads.n_params, grads.n_params))
@@ -310,10 +347,14 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
 
 
 def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:
-    """Coefficients with the unknown outcomes replaced by model expectations,
-    positive whenever the assumed dispersions are, so no unit is starved of
+    """Coefficients with unobserved responses replaced by model expectations.
+
+    The exact c_i depend on outcomes that are unknown before sampling; taking
+    expectations under a working model yields strictly positive surrogates
+    whenever the assumed dispersions are positive, so no unit is starved of
     selection mass. The auxiliary inputs, the formula and the criterion it
-    targets are the model's entry in ``models.MODELS``."""
+    targets are the model's entry in ``models.MODELS``.
+    """
     return model_spec(model_kind).anticipate(aux)
 
 
@@ -339,7 +380,8 @@ def _numbers(parse, text: str, token: str, what: str):
 def _l_file(text: str, token: str, problem) -> CriterionSpec:
     path = os.path.abspath(text)
     try:
-        # An empty file is reported below, so loadtxt's warning would repeat it.
+        # An empty file is reported below; loadtxt's own warning about it
+        # would only repeat that on stderr.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             mat = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -370,11 +412,15 @@ _TOKENS = {
 
 
 def parse_criterion(token: str, problem=None) -> CriterionSpec:
-    """Build a CriterionSpec from its text form, in any case: ``A``, ``c`` or
-    ``c:v1,...,vp``, ``L:@file.csv`` (read from the working directory), ``V``,
-    ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets the
-    first coordinate; it and ``V`` need the problem. Given the problem, a c or
-    L of the wrong size is refused here, before any fit."""
+    """Build a CriterionSpec from its text form.
+
+    Recognized tokens: ``A``, ``c`` or ``c:v1,...,vp``, ``L:@file.csv``, ``V``,
+    ``D``, ``E``, ``phi:q``, ``d-er``, ``d-kl``, ``d-s``. A bare ``c`` targets
+    the first parameter coordinate; ``V`` derives its Gram matrix from the
+    problem, which must then be supplied. Given the problem, a ``c:`` vector
+    or ``L:@`` matrix of the wrong size is refused here, before any fit. A
+    relative ``L:@`` path is read from the working directory.
+    """
     text = token.strip()
     low = text.lower()
     for key, build in _TOKENS.items():

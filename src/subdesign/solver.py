@@ -241,7 +241,9 @@ def _residual_and_next(
         top >= 1.0 or not fused and scheme.mu.max() >= 1.0 - DEFAULT.cap_tol
     ):
         return stationarity_residual(scheme, cs, family), nxt
-    gap = max(float(np.abs(scheme.mu[u] - nxt.mu[u]).max()) for u in unit_blocks(scheme.n_units))
+    gap = max(
+        float(np.abs(scheme.mu[u] - nxt.mu[u]).max()) for u in unit_blocks(scheme.n_units)
+    )
     return gap / top, nxt
 
 
