@@ -298,13 +298,15 @@ def coefficients(
     drive the optimal allocation mu ~ sqrt(c) on their raw scale (the solver
     normalizes); a zero entry makes that scheme infeasible.
     """
+    p = grads.n_params
     if spec.is_linear:
-        phi = _static_phi(spec, grads.n_params, grads)
-    elif at is None:
-        raise InvalidInput(
-            f"{spec.label} is linearized around a scheme; pass the current iterate as `at`"
-        )
+        phi = _static_phi(spec, p, grads)
     else:
+        if at is None:
+            raise InvalidInput(
+                f"{spec.label} is linearized around a scheme; pass the current "
+                "iterate as `at`"
+            )
         phi = phi_matrix_derivative(spec, gamma(grads, at).gamma, grads)
     return _coefficients_from_phi(grads, phi)[0]
 

@@ -275,7 +275,8 @@ def fixed_point_solve(
         # Past a without-replacement scheme above 1/2 the next one is most
         # likely capped too, and the fused sums would be thrown away.
         fuse = v_at is not None or family is not DesignFamily.PO_WOR or at.mu.max() <= 0.5
-        return _closed_form_step(grads, phi_matrix_derivative(spec, gam, grads), n, family, fuse)
+        phi = phi_matrix_derivative(spec, gam, grads)
+        return _closed_form_step(grads, phi, n, family, fuse)
 
     def stop(status, t, scheme, gam, stationarity=None, zero_ids=()):
         capped = 0
