@@ -21,10 +21,9 @@ and no N-long c. The solver falls back to ``l_optimal_scheme(c)``, with c and
 V from passes of their own, when a without-replacement unit would reach the
 cap or max mu' exceeds 1/2, where that subtraction would lose more than one
 bit, and when a coefficient is zero, negative or not finite, which the closed
-form then reports; a linear criterion's residual reads c afresh too. A
-refinement from a without-replacement scheme that itself exceeds 1/2 skips
-the fused sums and takes the fallback at once. The uniform start's objective
-comes from ``gamma``.
+form then reports. A refinement from a without-replacement scheme that itself
+exceeds 1/2 skips the fused sums and takes the fallback at once. The uniform
+start's objective comes from ``gamma``.
 
 The stationarity check of a scheme mu solves for the next scheme mu' at once:
 with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
@@ -47,10 +46,11 @@ from .covariance import GradientSet, _sandwich, gamma
 from .criteria import (
     CriterionSpec,
     _coefficients_from_phi,
-    coefficients,
     phi_matrix_derivative,
     phi_value,
 )
+# Unused here: perfbench's tracer test asserts that it rebinds this import too.
+from .criteria import coefficients  # noqa: F401
 from .errors import Infeasible, InvalidBudget, InvalidInput, SubdesignError
 from .linalg import unit_blocks
 from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
@@ -72,9 +72,9 @@ class SolveTrace:
     it holds iterations + 1 entries on a clean run. ``capped_set_size`` is the
     number of units pinned at the without-replacement cap (zero otherwise),
     and ``stationarity`` the first-order residual of the final scheme when it
-    was checked. ``zero_ids`` names the offending units on an Infeasible stop.
-    ``final_gamma`` is the covariance Gamma of ``final_scheme``, the one its
-    objective was computed from.
+    was checked (0.0 for a linear criterion with no unit capped). ``zero_ids``
+    names the offending units on an Infeasible stop. ``final_gamma`` is the
+    covariance Gamma of ``final_scheme``, which gave its objective.
     """
 
     status: SolveStatus
@@ -259,7 +259,7 @@ def fixed_point_solve(
 
     The iteration starts from the uniform scheme. Linear criteria are exact
     after a single refinement: they exit the loop there, before the
-    divergence test, with the stationarity residual of their coefficients.
+    divergence test, checked with their step as its own next refinement.
     For the others each pass computes coefficients at the current scheme and
     jumps to their closed-form optimum, which also gives the stationarity
     residual; see the module docstring for the stopping rules. The covariance
@@ -293,7 +293,7 @@ def fixed_point_solve(
     step = None  # the next step, once a failed stationarity check built it
     v = None  # V(current) when the fused pass gave it
     for t in range(1, max_iter + 1):
-        cs, scheme, v, _ = refine(gam_current, current, v) if step is None else step
+        cs, scheme, v, top = refine(gam_current, current, v) if step is None else step
         if scheme is None:
             try:
                 scheme = l_optimal_scheme(cs, n, family)
@@ -304,9 +304,9 @@ def fixed_point_solve(
                 )
         obj, gam = objective(scheme, v)
         objs.append(obj)
-        if spec.is_linear:  # c again, where the fused pass kept only its roots
-            cs = coefficients(spec, grads) if cs is None else cs
-            resid = stationarity_residual(scheme, cs, family)
+        fused = v is not None  # V(scheme) came with it from the fused step
+        if spec.is_linear:  # c does not depend on Gamma: the step is its own next one
+            resid = _residual_and_next(scheme, cs, n, family, scheme, top, fused)[0]
             return stop(SolveStatus.CONVERGED, t, scheme, gam, resid)
         if obj > objs[-2] + DEFAULT.divergence_slack:
             return stop(SolveStatus.DIVERGED, t, *best)
@@ -315,7 +315,6 @@ def fixed_point_solve(
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         current, gam_current, step = scheme, gam, None
         if improvement < eps:
-            fused = v is not None  # V(current) came with it from the fused step
             cs, nxt, v, top = refine(gam, current, v)
             resid, nxt = _residual_and_next(current, cs, n, family, nxt, top, fused)
             step = (cs, nxt, v, top)

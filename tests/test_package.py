@@ -47,6 +47,18 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_line_over_100_characters():
+    """Lines stay short, so a change in line count is not one of density."""
+    package = pathlib.Path(subdesign.__file__).parent
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
+
+
 def test_readme_quickstart_runs(capsys):
     """The README's Python block runs as written against the installed API."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

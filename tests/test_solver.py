@@ -67,21 +67,26 @@ def paired_two_group_grads(seed=0, half=8, a_scale=1.4, b_scale=1.0, delta=0.05)
     return GradientSet(psi=psi, hessian=np.eye(2), theta0=np.zeros(2))
 
 
+@functools.cache
+def compositions(n_units, steps):
+    """The splits of ``steps`` into ``n_units`` positive integer parts, the
+    grid of acceptance check 01: 1 / parts for each split, and its largest part."""
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, steps), n_units - 1)),
+        dtype=np.int64,
+    ).reshape(-1, n_units - 1)
+    parts = np.diff(cuts, axis=1, prepend=0, append=steps)
+    return 1.0 / parts, parts.max(axis=1)
+
+
 def grid_best_objective(c, n, family, steps=200):
-    """Brute-force L-objective minimum over a simplex grid of schemes."""
-    n_units = len(c)
-    best = np.inf
-    for combo in itertools.combinations(range(1, steps), n_units - 1):
-        parts = np.diff((0,) + combo + (steps,))
-        mu = n * parts / steps
-        if family is DesignFamily.PO_WOR and np.any(mu > 1.0):
-            continue
-        if family is DesignFamily.PO_WOR:
-            val = np.sum(c * (1.0 / mu - 1.0))
-        else:
-            val = np.sum(c / mu)
-        best = min(best, val)
-    return best
+    """Brute-force L-objective minimum over a simplex grid of schemes
+    mu = n parts / steps."""
+    recip, largest = compositions(len(c), steps)
+    sums = (recip @ c) * (steps / n)  # sum c / mu for every split
+    if family is DesignFamily.PO_WOR:
+        return float(sums[n * largest <= steps].min() - np.sum(c))
+    return float(sums.min())
 
 
 def scheme_objective(c, scheme):
@@ -240,6 +245,66 @@ class TestFixedPointLinear:
         assert trace.status is SolveStatus.CONVERGED
         assert trace.capped_set_size == 2
         assert np.sum(trace.final_scheme.mu >= 1.0 - 1e-12) == 2
+
+    @pytest.mark.parametrize("kind", ["finpop", "lognormal", "qblogit"])
+    def test_reports_the_closed_form_and_its_residual(self, kind):
+        """The exit checks the step as its own next refinement: the residual
+        is 0.0 unless units are capped, and then the public one of c."""
+        grads, problem = small_pool(kind)
+        capped_seen = False
+        for family, n in FAMILY_BUDGETS:
+            for token in ("A", "c", "d-er", "d-s"):
+                spec = parse_criterion(token, problem)
+                trace = fixed_point_solve(spec, grads, family, n)
+                c = coefficients(spec, grads)
+                want = l_optimal_scheme(c, n, family)
+                where = f"{kind} {token} {family.value} n={n}"
+                assert (trace.status, trace.iterations) == (SolveStatus.CONVERGED, 1), where
+                if trace.capped_set_size:
+                    assert np.array_equal(trace.final_scheme.mu, want.mu), where
+                    want_resid = stationarity_residual(trace.final_scheme, c)
+                    assert trace.stationarity == want_resid, where
+                else:
+                    assert rel_gap(trace.final_scheme.mu, want.mu) <= 1e-12, where
+                    assert trace.stationarity == 0.0, where
+                capped_seen |= trace.capped_set_size > 0
+        assert capped_seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_units=st.sampled_from([3, 4]),
+    n=st.sampled_from([1, 2]),
+    p=st.sampled_from([2, 3]),
+    dominant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_solve_reaches_the_grid_optimum(n_units, n, p, dominant, seed):
+    """Every linear solve on a few balanced units is at least as good as the
+    best scheme of check 01's grid, capped or not: with sum psi = 0 each
+    family's objective is sum c / mu, or sum c (1/mu - 1) without
+    replacement."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((n_units, p))
+    if dominant:
+        # Unit 0 outweighs the rest, which balance it, so its share of the
+        # budget approaches n / 2: a budget of 3 among 4 units caps it.
+        n_units, n = 4, 3
+        psi = np.vstack([rng.standard_normal(p), rng.standard_normal((3, p)) / 100])
+        psi[1:] -= psi[0] / 3
+    psi -= psi.mean(axis=0)
+    b = rng.standard_normal((p, p))
+    grads = GradientSet(psi=psi, hessian=b @ b.T + p * np.eye(p), theta0=np.zeros(p))
+    specs = (a_opt(), c_opt(rng.standard_normal(p)), l_opt(rng.standard_normal((p, 2))))
+    for spec in specs:
+        c = coefficients(spec, grads)
+        for family in DesignFamily:
+            trace = fixed_point_solve(spec, grads, family, n)
+            assert trace.status is SolveStatus.CONVERGED
+            if dominant and family is DesignFamily.PO_WOR and spec.kind == "A":
+                assert trace.capped_set_size == 1
+            best = grid_best_objective(c, n, family)
+            assert scheme_objective(c, trace.final_scheme) <= best * (1.0 + 1e-9)
 
 
 class TestFixedPointNonlinear:
@@ -501,13 +566,10 @@ class TestFixedPointMatchesReference:
                 capped_seen |= trace.capped_set_size > 0
         assert capped_seen
 
-    @pytest.mark.parametrize("token", SPECTRAL)
-    @pytest.mark.parametrize("family", list(DesignFamily))
-    def test_one_psi_pass_per_objective(self, token, family, monkeypatch):
-        """Uncapped, each objective reads the gradients once: the uniform
-        start through v_matrix, every later scheme through the coefficient
-        pass that built it. A converged solve also read them once for the
-        check that stopped it."""
+    @staticmethod
+    def count_psi_passes(monkeypatch):
+        """Counts v_matrix calls and coefficient passes, by the solver or by
+        ``criteria.coefficients``."""
         passes = {"v_matrix": 0, "coefficients": 0}
 
         def counting(name, real):
@@ -520,17 +582,36 @@ class TestFixedPointMatchesReference:
         monkeypatch.setattr(
             covariance, "v_matrix", counting("v_matrix", covariance.v_matrix)
         )
-        monkeypatch.setattr(
-            solver,
-            "_coefficients_from_phi",
-            counting("coefficients", solver._coefficients_from_phi),
-        )
+        coefficient_pass = counting("coefficients", criteria._coefficients_from_phi)
+        monkeypatch.setattr(solver, "_coefficients_from_phi", coefficient_pass)
+        monkeypatch.setattr(criteria, "_coefficients_from_phi", coefficient_pass)
+        return passes
+
+    @pytest.mark.parametrize("token", SPECTRAL)
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_one_psi_pass_per_objective(self, token, family, monkeypatch):
+        """Uncapped, each objective reads the gradients once: the uniform
+        start through v_matrix, every later scheme through the coefficient
+        pass that built it. A converged solve also read them once for the
+        check that stopped it."""
+        passes = self.count_psi_passes(monkeypatch)
         grads, problem = pool_grads("qblogit", 800, seed=5)
         trace = fixed_point_solve(parse_criterion(token, problem), grads, family, 40)
         assert trace.capped_set_size == 0
         assert passes["v_matrix"] == 1
         checked = trace.status is SolveStatus.CONVERGED
         assert sum(passes.values()) == len(trace.objective_per_iter) + checked
+
+    @pytest.mark.parametrize("token", ["A", "d-er"])
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_linear_solve_reads_psi_twice(self, token, family, monkeypatch):
+        """The uniform start's v_matrix and the fused step read the gradients;
+        the step is its own next refinement, so the check reads them no more."""
+        passes = self.count_psi_passes(monkeypatch)
+        grads, problem = pool_grads("qblogit", 800, seed=5)
+        trace = fixed_point_solve(parse_criterion(token, problem), grads, family, 40)
+        assert trace.status is SolveStatus.CONVERGED and trace.capped_set_size == 0
+        assert passes == {"v_matrix": 1, "coefficients": 1}
 
 
 class TestFusedClosedForm:
@@ -813,7 +894,8 @@ class TestSolveMemory:
     """The fused pass keeps only the roots that become the next scheme, and
     the stationarity check compares two schemes a block of units at a time,
     so a spectral solve holds about three N-long float arrays: the current
-    scheme, the best one and the next."""
+    scheme, the best one and the next. A linear solve checks its one step
+    against itself and holds no more."""
 
     @pytest.fixture(scope="class")
     def grads(self):
@@ -822,9 +904,9 @@ class TestSolveMemory:
         grads.v_theta0, grads.hessian_inv  # cached before the measurement
         return grads
 
-    @pytest.mark.parametrize("token", ["D", "phi:2"])
-    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.PO_WOR])
-    def test_spectral_solve_peak_below_three_and_a_half_columns(self, grads, token, family):
+    @staticmethod
+    def peak_columns(grads, token, family):
+        """The solve, and its peak traced allocation in N-long float columns."""
         spec = parse_criterion(token)
         tracemalloc.start()
         try:
@@ -833,14 +915,27 @@ class TestSolveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return trace, (peak - base) / (8 * grads.n_units)
+
+    @pytest.mark.parametrize("token", ["D", "phi:2"])
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.PO_WOR])
+    def test_spectral_solve_peak_below_three_and_a_half_columns(self, grads, token, family):
+        trace, columns = self.peak_columns(grads, token, family)
         assert trace.status is SolveStatus.CONVERGED and trace.iterations > 1
-        columns = (peak - base) / (8 * grads.n_units)
+        assert columns < 3.5, columns
+
+    @pytest.mark.parametrize("token", ["A", "d-er"])
+    @pytest.mark.parametrize("family", [DesignFamily.PO_WR, DesignFamily.PO_WOR])
+    def test_linear_solve_peak_below_three_and_a_half_columns(self, grads, token, family):
+        # The exit keeps no c and builds no N-long residual temporaries.
+        trace, columns = self.peak_columns(grads, token, family)
+        assert trace.status is SolveStatus.CONVERGED and trace.iterations == 1
         assert columns < 3.5, columns
 
 
 @functools.cache
-def small_pool_grads(kind):
-    return pool_grads(kind, 2000, seed=9)[0]
+def small_pool(kind):
+    return pool_grads(kind, 2000, seed=9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -851,7 +946,7 @@ def small_pool_grads(kind):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_permuting_the_units_permutes_the_scheme(kind, token, family, seed):
-    grads = small_pool_grads(kind)
+    grads = small_pool(kind)[0]
     perm = np.random.default_rng(seed).permutation(grads.n_units)
     shuffled = GradientSet(
         psi=grads.psi[perm], hessian=grads.hessian, theta0=grads.theta0,
