@@ -32,7 +32,7 @@ from .criteria import parse_criterion
 from .errors import InvalidInput, StageFailure, SubdesignError
 from .evaluate import efficiency_table_from_gradients
 from .models import MODELS, fit_full, model_spec
-from .sampling import DesignFamily, derive_seed, uniform_scheme
+from .sampling import DesignFamily, check_budget, derive_seed
 from .sequential import run_k_stages
 from .solver import SolveStatus, fixed_point_solve
 from .synth import make_pool
@@ -43,15 +43,7 @@ DEFAULT_BATTERY = (
     "A", "c", "D", "E", "d-er", "d-s", "phi:0.5", "phi:5", "phi:10",
 )
 
-_COMMAND_HELP = {
-    "fit": "Fit the full-data parameter and write gradients.",
-    "design": "Solve for an optimal sampling scheme.",
-    "evaluate": "Cross-criterion efficiency table.",
-    "sequential": "Multi-stage adaptive subsampling.",
-    "synth": "Write a seeded synthetic dataset.",
-}
-
-_ALL = tuple(_COMMAND_HELP)
+_ALL = ("fit", "design", "evaluate", "sequential", "synth")  # _COMMANDS, defined below
 _FITTING = ("fit", "design", "evaluate", "sequential")
 _DESIGNING = ("design", "evaluate", "sequential")
 
@@ -118,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Design and evaluate unequal-probability subsamples.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, help_text in _COMMAND_HELP.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value option file")
         for key, (commands, kwargs) in _OPTIONS.items():
@@ -280,18 +272,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _output_paths(config: RunConfig) -> list[str]:
-    """Every file the command can write, in --out. Sequential lists its
-    learning curve first, then, with one replication, each stage's scheme and
-    the stage log."""
-    stages = [f"scheme_stage_{k}.csv" for k in range(1, len(config.batch_sizes) + 1)]
-    names = {
-        "fit": ["theta0.csv", "gradients.csv"],
-        "design": ["scheme.csv", "trace.csv"],
-        "evaluate": ["efficiency.csv", "efficiency.txt"],
-        "sequential": ["learning_curve.csv"]
-        + (stages + ["stages.csv"] if config.replications == 1 else []),
-        "synth": [f"{config.model}.csv"],
-    }[config.command]
+    """Every file the command can write, in --out."""
+    names = _COMMANDS[config.command][2](config)
     return [os.path.join(config.out, name) for name in names]
 
 
@@ -320,7 +302,7 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_design(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     spec = parse_criterion(config.criterion, data.problem)
-    uniform_scheme(data.problem.n_units, config.n, config.family)  # po-wor n > N fails here
+    check_budget(data.problem.n_units, config.n, config.family)
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     trace = fixed_point_solve(
@@ -352,7 +334,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     n = config.n if config.n is not None else math.ceil(0.01 * data.problem.n_units)
     specs = [parse_criterion(token, data.problem) for token in config.criteria]
-    uniform_scheme(data.problem.n_units, n, config.family)  # po-wor n > N fails here
+    check_budget(data.problem.n_units, n, config.family)
     fit = fit_full(data.problem, tol=config.tol)
     grads = gradients_at(data.problem, fit.theta0, hessian=fit.hessian_at_opt)
     table = efficiency_table_from_gradients(
@@ -381,8 +363,8 @@ def _write_stage_outputs(stage_paths: list[str], data, records) -> None:
 def cmd_sequential(config: RunConfig) -> int:
     data = dataio.load_problem(config.input, config.model)
     sizes = config.batch_sizes
-    # A po-wor stage above N fails here, as run_k_stages words it.
-    uniform_scheme(data.problem.n_units, float(max(sizes)), config.family)
+    for n_k in sizes:  # named as a float, as run_k_stages names it
+        check_budget(data.problem.n_units, float(n_k), config.family)
     theta_full = fit_full(data.problem, tol=config.tol).theta0
 
     def stages(seed):
@@ -448,12 +430,25 @@ def cmd_synth(config: RunConfig) -> int:
     return 0
 
 
+def _sequential_outputs(config: RunConfig) -> list[str]:
+    """The learning curve, then, with one replication, each stage's scheme and
+    the stage log."""
+    stages = [f"scheme_stage_{k}.csv" for k in range(1, len(config.batch_sizes) + 1)]
+    return ["learning_curve.csv"] + (stages + ["stages.csv"] if config.replications == 1 else [])
+
+
+# Each command once: its body, its help line and the names of the files it can
+# write in --out, given its config.
 _COMMANDS = {
-    "fit": cmd_fit,
-    "design": cmd_design,
-    "evaluate": cmd_evaluate,
-    "sequential": cmd_sequential,
-    "synth": cmd_synth,
+    "fit": (cmd_fit, "Fit the full-data parameter and write gradients.",
+            lambda config: ["theta0.csv", "gradients.csv"]),
+    "design": (cmd_design, "Solve for an optimal sampling scheme.",
+               lambda config: ["scheme.csv", "trace.csv"]),
+    "evaluate": (cmd_evaluate, "Cross-criterion efficiency table.",
+                 lambda config: ["efficiency.csv", "efficiency.txt"]),
+    "sequential": (cmd_sequential, "Multi-stage adaptive subsampling.", _sequential_outputs),
+    "synth": (cmd_synth, "Write a seeded synthetic dataset.",
+              lambda config: [f"{config.model}.csv"]),
 }
 
 
@@ -464,7 +459,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = build_config(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except SubdesignError as err:
         if err.exit_code is None:
             raise

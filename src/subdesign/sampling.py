@@ -118,10 +118,7 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     in_domain = arr.min() > 0.0 and (top <= 1.0 if family is DesignFamily.PO_WOR else top < np.inf)
     if not in_domain and not np.all(np.isfinite(arr)):
         raise InvalidInput("mu has non-finite entries")
-    if not np.isfinite(n) or n <= 0:
-        raise InvalidBudget(f"budget n must be positive and finite, got {n}")
-    if family is DesignFamily.MULTI and abs(n - round(n)) > 0:
-        raise InvalidBudget(f"multinomial designs need an integer budget, got {n}")
+    check_budget(arr.shape[0], n, family)
     if not in_domain and np.any(arr <= 0.0):
         bad = int(np.argmin(arr))
         raise OutOfDomain(f"mu[{bad}] = {arr[bad]} is not strictly positive")
@@ -139,14 +136,24 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     return SamplingScheme(mu=arr, family=family, budget_n=float(n))
 
 
-def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingScheme:
-    """Scheme with equal expected counts n/N for every unit."""
-    if n_units < 1:
-        raise InvalidInput(f"population size must be at least 1, got {n_units}")
+def check_budget(n_units: int, n: float, family: DesignFamily) -> None:
+    """Refuse a budget n that is not positive and finite, not an integer under
+    multi, or above N = ``n_units`` under po-wor, where each mu_i is capped at one."""
+    if not np.isfinite(n) or n <= 0:
+        raise InvalidBudget(f"budget n must be positive and finite, got {n}")
+    if family is DesignFamily.MULTI and abs(n - round(n)) > 0:
+        raise InvalidBudget(f"multinomial designs need an integer budget, got {n}")
     if family is DesignFamily.PO_WOR and n > n_units:
         raise InvalidBudget(
             f"cannot place expected size {n} without replacement in {n_units} units"
         )
+
+
+def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingScheme:
+    """Scheme with equal expected counts n/N for every unit, after ``check_budget``."""
+    if n_units < 1:
+        raise InvalidInput(f"population size must be at least 1, got {n_units}")
+    check_budget(n_units, n, family)
     # With n <= N checked, the rounded n/N is at most 1: no unit exceeds the cap.
     mu = np.full(n_units, float(n) / n_units)
     mu.flags.writeable = False

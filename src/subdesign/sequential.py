@@ -22,6 +22,7 @@ from .sampling import (
     DesignFamily,
     DrawResult,
     SamplingScheme,
+    check_budget,
     derive_seed,
     draw,
     uniform_scheme,
@@ -161,16 +162,16 @@ def run_k_stages(
     The first stage samples uniformly; each later stage reallocates using
     coefficients anticipated from everything revealed so far. Any failure
     (empty draw, singular fit, infeasible allocation) aborts with the
-    records of the completed stages attached. A stage size above N under
-    po-wor is refused before stage 1.
+    records of the completed stages attached. An empty or non-positive size
+    list is InvalidInput, and every size passes ``check_budget`` before stage 1.
     """
     sizes = [float(n) for n in np.atleast_1d(np.asarray(batch_sizes, dtype=float))]
     if len(sizes) < 1:
         raise InvalidInput("need at least one batch size")
     if any(n <= 0 for n in sizes):
         raise InvalidInput("batch sizes must be positive")
-    if family is DesignFamily.PO_WOR:
-        uniform_scheme(problem.n_units, max(sizes), family)  # refuses a size above N
+    for n_k in sizes:
+        check_budget(problem.n_units, n_k, family)
 
     records: list[StageRecord] = []
     theta = None

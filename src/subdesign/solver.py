@@ -51,9 +51,9 @@ from .criteria import (
 )
 # Unused here: perfbench's tracer test asserts that it rebinds this import too.
 from .criteria import coefficients  # noqa: F401
-from .errors import Infeasible, InvalidBudget, InvalidInput, SubdesignError
+from .errors import Infeasible, InvalidInput, SubdesignError
 from .linalg import unit_blocks
-from .sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
+from .sampling import DesignFamily, SamplingScheme, check_budget, uniform_scheme, validate_scheme
 
 
 class SolveStatus(enum.Enum):
@@ -116,16 +116,12 @@ def l_optimal_scheme(c, n: float, family: DesignFamily) -> SamplingScheme:
     Without replacement, entries that the proportional rule pushes to one or
     beyond are pinned there and the remaining budget is re-spread over the
     rest, repeating until every free entry is below the cap. Units landing
-    exactly on the cap are pinned too.
+    exactly on the cap are pinned too. The coefficients are checked first,
+    then the budget, by ``check_budget``.
     """
     s = _sqrt_coefficients(c)
     n_units = s.shape[0]
-    if not np.isfinite(n) or n <= 0:
-        raise InvalidBudget(f"budget n must be positive, got {n}")
-    if family is DesignFamily.PO_WOR and n > n_units:
-        raise InvalidBudget(
-            f"expected size {n} exceeds the {n_units} available units"
-        )
+    check_budget(n_units, n, family)
     total = s.sum()
     # n * s / total is the capping loop's first round, which it returns when
     # nothing reaches the cap; s.max() is exactly 1 (top / top), so by monotone

@@ -21,16 +21,17 @@ import numpy as np
 
 from .errors import InvalidInput
 from .models import RiskProblem, model_spec
+from .sampling import _nonnegative_int
 
 FINPOP_SCALE_GAP = 100.0
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int(seed, "seed")))
 
 
 def _check_size(n_units: int) -> int:
-    n = int(n_units)
+    n = _nonnegative_int(n_units, "n_units")
     if n < 10:
         raise InvalidInput("need at least 10 units")
     return n

@@ -1077,7 +1077,8 @@ class TestCriterionSize:
 
 
 class TestWorSizeBeforeFit:
-    """A po-wor budget or stage size above N is refused before the full fit."""
+    """A po-wor budget or stage size above N, down to N + 1, is refused before
+    the full fit; a later stage is checked as well as the first."""
 
     @pytest.mark.parametrize(
         "command, flags, size",
@@ -1085,6 +1086,10 @@ class TestWorSizeBeforeFit:
             ("design", ["--criterion", "A", "--n", "500"], "500"),
             ("evaluate", ["--n", "500"], "500"),
             ("sequential", ["--n", "500", "--stages", "2"], "500.0"),
+            ("design", ["--criterion", "A", "--n", "101"], "101"),
+            ("evaluate", ["--n", "101"], "101"),
+            ("sequential", ["--n", "50,101"], "101.0"),
+            ("sequential", ["--n", "50,101", "--replications", "2"], "101.0"),
         ],
     )
     def test_refused_before_the_fit(

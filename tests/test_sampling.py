@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdesign import sequential
 from subdesign.errors import InvalidBudget, InvalidInput, OutOfDomain
 from subdesign.sampling import (
     DesignFamily,
     SamplingScheme,
+    check_budget,
     derive_seed,
     draw,
     uniform_scheme,
     validate_scheme,
 )
+from subdesign.sequential import run_k_stages
+from subdesign.solver import l_optimal_scheme
+from subdesign.synth import make_pool, pool_problem
 
 
 class TestValidateScheme:
@@ -163,6 +168,61 @@ class TestUniformScheme:
         )
         mu = uniform_scheme(n_units, n, DesignFamily.PO_WOR).mu
         assert mu.max() <= 1.0
+
+
+# Every budget fault, with the one message each scheme builder raises for it.
+# The budgets are floats because run_k_stages reads stage sizes as floats.
+BUDGET_N_UNITS = 20
+BUDGET_FAULTS = [
+    *(
+        (bad, family, f"^budget n must be positive and finite, got {bad}$")
+        for bad in (0.0, -1.0, np.nan, np.inf)
+        for family in DesignFamily
+    ),
+    (2.5, DesignFamily.MULTI, r"^multinomial designs need an integer budget, got 2\.5$"),
+    (21.0, DesignFamily.PO_WOR,
+     r"^cannot place expected size 21\.0 without replacement in 20 units$"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, family, message", BUDGET_FAULTS,
+    ids=[f"{n}-{family.value}" for n, family, _ in BUDGET_FAULTS],
+)
+class TestCheckBudget:
+    """One rule, ``check_budget``, refuses a budget wherever a scheme is built."""
+
+    def test_check_budget(self, n, family, message):
+        with pytest.raises(InvalidBudget, match=message):
+            check_budget(BUDGET_N_UNITS, n, family)
+
+    def test_uniform_scheme(self, n, family, message):
+        with pytest.raises(InvalidBudget, match=message):
+            uniform_scheme(BUDGET_N_UNITS, n, family)
+
+    def test_validate_scheme(self, n, family, message):
+        # mu is in every family's domain, so only the budget can be at fault.
+        with pytest.raises(InvalidBudget, match=message):
+            validate_scheme(np.full(BUDGET_N_UNITS, 0.5), family, n)
+
+    def test_l_optimal_scheme(self, n, family, message):
+        c = np.linspace(1.0, 2.0, BUDGET_N_UNITS)
+        with pytest.raises(InvalidBudget, match=message):
+            l_optimal_scheme(c, n, family)
+
+    @pytest.mark.parametrize("head", [[], [20.0]], ids=["alone", "after-a-valid-stage"])
+    def test_run_k_stages_refuses_before_any_draw(self, monkeypatch, n, family, message, head):
+        problem = pool_problem("finpop", make_pool("finpop", BUDGET_N_UNITS, seed=3))
+        draws = []
+        monkeypatch.setattr(sequential, "draw", lambda *args: draws.append(args))
+        if n <= 0:  # a non-positive size list stays InvalidInput
+            exc, message = InvalidInput, "^batch sizes must be positive$"
+        else:
+            exc = InvalidBudget
+        with pytest.raises(exc, match=message) as err:
+            run_k_stages(problem, [*head, n], family, seed=1)
+        assert err.value.exit_code == 2
+        assert draws == []
 
 
 class TestDraw:

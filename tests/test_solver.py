@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subdesign import covariance, criteria, solver
@@ -279,6 +279,9 @@ class TestFixedPointLinear:
     dominant=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# With the balancing units' spread left to chance, this seed made A cap two
+# units under po-wor; the dominant fixture below is built so that it cannot.
+@example(n_units=4, n=1, p=2, dominant=True, seed=22720)
 def test_linear_solve_reaches_the_grid_optimum(n_units, n, p, dominant, seed):
     """Every linear solve on a few balanced units is at least as good as the
     best scheme of check 01's grid, capped or not: with sum psi = 0 each
@@ -287,14 +290,23 @@ def test_linear_solve_reaches_the_grid_optimum(n_units, n, p, dominant, seed):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((n_units, p))
     if dominant:
-        # Unit 0 outweighs the rest, which balance it, so its share of the
-        # budget approaches n / 2: a budget of 3 among 4 units caps it.
         n_units, n = 4, 3
-        psi = np.vstack([rng.standard_normal(p), rng.standard_normal((3, p)) / 100])
-        psi[1:] -= psi[0] / 3
-    psi -= psi.mean(axis=0)
+        lead, rest = rng.standard_normal(p), rng.standard_normal((3, p))
     b = rng.standard_normal((p, p))
-    grads = GradientSet(psi=psi, hessian=b @ b.T + p * np.eye(p), theta0=np.zeros(p))
+    hessian = b @ b.T + p * np.eye(p)
+    if dominant:
+        # Units 1-3 balance unit 0: psi_i = e_i - psi_0 / 3 with sum e_i = 0.
+        # A's sqrt(c_i) is |H^-1 psi_i|, and the e_i are scaled so that the
+        # largest |H^-1 e_i| is a tenth of |H^-1 psi_0|. So sqrt(c_i) / sqrt(c_0)
+        # lies in [7/30, 13/30] for each i >= 1, and a budget of 3 among the 4
+        # units caps unit 0 (its share is at least 3 / 2.3) and no other (each
+        # of units 1-3 stays below the sum of the other two).
+        rest -= rest.mean(axis=0)
+        h_lead = np.linalg.norm(np.linalg.solve(hessian, lead))
+        h_rest = np.linalg.norm(np.linalg.solve(hessian, rest.T), axis=0).max()
+        psi = np.vstack([lead, rest * (h_lead / (10 * h_rest)) - lead / 3])
+    psi -= psi.mean(axis=0)
+    grads = GradientSet(psi=psi, hessian=hessian, theta0=np.zeros(p))
     specs = (a_opt(), c_opt(rng.standard_normal(p)), l_opt(rng.standard_normal((p, 2))))
     for spec in specs:
         c = coefficients(spec, grads)

@@ -211,3 +211,23 @@ class TestValidation:
     def test_too_small(self):
         with pytest.raises(InvalidInput):
             lognormal_pool(5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_units, seed, message",
+        [
+            (20, 1.5, r"^seed must be an integer, got 1\.5$"),
+            (20, -1, "^seed must be non-negative, got -1$"),
+            (20.7, 1, r"^n_units must be an integer, got 20\.7$"),
+            ("20", 1, "^n_units must be an integer, got '20'$"),
+        ],
+    )
+    def test_size_and_seed_are_not_coerced(self, n_units, seed, message):
+        for kind in ("finpop", "lognormal", "qblogit"):
+            with pytest.raises(InvalidInput, match=message):
+                make_pool(kind, n_units, seed)
+
+    def test_numpy_integers_give_the_same_pool(self):
+        a = make_pool("finpop", 20, 1)
+        b = make_pool("finpop", np.int64(20), np.uint64(1))
+        for key in a:
+            assert np.array_equal(a[key], b[key])
