@@ -9,7 +9,8 @@ Both paths reduce to per-unit coefficients
 
 where phi is the criterion's matrix derivative. The derivative of the
 objective in the expected count mu_i is then -c_i / mu_i^2, which is what the
-finite-difference tests pin down.
+finite-difference tests pin down. Their one pass over the gradients may run
+on two threads (``linalg.map_blocks``); its sums are folded in block order.
 
 ``CRITERIA`` is the criterion table: one ``Criterion`` per kind, holding all
 that the package reads about it. ``parse_criterion`` reads the text forms
@@ -31,7 +32,7 @@ import numpy as np
 from .config import DEFAULT
 from .covariance import DispersionKind, GradientSet, dispersion_matrix, gamma
 from .errors import InvalidInput, NotDifferentiable, SingularMatrix
-from .linalg import as_symmetric, psd_factor, sym_eigen, unit_blocks
+from .linalg import as_symmetric, map_blocks, psd_factor, sym_eigen
 from .models import model_spec
 from .sampling import SamplingScheme
 
@@ -319,33 +320,42 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
     W = sum psi_i psi_i^T / r_i, returning (None, (r, S, min r, max r, W)), so
     no N-long c is kept. A coefficient that is zero, negative or not finite
     stops the sums before its root is taken, and c comes from a pass without
-    ``fuse``.
+    ``fuse``. Each block gives its min c, max c, sum r and W, added here in
+    block order, as a serial loop does, so the thread split moves no bit.
     """
     m_t = (grads.hessian_inv @ psd_factor(phi)).T
     out = np.empty(grads.n_units)
-    w = np.zeros((grads.n_params, grads.n_params))
-    total, low, top = 0.0, np.inf, 0.0
-    for units in unit_blocks(grads.n_units):
+
+    def block_sums(units):
         # t is k x block: column i is L^T H^-1 psi_i, and its squares are
         # summed row after row, a sequential sum over the k terms.
         block = grads.psi_t[:, units]
         t = m_t @ block
         t *= t
         cb = t.sum(axis=0, out=out[units])
-        if fuse:
-            cb_min, cb_max = cb.min(), cb.max()
-            if not (cb_min > 0.0 and cb_max < np.inf):  # NaN fails too
-                return _coefficients_from_phi(grads, phi)
-            low, top = min(low, cb_min), max(top, cb_max)
-            rb = np.sqrt(cb, out=cb)
-            total += rb.sum()
-            # One product for the block; W is symmetric up to rounding, and
-            # only the symmetrized covariance built from it is used.
-            w += (block / rb) @ block.T
+        del t  # so a block holds one k x block temporary at a time
+        if not fuse:
+            return None
+        cb_min, cb_max = cb.min(), cb.max()
+        if not (cb_min > 0.0 and cb_max < np.inf):  # NaN fails too
+            return None
+        rb = np.sqrt(cb, out=cb)
+        # W is symmetric up to rounding, and only the symmetrized covariance
+        # built from it is used.
+        return cb_min, cb_max, rb.sum(), (block / rb) @ block.T
+
+    parts = map_blocks(block_sums, grads.n_units)
     if not fuse:
         return out, None
+    if None in parts:
+        return _coefficients_from_phi(grads, phi)
+    lows, tops, sums, ws = zip(*parts)
+    total, w = 0.0, np.zeros((grads.n_params, grads.n_params))
+    for rb_sum, wb in zip(sums, ws):
+        total += rb_sum
+        w += wb
     # sqrt rounds monotonically, so it maps the extreme c to the extreme r.
-    return None, (out, total, float(np.sqrt(low)), float(np.sqrt(top)), w)
+    return None, (out, total, float(np.sqrt(min(lows))), float(np.sqrt(max(tops))), w)
 
 
 def anticipated_coefficients(model_kind: str, **aux) -> np.ndarray:

@@ -33,6 +33,7 @@ from .errors import (
     Unsupported,
     UnreliableEstimate,
 )
+from .linalg import worker_count as _worker_count
 from .models import RiskProblem, fit_full, model_spec, weighted_fit
 from .sampling import (
     DesignFamily,
@@ -196,13 +197,6 @@ class MonteCarloCovariance:
     @property
     def failure_rate(self) -> float:
         return self.n_failed / self.n_total
-
-
-def _worker_count() -> int:
-    """One Monte-Carlo worker per CPU this process may use; one without fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
 
 
 def _replicate_outcomes(problem, scheme, seed, replicates, tol, max_iter) -> list:

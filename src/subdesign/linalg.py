@@ -13,10 +13,17 @@ through masked ufuncs, ``[:, None]`` broadcasts or axis-0 reductions, which do
 the same operations in the same order several times slower.
 ``BLOCK_UNITS`` sizes every blocked pass over the units, whether over the
 gradients in ``covariance`` and ``criteria`` or over the design rows of the
-logistic model.
+logistic model. ``map_blocks`` splits such a pass over two threads when the
+affinity gives two CPUs (numpy drops the GIL inside its products and ufuncs)
+and returns each block's result in block order, for the caller to fold.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -32,6 +39,39 @@ BLOCK_UNITS = 1 << 14
 def unit_blocks(n: int) -> list[slice]:
     """Consecutive unit ranges of at most BLOCK_UNITS units covering 0..n-1."""
     return [slice(s, s + BLOCK_UNITS) for s in range(0, n, BLOCK_UNITS)]
+
+
+def worker_count() -> int:
+    """The CPUs this process may use, by its affinity; one without fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def map_blocks(fn, n: int) -> list:
+    """``fn(units)`` for every block of ``unit_blocks(n)``, in block order.
+
+    Given two blocks and two CPUs, a thread living for this call runs the last
+    half in a copy of the caller's context (so ``np.errstate`` holds) while the
+    caller runs the first; a half that raises there reruns here, as if serial.
+    """
+    blocks = unit_blocks(n)
+    half = len(blocks) // 2
+    if half == 0 or worker_count() < 2:
+        return [fn(units) for units in blocks]
+    tail = []
+
+    def run_tail():
+        with contextlib.suppress(Exception):  # raised again below
+            tail.append([fn(units) for units in blocks[half:]])
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run_tail,))
+    thread.start()
+    try:
+        head = [fn(units) for units in blocks[:half]]
+    finally:
+        thread.join()
+    return head + (tail[0] if tail else [fn(units) for units in blocks[half:]])
 
 
 def as_symmetric(m) -> np.ndarray:

@@ -26,6 +26,7 @@ units alone; its N-length ``counts`` is built when first read.
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -137,8 +138,11 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
 
 
 def check_budget(n_units: int, n: float, family: DesignFamily) -> None:
-    """Refuse a budget n that is not positive and finite, not an integer under
-    multi, or above N = ``n_units`` under po-wor, where each mu_i is capped at one."""
+    """Refuse a budget n that is not a positive and finite real number, not an
+    integer under multi, or above N = ``n_units`` under po-wor, where each mu_i
+    is capped at one."""
+    if not isinstance(n, numbers.Real):
+        raise InvalidBudget(f"budget n must be a real number, got {n!r}")
     if not np.isfinite(n) or n <= 0:
         raise InvalidBudget(f"budget n must be positive and finite, got {n}")
     if family is DesignFamily.MULTI and abs(n - round(n)) > 0:
@@ -161,11 +165,13 @@ def uniform_scheme(n_units: int, n: float, family: DesignFamily) -> SamplingSche
 
 
 def _nonnegative_int(value, what: str) -> int:
-    """``value`` as an int; a float, a string or a negative is refused."""
+    """``value`` as an int; a bool, a float, a string or a negative is refused."""
     try:
         k = operator.index(value)
     except TypeError:
-        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+        k = None
+    if k is None or isinstance(value, bool):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
     if k < 0:
         raise InvalidInput(f"{what} must be non-negative, got {k}")
     return k

@@ -17,7 +17,9 @@ Each refinement reads the gradients once. The pass that sums the
 coefficients c writes r = sqrt(c) over them and sums S = sum r and
 W = sum psi psi^T / r, so the next scheme mu' = n r / S and its middle matrix
 V(mu') = (S/n) W, less sum psi psi^T without replacement, need no second pass
-and no N-long c. The solver falls back to ``l_optimal_scheme(c)``, with c and
+and no N-long c. With two CPUs a second thread takes the last half of the
+pass's blocks; their sums are folded in block order, which keeps every bit.
+The solver falls back to ``l_optimal_scheme(c)``, with c and
 V from passes of their own, when a without-replacement unit would reach the
 cap or max mu' exceeds 1/2, where that subtraction would lose more than one
 bit, and when a coefficient is zero, negative or not finite, which the closed

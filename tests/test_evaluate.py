@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import weakref
 
@@ -38,6 +39,7 @@ from subdesign.evaluate import (
 import subdesign
 import subdesign.covariance as covariance
 import subdesign.evaluate as evaluate
+import subdesign.linalg as linalg
 import subdesign.models as models
 from subdesign.models import finpop_problem, fit_full, lognormal_problem, qblogit_problem
 from subdesign.sampling import (
@@ -273,11 +275,12 @@ class TestMonteCarloCovariance:
             monte_carlo_covariance(problem, scheme, R=500, seed=1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"seed": -1}, {"seed": 1.5}, {"R": 1000.5}, {"R": "1000"}]
+        "kwargs", [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"R": 1000.5}, {"R": "1000"}]
     )
     def test_refuses_negative_or_non_integral_seed_and_count(self, kwargs, monkeypatch):
-        # seed -1 raised numpy's ValueError, seed 1.5 ran as seed 1 and
-        # R 1000.5 raised a TypeError from range(). No worker may start first.
+        # seed -1 raised numpy's ValueError, seed 1.5 and seed True ran as
+        # seed 1 and R 1000.5 raised a TypeError from range(). No worker may
+        # start first.
         def no_fork():
             raise AssertionError("a worker started before the arguments were checked")
 
@@ -571,6 +574,37 @@ class TestMonteCarloWorkers:
     def test_one_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert evaluate._worker_count() == 1
+
+    def test_forks_after_a_threaded_solve(self, monkeypatch):
+        # The coefficient pass's second thread ends with the pass, so none
+        # runs when the replicates fork.
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg, "worker_count", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Recording)
+        before = threading.active_count()
+        problem = lognormal_example(seed=24, n=2 * linalg.BLOCK_UNITS + 123)
+        grads = gradients_at(problem, fit_full(problem).theta0)
+        trace = fixed_point_solve(d_opt(), grads, DesignFamily.PO_WR, 200)
+        assert trace.status is SolveStatus.CONVERGED
+        assert len(started) > trace.iterations
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+        results = [
+            with_workers(monkeypatch, w, lambda: monte_carlo_covariance(
+                problem, trace.final_scheme, R=1000, seed=8
+            ))
+            for w in WORKER_COUNTS
+        ]
+        assert_no_child_left()
+        assert threading.active_count() == before
+        for mc in results[1:]:
+            assert_bitwise_equal(mc, results[0])
 
     def test_forks_while_blas_threads_run(self):
         # A large matmul starts OpenBLAS's thread pool before the children

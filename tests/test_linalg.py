@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,13 @@ from subdesign.covariance import GradientSet, gamma
 from subdesign.criteria import c_opt, coefficients, d_opt, e_opt, phi_matrix_derivative, phi_q
 from subdesign.errors import InvalidInput, NotPSD, SingularMatrix
 from subdesign.linalg import (
+    BLOCK_UNITS,
     as_symmetric,
     logistic,
     psd_factor,
     spd_inverse,
     sym_eigen,
+    unit_blocks,
 )
 from subdesign.sampling import DesignFamily, uniform_scheme
 
@@ -197,3 +202,96 @@ class TestLogistic:
 def test_as_symmetric_symmetrizes():
     out = as_symmetric([[1.0, 2.0], [0.0, 1.0]])
     assert out == pytest.approx(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+# None leaves the CPU rule at its default: the CPUs this process may use.
+CPU_COUNTS = (1, 2, 3, None)
+
+
+def pin_cpus(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(linalg, "worker_count", lambda: cpus)
+
+
+class TestMapBlocks:
+    """``map_blocks`` hands back one result per block in block order, splits
+    the blocks over two threads when it may, and leaves no thread behind."""
+
+    N_UNITS = 6 * BLOCK_UNITS + 5
+
+    @staticmethod
+    def record(calls):
+        def fn(units):
+            calls.append((units.start, threading.get_ident()))
+            return units.start, units.stop
+
+        return fn
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_results_in_block_order(self, monkeypatch, cpus):
+        pin_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        calls = []
+        got = linalg.map_blocks(self.record(calls), self.N_UNITS)
+        assert got == [(u.start, u.stop) for u in unit_blocks(self.N_UNITS)]
+        assert sorted(start for start, _ in calls) == [start for start, _ in got]
+        assert threading.active_count() == before
+        # The caller runs the first half; a second thread, if any, the rest.
+        threads = {start: ident for start, ident in calls}
+        starts = [start for start, _ in got]
+        assert {threads[s] for s in starts[:3]} == {threading.get_ident()}
+        split = (cpus or linalg.worker_count()) > 1
+        assert (threads[starts[3]] != threading.get_ident()) is split
+        assert len({threads[s] for s in starts[3:]}) == 1
+
+    @pytest.mark.parametrize("n_units", [0, 1, BLOCK_UNITS])
+    def test_one_block_or_none_runs_here(self, monkeypatch, n_units):
+        pin_cpus(monkeypatch, 2)
+        calls = []
+        got = linalg.map_blocks(self.record(calls), n_units)
+        assert len(got) == len(unit_blocks(n_units))
+        assert {ident for _, ident in calls} <= {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", [(0,), (4,), (5,), (1, 4), (4, 5)])
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_error_is_the_serial_one(self, monkeypatch, cpus, failing):
+        # Blocks 3-6 are the second thread's half: an error there is raised
+        # again by the caller, in block order, and no thread reports it.
+        pin_cpus(monkeypatch, cpus)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.active_count()
+
+        def fn(units):
+            k = units.start // BLOCK_UNITS
+            if k in failing:
+                raise RuntimeError(f"block {k} failed")
+            return k
+
+        with pytest.raises(RuntimeError, match=rf"^block {failing[0]} failed$"):
+            linalg.map_blocks(fn, self.N_UNITS)
+        assert hooked == []
+        assert threading.active_count() == before
+
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_errstate_holds_in_both_halves(self, monkeypatch, cpus):
+        # The second thread runs in a copy of the caller's context, where
+        # numpy keeps its error state.
+        pin_cpus(monkeypatch, cpus)
+
+        def fn(units):
+            return np.array([1e308]) * (10.0 if units.start // BLOCK_UNITS == 4 else 1.0)
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                linalg.map_blocks(fn, self.N_UNITS)
+
+
+class TestWorkerCount:
+    @pytest.mark.skipif(
+        not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+        reason="one worker without fork or an affinity mask",
+    )
+    def test_follows_the_cpu_affinity(self):
+        assert linalg.worker_count() == len(os.sched_getaffinity(0))

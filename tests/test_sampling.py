@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,26 @@ class TestCheckBudget:
         assert draws == []
 
 
+@pytest.mark.parametrize("bad", ["2", None, 2 + 0j], ids=["str", "None", "complex"])
+def test_budget_that_is_not_a_real_number_is_refused(bad):
+    # Each escaped as a builtin TypeError from np.isfinite or the comparison.
+    message = rf"^budget n must be a real number, got {re.escape(repr(bad))}$"
+    for family in DesignFamily:
+        with pytest.raises(InvalidBudget, match=message):
+            check_budget(BUDGET_N_UNITS, bad, family)
+        with pytest.raises(InvalidBudget, match=message):
+            uniform_scheme(BUDGET_N_UNITS, bad, family)
+
+
+@pytest.mark.parametrize("real", [np.int64(4), np.float64(4.0), 4, 4.0])
+def test_numpy_and_builtin_real_budgets_pass(real):
+    for family in DesignFamily:
+        check_budget(BUDGET_N_UNITS, real, family)
+        assert uniform_scheme(BUDGET_N_UNITS, real, family).budget_n == 4.0
+    with pytest.raises(InvalidBudget, match="^budget n must be positive and finite, got 0$"):
+        check_budget(BUDGET_N_UNITS, np.int64(0), DesignFamily.PO_WR)
+
+
 class TestDraw:
     def test_census_draw_is_all_ones(self):
         scheme = uniform_scheme(8, 8, DesignFamily.PO_WOR)
@@ -296,11 +317,11 @@ class TestDraw:
         with pytest.raises(InvalidInput):
             draw(scheme, -1)
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, False])
     def test_seed_must_be_an_integer(self, seed):
-        # 1.5 used to draw, and record, seed 1.
+        # 1.5 and True used to draw, and record, seed 1.
         scheme = uniform_scheme(3, 1, DesignFamily.PO_WR)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=f"^seed must be an integer, got {seed!r}$"):
             draw(scheme, seed)
 
     def test_counts_readonly(self):
@@ -506,9 +527,12 @@ class TestDeriveSeed:
         assert 0 <= seed <= np.iinfo(np.uint64).max
         draw(uniform_scheme(5, 2, DesignFamily.PO_WR), seed)
 
-    @pytest.mark.parametrize("keys", [(1.5, 0), (3, 0.5), (-1, 0), (3, -2), ("7", 1)])
+    @pytest.mark.parametrize(
+        "keys", [(1.5, 0), (3, 0.5), (-1, 0), (3, -2), ("7", 1), (True, 0), (3, False)]
+    )
     def test_refuses_non_integral_or_negative_keys(self, keys):
-        # int() used to truncate 1.5 to 1, so two different seeds drew alike.
+        # int() used to truncate 1.5 to 1, so two different seeds drew alike;
+        # True was taken as key 1.
         with pytest.raises(InvalidInput):
             derive_seed(*keys)
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subdesign import covariance, criteria, solver
+from subdesign import covariance, criteria, linalg, solver
 from subdesign.config import DEFAULT
 from subdesign.covariance import GradientSet, gamma, gradients_at
 from subdesign.criteria import (
@@ -25,7 +27,7 @@ from subdesign.criteria import (
     phi_value,
 )
 from subdesign.errors import Infeasible, InvalidBudget, InvalidInput
-from subdesign.linalg import psd_factor
+from subdesign.linalg import BLOCK_UNITS, psd_factor, unit_blocks
 from subdesign.models import fit_full
 from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
 from subdesign.solver import (
@@ -900,6 +902,155 @@ class TestBadCoefficientsAfterFailedCheck:
         assert trace.iterations == 1
         assert np.array_equal(trace.final_scheme.mu, first.mu)
         assert trace.zero_ids == ()
+
+
+# None leaves the CPU rule at its default: the CPUs this process may use.
+CPU_COUNTS = (1, 2, 3, None)
+THREAD_POOLS = (("lognormal", 2 * BLOCK_UNITS + 123), ("qblogit", 6 * BLOCK_UNITS))
+
+
+@functools.cache
+def split_pool(kind, n_units):
+    return pool_grads(kind, n_units, seed=31)[0]
+
+
+def for_each_cpu_count(monkeypatch, call):
+    """``call()`` with ``linalg.worker_count`` pinned to each of CPU_COUNTS."""
+    results = []
+    for cpus in CPU_COUNTS:
+        with monkeypatch.context() as m:
+            if cpus is not None:
+                m.setattr(linalg, "worker_count", lambda: cpus)
+            results.append(call())
+    return results
+
+
+def trace_bits(trace):
+    return (
+        trace.status, trace.iterations, trace.objective_per_iter, trace.capped_set_size,
+        trace.stationarity, trace.zero_ids, trace.final_scheme.mu.tobytes(),
+        trace.final_gamma.tobytes(),
+    )
+
+
+def serial_sums(grads, phi):
+    """c, and the fused pass's sums as one thread's loop adds them, block by
+    block as it goes."""
+    m_t = (grads.hessian_inv @ psd_factor(phi)).T
+    c, roots = np.empty(grads.n_units), np.empty(grads.n_units)
+    w = np.zeros((grads.n_params, grads.n_params))
+    total, low, top = 0.0, np.inf, 0.0
+    for units in unit_blocks(grads.n_units):
+        block = grads.psi_t[:, units]
+        t = m_t @ block
+        t *= t
+        cb = t.sum(axis=0, out=roots[units])
+        c[units] = cb
+        low, top = min(low, cb.min()), max(top, cb.max())
+        rb = np.sqrt(cb, out=cb)
+        total += rb.sum()
+        w += (block / rb) @ block.T
+    return c, (roots, total, float(np.sqrt(low)), float(np.sqrt(top)), w)
+
+
+class TestThreadSplit:
+    """The coefficient pass may run its last half of blocks on a second
+    thread; folded in block order, its sums keep every bit of one thread."""
+
+    @pytest.mark.parametrize("kind, n_units", THREAD_POOLS)
+    @pytest.mark.parametrize("token", ["D", "E"])
+    def test_coefficient_pass(self, monkeypatch, kind, n_units, token):
+        grads = split_pool(kind, n_units)
+        at = uniform_scheme(n_units, 1000, DesignFamily.PO_WR)
+        phi = phi_matrix_derivative(parse_criterion(token), gamma(grads, at).gamma)
+
+        def bits(roots, total, low, top, w):
+            return roots.tobytes(), np.float64(total).tobytes(), low, top, w.tobytes()
+
+        def both_passes():
+            plain = criteria._coefficients_from_phi(grads, phi)[0]
+            return plain.tobytes(), bits(*criteria._coefficients_from_phi(grads, phi, True)[1])
+
+        results = for_each_cpu_count(monkeypatch, both_passes)
+        c, sums = serial_sums(grads, phi)
+        assert results[0] == (c.tobytes(), bits(*sums))
+        assert results[1:] == results[:1] * 3
+
+    def test_concurrent_passes_under_fast_switching(self, monkeypatch):
+        # Four callers, each with its second thread, on two CPUs or fewer,
+        # switching every microsecond: each pass keeps its own output.
+        grads = split_pool(*THREAD_POOLS[1])
+        at = uniform_scheme(grads.n_units, 1000, DesignFamily.PO_WR)
+        phi = phi_matrix_derivative(d_opt(), gamma(grads, at).gamma)
+        monkeypatch.setattr(linalg, "worker_count", lambda: 1)
+        want = criteria._coefficients_from_phi(grads, phi, True)[1]
+        monkeypatch.setattr(linalg, "worker_count", lambda: 2)
+        got = [None] * 4
+
+        def run(k):
+            for _ in range(5):
+                got[k] = criteria._coefficients_from_phi(grads, phi, True)[1]
+                if got[k][0].tobytes() != want[0].tobytes():
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for sums in got:
+            assert sums[0].tobytes() == want[0].tobytes()
+            assert sums[1:4] == want[1:4]
+            assert sums[4].tobytes() == want[4].tobytes()
+
+    @pytest.mark.parametrize("kind, n_units", THREAD_POOLS)
+    @pytest.mark.parametrize("token", ["D", "phi:2", "phi:5", "E"])
+    def test_solves(self, monkeypatch, kind, n_units, token):
+        grads = split_pool(kind, n_units)
+        # The last budget, n/N = 0.35, caps the heaviest units wherever the
+        # solve steps away from the uniform start (E diverges at once).
+        for family, n in [
+            (DesignFamily.PO_WR, 1000), (DesignFamily.MULTI, 1000),
+            (DesignFamily.PO_WOR, 1000), (DesignFamily.PO_WOR, 0.35 * n_units),
+        ]:
+            results = for_each_cpu_count(
+                monkeypatch,
+                lambda: trace_bits(fixed_point_solve(parse_criterion(token), grads, family, n)),
+            )
+            assert results[1:] == results[:1] * 3, (family, n)
+            assert results[0][0] is not SolveStatus.INFEASIBLE
+            if n > 1000 and token != "E":
+                assert results[0][3] > 0
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_zero_coefficient_in_the_last_block(self, monkeypatch, family):
+        grads = split_pool(*THREAD_POOLS[0])
+        zero = grads.n_units - 7
+        psi = grads.psi.copy()
+        # Moved to its neighbour, the zeroed gradient keeps the columns' sums.
+        psi[zero - 1] += psi[zero]
+        psi[zero] = 0.0
+        zeroed = GradientSet(psi=psi, hessian=grads.hessian, theta0=grads.theta0)
+        at = uniform_scheme(zeroed.n_units, 1000, family)
+
+        def solve_and_closed_form():
+            trace = fixed_point_solve(d_opt(), zeroed, family, 1000)
+            with pytest.raises(Infeasible) as exc:
+                l_optimal_scheme(coefficients(d_opt(), zeroed, at), 1000, family)
+            return trace_bits(trace), exc.value.zero_ids
+
+        results = for_each_cpu_count(monkeypatch, solve_and_closed_form)
+        assert results[1:] == results[:1] * 3
+        (status, iterations, *_, zero_ids, _, _), raised = results[0]
+        assert (status, iterations, zero_ids, raised) == (
+            SolveStatus.INFEASIBLE, 0, (zero,), (zero,)
+        )
 
 
 class TestSolveMemory:

@@ -216,6 +216,7 @@ class TestValidation:
         "n_units, seed, message",
         [
             (20, 1.5, r"^seed must be an integer, got 1\.5$"),
+            (20, True, "^seed must be an integer, got True$"),
             (20, -1, "^seed must be non-negative, got -1$"),
             (20.7, 1, r"^n_units must be an integer, got 20\.7$"),
             ("20", 1, "^n_units must be an integer, got '20'$"),
