@@ -138,10 +138,10 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
 
 
 def check_budget(n_units: int, n: float, family: DesignFamily) -> None:
-    """Refuse a budget n that is not a positive and finite real number, not an
-    integer under multi, or above N = ``n_units`` under po-wor, where each mu_i
-    is capped at one."""
-    if not isinstance(n, numbers.Real):
+    """Refuse a budget n that is not a positive and finite real number (a bool
+    is none), not an integer under multi, or above N = ``n_units`` under
+    po-wor, where each mu_i is capped at one."""
+    if not isinstance(n, numbers.Real) or isinstance(n, bool):
         raise InvalidBudget(f"budget n must be a real number, got {n!r}")
     if not np.isfinite(n) or n <= 0:
         raise InvalidBudget(f"budget n must be positive and finite, got {n}")

@@ -165,7 +165,9 @@ def run_k_stages(
     records of the completed stages attached. An empty or non-positive size
     list is InvalidInput, and every size passes ``check_budget`` before stage 1.
     """
-    sizes = [float(n) for n in np.atleast_1d(np.asarray(batch_sizes, dtype=float))]
+    # Each size is read as a float, but a bool is kept for check_budget to refuse.
+    given = np.atleast_1d(np.asarray(batch_sizes, dtype=object))
+    sizes = [n if isinstance(n, (bool, np.bool_)) else float(np.float64(n)) for n in given]
     if len(sizes) < 1:
         raise InvalidInput("need at least one batch size")
     if any(n <= 0 for n in sizes):

@@ -172,9 +172,15 @@ class TestUniformScheme:
 
 
 # Every budget fault, with the one message each scheme builder raises for it.
-# The budgets are floats because run_k_stages reads stage sizes as floats.
+# The budgets are floats because run_k_stages reads stage sizes as floats; a
+# bool is no number, though numbers.Real counts it as one.
 BUDGET_N_UNITS = 20
 BUDGET_FAULTS = [
+    *(
+        (flag, family, f"^budget n must be a real number, got {flag}$")
+        for flag in (True, False)
+        for family in DesignFamily
+    ),
     *(
         (bad, family, f"^budget n must be positive and finite, got {bad}$")
         for bad in (0.0, -1.0, np.nan, np.inf)
