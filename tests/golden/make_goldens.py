@@ -22,7 +22,11 @@ the ``--help`` output of the top level and of each subcommand, as
 ``<model>-blocks``: ``synth`` then ``fit`` at seed 1 on
 N = 2 * BLOCK_UNITS + 123 units, so that every pass over the units there
 crosses block boundaries and ends in a partial block, which N = 3000, inside
-one block, never does. Commands run with ``COLUMNS=80``, so that argparse wraps
+one block, never does. The ``usage`` case runs ``synth`` on 20 finpop units
+and then usage errors that must each exit 2 before any data is read: each
+option that a command requires left out once, each bounded option one step
+past its bound once, and ``bad.cfg``, a config file with a bad value, so
+that a change to a usage message or exit code shows in the diff. Commands run with ``COLUMNS=80``, so that argparse wraps
 its help the same way on every terminal, in a fresh interpreter on the ``src/`` beside this file, with relative
 paths, so that two checkouts can be compared byte for byte:
 
@@ -50,6 +54,7 @@ QUOTED_CASE = ("lognormal", 1)
 COMMANDS = ("fit", "design", "evaluate", "sequential", "synth")
 BLOCKS_SEED = 1
 BLOCKS_UNITS = 2 * BLOCK_UNITS + 123
+BAD_CONFIG = "model=finpop\nseed=x\n"
 
 
 def write_l_matrix(case: Path) -> None:
@@ -72,6 +77,33 @@ def block_runs(model: str) -> list[tuple[str, list[str]]]:
         ("synth", ["synth", "--model", model, "--n-units", str(BLOCKS_UNITS),
                    "--seed", str(BLOCKS_SEED), "--out", "synth"]),
         ("fit", ["fit", "--input", f"synth/{model}.csv", "--model", model, "--out", "fit"]),
+    ]
+
+
+def usage_runs() -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments) of the usage case: synth, then one usage error each."""
+    data = ["--input", "synth/finpop.csv", "--model", "finpop"]
+    design = ["design", *data, "--criterion", "A"]
+    faults = [
+        ("no-model", ["fit", "--input", "synth/finpop.csv"]),
+        ("no-input", ["fit", "--model", "finpop"]),
+        ("no-criterion", ["design", *data, "--n", "10"]),
+        ("no-n", ["sequential", *data]),
+        ("no-n-units", ["synth", "--model", "finpop"]),
+        ("seed", ["synth", "--model", "finpop", "--n-units", "20", "--seed", "-1"]),
+        ("tol", ["fit", *data, "--tol", "nan"]),
+        ("eps", [*design, "--n", "10", "--eps", "0"]),
+        ("max-iter", ["fit", *data, "--max-iter", "0"]),
+        ("stages", ["sequential", *data, "--n", "10", "--stages", "0"]),
+        ("replications", ["sequential", *data, "--n", "10", "--replications", "0"]),
+        ("n-units", ["synth", "--model", "finpop", "--n-units", "0"]),
+        ("n", [*design, "--n", "0"]),
+        ("bad-config", ["synth", "--config", "bad.cfg", "--n-units", "20"]),
+    ]
+    return [
+        ("synth", ["synth", "--model", "finpop", "--n-units", "20", "--seed", "1",
+                   "--out", "synth"]),
+        *((name, [*cli_args, "--out", name]) for name, cli_args in faults),
     ]
 
 
@@ -128,6 +160,11 @@ def main(argv=None) -> int:
     record(help_dir, "top", ["--help"], env)
     for command in COMMANDS:
         record(help_dir, command, [command, "--help"], env)
+    case = root / "usage"
+    case.mkdir(parents=True, exist_ok=True)
+    (case / "bad.cfg").write_text(BAD_CONFIG)
+    for name, cli_args in usage_runs():
+        record(case, name, cli_args, env)
     for model in MODELS:
         for seed in SEEDS:
             case = root / f"{model}-seed{seed}"

@@ -1230,6 +1230,110 @@ class TestUsage:
         assert "--model is required" in capsys.readouterr().err
 
 
+# A complete, valid set of flags per command, on the fixture finpop_csv.
+VALID_FLAGS = {
+    "fit": ["--input", "{csv}", "--model", "finpop"],
+    "design": ["--input", "{csv}", "--model", "finpop", "--criterion", "A", "--n", "10"],
+    "evaluate": ["--input", "{csv}", "--model", "finpop"],
+    "sequential": ["--input", "{csv}", "--model", "finpop", "--n", "10"],
+    "synth": ["--model", "finpop", "--n-units", "20"],
+}
+
+# Every (command, option it requires), with the message its absence gives.
+REQUIRED = [
+    *((command, "--model", "--model is required") for command in VALID_FLAGS),
+    *((command, "--input", "--input is required") for command in VALID_FLAGS if command != "synth"),
+    ("design", "--criterion", "--criterion is required for design"),
+    ("design", "--n", "--n is required for design"),
+    ("sequential", "--n", "--n is required for sequential"),
+    ("synth", "--n-units", "--n-units is required for synth"),
+]
+
+# Every bounded option one step past its edge: (command, flag, value, message).
+PAST_EDGE = [
+    ("synth", "--seed", "-1", "--seed must be non-negative, got -1"),
+    ("fit", "--tol", "0", "--tol must be positive, got 0.0"),
+    ("fit", "--tol", "nan", "--tol must be positive, got nan"),
+    ("design", "--eps", "0", "--eps must be positive, got 0.0"),
+    ("fit", "--max-iter", "0", "--max-iter must be at least 1, got 0"),
+    ("sequential", "--stages", "0", "--stages must be at least 1, got 0"),
+    ("sequential", "--replications", "0", "--replications must be at least 1, got 0"),
+    ("synth", "--n-units", "0", "--n-units must be at least 1, got 0"),
+    ("design", "--n", "0", "--n must be at least 1, got 0"),
+    ("design", "--n", "2.5", "--n must be an integer, got '2.5'"),
+]
+
+
+def flags_for(command, csv_path, drop=None):
+    """VALID_FLAGS of the command on csv_path, without the flag ``drop`` and its value."""
+    flags = [flag.format(csv=csv_path) for flag in VALID_FLAGS[command]]
+    if drop in flags:
+        at = flags.index(drop)
+        del flags[at: at + 2]
+    return flags
+
+
+def refused_before_data(monkeypatch, tmp_path, argv):
+    """Run main with --out under tmp_path, reading no data; its exit code and stderr."""
+    def no_data(*args):
+        raise AssertionError("data read before the options were checked")
+
+    monkeypatch.setattr(cli.dataio, "load_problem", no_data)
+    monkeypatch.setattr(cli, "make_pool", no_data)
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
+class TestOptionRules:
+    """Which options each command requires, and the bound of each numeric option."""
+
+    @pytest.mark.parametrize(
+        "command, flag, message", REQUIRED, ids=[f"{c}{f}" for c, f, _ in REQUIRED]
+    )
+    def test_required_option_missing(
+        self, tmp_path, finpop_csv, monkeypatch, capsys, command, flag, message
+    ):
+        argv = [command, *flags_for(command, finpop_csv, drop=flag)]
+        assert refused_before_data(monkeypatch, tmp_path, argv) == 2
+        assert capsys.readouterr().err == f"subdesign: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, flag, value, field, expected",
+        [
+            ("synth", "--seed", "0", "seed", 0),
+            ("fit", "--max-iter", "1", "max_iter", 1),
+            ("sequential", "--stages", "1", "batch_sizes", (10,)),
+            ("sequential", "--replications", "1", "replications", 1),
+            ("synth", "--n-units", "1", "n_units", 1),
+        ],
+    )
+    def test_bounded_option_accepted_at_its_edge(
+        self, finpop_csv, command, flag, value, field, expected
+    ):
+        argv = [command, *flags_for(command, finpop_csv, drop=flag), flag, value]
+        config = cli.build_config(cli._build_parser().parse_args(argv))
+        assert getattr(config, field) == expected
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message", PAST_EDGE, ids=[f"{f}={v}" for _, f, v, _ in PAST_EDGE]
+    )
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_bounded_option_refused_past_its_edge(
+        self, tmp_path, finpop_csv, monkeypatch, capsys, command, flag, value, message, by
+    ):
+        flags = flags_for(command, finpop_csv, drop=flag)
+        if by == "flag":
+            flags += [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+            flags += ["--config", str(cfg)]
+        assert refused_before_data(monkeypatch, tmp_path, [command, *flags]) == 2
+        assert capsys.readouterr().err == f"subdesign: error: {message}\n"
+
+
 # Exit code per error class, as the CLI has always mapped them.
 EXIT_CODES = {
     "InvalidData": 2,
