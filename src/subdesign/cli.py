@@ -1,18 +1,20 @@
 """Command line front end.
 
 Five subcommands: ``fit``, ``design``, ``evaluate``, ``sequential``,
-``synth``. Each option is declared once, in ``_OPTIONS``, which builds the
-subparsers and the config-file keys. A command takes only the options that
-change its output, each flag spelled in full: a flag or config key it does
-not take, or an abbreviated flag, is a usage error, and a stray flag is
-reported with that command's usage line. Options resolve as flags over
-config file over built-in defaults, and every token is checked before
-any data is loaded; a criterion token that needs the model (bare ``c``,
-``V``) or its parameter count (a ``c:`` vector's length, an ``L:@``
-matrix's rows) is checked once the data are in, before the fit, and so is
-a ``po-wor`` budget or stage size above the number of units. Exit
-codes: 0 success, 2 usage or schema error, 3 estimation failure, 4 solver
-stopped without converging, 5 infeasible allocation.
+``synth``. Each option is declared once, in ``_OPTIONS``, with all its
+rules: the commands that take it, those that require it and the check its
+value must pass. That one declaration builds the subparsers and the
+config-file keys, and one loop in ``build_config`` applies its rules. A
+command takes only the options that change its output, each flag spelled in
+full: a flag or config key it does not take, or an abbreviated flag, is a
+usage error, and a stray flag is reported with that command's usage line.
+Options resolve as flags over config file over built-in defaults, and every
+token is checked before any data is loaded; a criterion token that needs
+the model (bare ``c``, ``V``) or its parameter count (a ``c:`` vector's
+length, an ``L:@`` matrix's rows) is checked once the data are in, before
+the fit, and so is a ``po-wor`` budget or stage size above the number of
+units. Exit codes: 0 success, 2 usage or schema error, 3 estimation
+failure, 4 solver stopped without converging, 5 infeasible allocation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,28 +50,33 @@ _ALL = ("fit", "design", "evaluate", "sequential", "synth")  # _COMMANDS, define
 _FITTING = ("fit", "design", "evaluate", "sequential")
 _DESIGNING = ("design", "evaluate", "sequential")
 
-# Every option but --config, once: the commands that take it and its
-# add_argument keywords (value type or choices, help text). The subparsers and
-# the config-file keys come from here; a config file separates the tokens of
-# a list option with whitespace.
+
+# Every option but --config, once: the commands that take it, its add_argument
+# keywords (value type or choices, help text), the commands that require it
+# and the test its value must pass with the words that name it. The
+# subparsers, the config-file keys and build_config's checks come from here; a
+# config file separates the tokens of a list option with whitespace.
+_Option = namedtuple("_Option", "commands kwargs required_by check", defaults=((), None))
+_POSITIVE = (lambda value: value > 0, "positive")  # NaN fails
+_AT_LEAST_1 = (lambda value: value >= 1, "at least 1")
 _OPTIONS = {
-    "input": (_FITTING, {"help": "input CSV path"}),
-    "model": (_ALL, {"choices": tuple(MODELS)}),
-    "criterion": (("design",), {"help": "criterion token, e.g. A or c:1,0"}),
-    "family": (_DESIGNING, {"help": "po-wr, po-wor or multi"}),
-    "n": (_DESIGNING, {"help": "budget; comma list of stage sizes for sequential"}),
-    "seed": (("sequential", "synth"), {"type": int}),
-    "tol": (_FITTING, {"type": float}),
-    "max_iter": (_FITTING, {"type": int}),
-    "eps": (("design", "evaluate"), {"type": float}),
-    "out": (_ALL, {"help": "output directory"}),
-    "criteria": (
-        ("evaluate",),
-        {"nargs": "+", "help": "criterion tokens for the table rows and columns"},
-    ),
-    "stages": (("sequential",), {"type": int}),
-    "replications": (("sequential",), {"type": int}),
-    "n_units": (("synth",), {"type": int}),
+    "input": _Option(_FITTING, {"help": "input CSV path"}, _FITTING),
+    "model": _Option(_ALL, {"choices": tuple(MODELS)}, _ALL),
+    "criterion": _Option(("design",), {"help": "criterion token, e.g. A or c:1,0"}, ("design",)),
+    "family": _Option(_DESIGNING, {"help": "po-wr, po-wor or multi"}),
+    "n": _Option(_DESIGNING, {"help": "budget; comma list of stage sizes for sequential"},
+                 ("design", "sequential")),
+    "seed": _Option(("sequential", "synth"), {"type": int},
+                    check=(lambda value: value >= 0, "non-negative")),
+    "tol": _Option(_FITTING, {"type": float}, check=_POSITIVE),
+    "max_iter": _Option(_FITTING, {"type": int}, check=_AT_LEAST_1),
+    "eps": _Option(("design", "evaluate"), {"type": float}, check=_POSITIVE),
+    "out": _Option(_ALL, {"help": "output directory"}),
+    "criteria": _Option(
+        ("evaluate",), {"nargs": "+", "help": "criterion tokens for the table rows and columns"}),
+    "stages": _Option(("sequential",), {"type": int}, check=_AT_LEAST_1),
+    "replications": _Option(("sequential",), {"type": int}, check=_AT_LEAST_1),
+    "n_units": _Option(("synth",), {"type": int}, ("synth",), _AT_LEAST_1),
 }
 
 
@@ -113,9 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value option file")
-        for key, (commands, kwargs) in _OPTIONS.items():
-            if name in commands:
-                p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        for key, option in _OPTIONS.items():
+            if name in option.commands:
+                p.add_argument("--" + key.replace("_", "-"), **option.kwargs)
     return parser
 
 
@@ -136,15 +144,15 @@ def _read_config_file(path: str, command: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise InvalidInput(f"{path} line {lineno}: unknown option {key!r}")
-        commands, kwargs = _OPTIONS[key]
-        if command not in commands:
+        option = _OPTIONS[key]
+        if command not in option.commands:
             raise InvalidInput(f"{path} line {lineno}: {command} takes no option {key!r}")
         if key in set_on:
             raise InvalidInput(
                 f"{path} line {lineno}: {key!r} is already set on line {set_on[key]}"
             )
         set_on[key] = lineno
-        convert = str.split if "nargs" in kwargs else kwargs.get("type", str)
+        convert = str.split if "nargs" in option.kwargs else option.kwargs.get("type", str)
         try:
             opts[key] = convert(value.strip())
         except ValueError:
@@ -184,24 +192,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         **(_read_config_file(args.config, command) if args.config else {}),
         **{key: value for key, value in vars(args).items() if value is not None},
     }
+    for key, option in _OPTIONS.items():
+        flag, value = "--" + key.replace("_", "-"), opts[key]
+        if value is None and command in option.required_by:
+            raise InvalidInput(f"{flag} is required for {command}")
+        if value is not None and option.check and not option.check[0](value):
+            raise InvalidInput(f"{flag} must be {option.check[1]}, got {value}")
 
-    model = opts["model"]
-    if model is None:
-        raise InvalidInput("--model is required")
-    model_spec(model)
-
-    input_path = opts["input"]
-    if command != "synth":
-        if input_path is None:
-            raise InvalidInput("--input is required")
-        if not os.path.isfile(input_path):
-            raise InvalidInput(f"input file {input_path!r} does not exist")
-
+    model_spec(opts["model"])
+    input_path = opts["input"]  # None only for synth, which takes none
+    if input_path is not None and not os.path.isfile(input_path):
+        raise InvalidInput(f"input file {input_path!r} does not exist")
     family = DesignFamily.from_token(opts["family"])
 
     criterion = opts["criterion"]
-    if command == "design" and criterion is None:
-        raise InvalidInput("--criterion is required for design")
     criteria = tuple(opts["criteria"]) if command == "evaluate" else ()
     if command == "evaluate" and not criteria:
         raise InvalidInput("the criteria list must not be empty")
@@ -209,48 +213,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for token in (criterion,) if criterion is not None else criteria:
         _parse_without_model(token)
 
-    n = opts["n"]
-    if command in ("design", "sequential") and n is None:
-        raise InvalidInput(f"--n is required for {command}")
-    batch_sizes = ()
-    if command == "sequential":
-        batch_sizes = tuple(
-            _parse_budget(part, "each stage size") for part in n.split(",")
-        )
-        n = None
-    elif n is not None:
-        n = _parse_budget(n, "--n")
-
-    if opts["seed"] < 0:
-        raise InvalidInput(f"--seed must be non-negative, got {opts['seed']}")
-    if not (opts["tol"] > 0):
-        raise InvalidInput(f"--tol must be positive, got {opts['tol']}")
-    if not (opts["eps"] > 0):
-        raise InvalidInput(f"--eps must be positive, got {opts['eps']}")
-    if opts["max_iter"] < 1:
-        raise InvalidInput(f"--max-iter must be at least 1, got {opts['max_iter']}")
-
-    stages, replications = opts["stages"], opts["replications"]
-    if command == "sequential":
-        if stages is not None and stages < 1:
-            raise InvalidInput(f"--stages must be at least 1, got {stages}")
-        if replications < 1:
-            raise InvalidInput(
-                f"--replications must be at least 1, got {replications}"
-            )
-        if stages is not None and len(batch_sizes) == 1:
+    n, batch_sizes = opts["n"], ()
+    if command == "sequential":  # --n lists the stage sizes; a lone size is repeated
+        batch_sizes = tuple(_parse_budget(part, "each stage size") for part in n.split(","))
+        n, stages = None, opts["stages"] or len(batch_sizes)
+        if len(batch_sizes) == 1:
             batch_sizes *= stages
-        if stages is not None and len(batch_sizes) != stages:
+        if len(batch_sizes) != stages:
             raise InvalidInput(
                 f"--stages says {stages} but --n lists {len(batch_sizes)} batch sizes"
             )
-
-    n_units = opts["n_units"]
-    if command == "synth":
-        if n_units is None:
-            raise InvalidInput("--n-units is required for synth")
-        if n_units < 1:
-            raise InvalidInput(f"--n-units must be at least 1, got {n_units}")
+    elif n is not None:
+        n = _parse_budget(n, "--n")
 
     opts.update(family=family, n=n, criteria=criteria, batch_sizes=batch_sizes)
     config = RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})

@@ -1241,8 +1241,9 @@ VALID_FLAGS = {
 
 # Every (command, option it requires), with the message its absence gives.
 REQUIRED = [
-    *((command, "--model", "--model is required") for command in VALID_FLAGS),
-    *((command, "--input", "--input is required") for command in VALID_FLAGS if command != "synth"),
+    *((command, "--model", f"--model is required for {command}") for command in VALID_FLAGS),
+    *((command, "--input", f"--input is required for {command}")
+      for command in VALID_FLAGS if command != "synth"),
     ("design", "--criterion", "--criterion is required for design"),
     ("design", "--n", "--n is required for design"),
     ("sequential", "--n", "--n is required for sequential"),
