@@ -50,7 +50,6 @@ _ALL = ("fit", "design", "evaluate", "sequential", "synth")  # _COMMANDS, define
 _FITTING = ("fit", "design", "evaluate", "sequential")
 _DESIGNING = ("design", "evaluate", "sequential")
 
-
 # Every option but --config, once: the commands that take it, its add_argument
 # keywords (value type or choices, help text), the commands that require it
 # and the test its value must pass with the words that name it. The
