@@ -6,7 +6,11 @@ For each model (finpop, lognormal, qblogit) and seed (1, 7, 42) the script
 runs, on N = 3000 units: ``synth``; ``fit``; ``design`` with the criteria A,
 D, phi:5, E, V, d-kl and ``L:@L.csv``; ``evaluate`` with the default battery;
 and ``sequential`` with three stages of 100 under each design family: po-wor
-(the default), po-wr over three replications, and multi. Each run writes its
+(the default), po-wr over three replications, and multi. Every budget there
+is 100, far below the without-replacement cap, so each case also runs
+``design`` D under po-wr and multi at n = 100, and, under po-wor, D and A at
+n = 2000 and ``evaluate`` at n = 2000, where units reach the cap, and phi:2 at
+n = 1600, where the uniform start already exceeds 1/2. Each run writes its
 output files to a directory named after it, and its exit code, stdout and
 stderr to ``<run>.log/``. Each (model, seed) case has its own directory,
 which is the working directory of its commands; before ``design-L`` the
@@ -50,6 +54,14 @@ MODELS = ("finpop", "lognormal", "qblogit")
 SEEDS = (1, 7, 42)
 N_UNITS = 3000
 DESIGN_CRITERIA = ("A", "D", "phi:5", "E", "V", "d-kl", "L:@L.csv")
+# (run name, criterion, budget, family) of the designs off the n = 100 po-wor path.
+WIDE_DESIGNS = (
+    ("design-D-capped", "D", "2000", "po-wor"),
+    ("design-A-capped", "A", "2000", "po-wor"),
+    ("design-phi2-half", "phi:2", "1600", "po-wor"),
+    ("design-D-powr", "D", "100", "po-wr"),
+    ("design-D-multi", "D", "100", "multi"),
+)
 QUOTED_CASE = ("lognormal", 1)
 COMMANDS = ("fit", "design", "evaluate", "sequential", "synth")
 BLOCKS_SEED = 1
@@ -122,7 +134,12 @@ def runs(model: str, seed: int) -> list[tuple[str, list[str]]]:
         name = "design-" + criterion.partition(":@")[0].replace(":", "")
         out.append((name, ["design", *data, "--criterion", criterion, "--n", "100",
                            "--out", name]))
+    for name, criterion, n, family in WIDE_DESIGNS:
+        out.append((name, ["design", *data, "--criterion", criterion, "--n", n,
+                           "--family", family, "--out", name]))
     out.append(("evaluate", ["evaluate", *data, "--out", "evaluate"]))
+    out.append(("evaluate-capped", ["evaluate", *data, "--n", "2000",
+                                    "--out", "evaluate-capped"]))
     stages = ["sequential", *data, "--stages", "3", "--n", "100", "--seed", str(seed)]
     out.append(("sequential", [*stages, "--out", "sequential"]))
     out.append(("sequential-powr", [*stages, "--family", "po-wr", "--replications", "3",
