@@ -319,9 +319,9 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
     units writes r_i = sqrt(c_i) over c_i and sums S = sum r_i and
     W = sum psi_i psi_i^T / r_i, returning (None, (r, S, min r, max r, W)), so
     no N-long c is kept. A coefficient that is zero, negative or not finite
-    stops the sums before its root is taken, and c comes from a pass without
-    ``fuse``. Each block gives its min c, max c, sum r and W, added here in
-    block order, as a serial loop does, so the thread split moves no bit.
+    stops the sums before its root is taken, and (None, None) is returned.
+    Each block gives its min c, max c, sum r and W, added here in block
+    order, as a serial loop does, so the thread split moves no bit.
     """
     m_t = (grads.hessian_inv @ psd_factor(phi)).T
     out = np.empty(grads.n_units)
@@ -348,7 +348,7 @@ def _coefficients_from_phi(grads: GradientSet, phi: np.ndarray, fuse: bool = Fal
     if not fuse:
         return out, None
     if None in parts:
-        return _coefficients_from_phi(grads, phi)
+        return None, None
     lows, tops, sums, ws = zip(*parts)
     total, w = 0.0, np.zeros((grads.n_params, grads.n_params))
     for rb_sum, wb in zip(sums, ws):

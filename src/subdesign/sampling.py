@@ -80,6 +80,15 @@ class SamplingScheme:
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def mu_max(self) -> float:
+        """The largest entry of mu, stored by the builders that hold it already."""
+        return float(self.mu.max())
+
+    def _with_max(self, top) -> SamplingScheme:
+        self.__dict__["mu_max"] = float(top)  # mu_max's cache: ``top`` is the exact max
+        return self
+
 
 @dataclass(frozen=True)
 class DrawResult:
@@ -134,7 +143,7 @@ def validate_scheme(mu, family: DesignFamily, n: float) -> SamplingScheme:
     if arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
         arr.flags.writeable = False
-    return SamplingScheme(mu=arr, family=family, budget_n=float(n))
+    return SamplingScheme(mu=arr, family=family, budget_n=float(n))._with_max(top)
 
 
 def check_budget(n_units: int, n: float, family: DesignFamily) -> None:

@@ -10,6 +10,7 @@ stage drew.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,15 +166,14 @@ def run_k_stages(
     records of the completed stages attached. An empty or non-positive size
     list is InvalidInput, and every size passes ``check_budget`` before stage 1.
     """
-    # Each size is read as a float, but a bool is kept for check_budget to refuse.
     given = np.atleast_1d(np.asarray(batch_sizes, dtype=object))
-    sizes = [n if isinstance(n, (bool, np.bool_)) else float(np.float64(n)) for n in given]
-    if len(sizes) < 1:
+    if len(given) < 1:
         raise InvalidInput("need at least one batch size")
-    if any(n <= 0 for n in sizes):
+    if any(isinstance(n_k, numbers.Real) and n_k <= 0 for n_k in given):
         raise InvalidInput("batch sizes must be positive")
-    for n_k in sizes:
+    for n_k in given:  # as given: a string or a complex is no real size
         check_budget(problem.n_units, n_k, family)
+    sizes = [float(n_k) for n_k in given]
 
     records: list[StageRecord] = []
     theta = None

@@ -31,9 +31,11 @@ The stationarity check of a scheme mu solves for the next scheme mu' at once:
 with no unit at the cap in either, the residual is max|mu - mu'| / max mu',
 which is ``stationarity_residual`` up to rounding, and otherwise it is
 ``stationarity_residual``. A scheme that fails the check steps to that mu'.
-The check makes three passes over the schemes (a difference, its absolute
-value, the maximum) when both came from the fused step: max mu' is
-sqrt(max c) n / S, and neither scheme exceeds 1/2.
+Each scheme carries its largest entry, ``mu_max``, stored by the builder
+that holds it: ``validate_scheme``, or the fused step, where it is
+sqrt(max c) n / S. So the rule on 1/2, the check and a stop's capped count
+take no pass to find it; between two uncapped schemes the check makes three
+(a difference, its absolute value, the maximum).
 """
 
 from __future__ import annotations
@@ -173,13 +175,12 @@ def stationarity_residual(
         return float("inf")
     mu = scheme.mu
     n = scheme.budget_n
-    mu_max = float(mu.max())
     # With nothing at the cap every unit is free and only proportionality
     # can fail, so the masked copies below are not needed.
-    if family is not DesignFamily.PO_WOR or mu_max < 1.0 - DEFAULT.cap_tol:
+    if family is not DesignFamily.PO_WOR or scheme.mu_max < 1.0 - DEFAULT.cap_tol:
         return float(np.max(np.abs(mu * s.sum() / n - s)) / s_max)
     capped = mu >= 1.0 - DEFAULT.cap_tol
-    cap_violation = max(0.0, mu_max - 1.0)
+    cap_violation = max(0.0, scheme.mu_max - 1.0)
     prop_violation = 0.0
     threshold_violation = 0.0
     free = ~capped
@@ -196,53 +197,49 @@ def stationarity_residual(
     return max(cap_violation, prop_violation, threshold_violation)
 
 
-def _closed_form_step(grads, phi, n, family, fuse=True):
-    """Coefficients c of phi, their closed form mu', V(mu') and max mu', from
-    one pass over psi: c is None where that pass gives mu', the rest where
-    the module docstring's fallback (c from a pass of its own) runs."""
-    cs, sums = _coefficients_from_phi(grads, phi, fuse)
-    if sums is None:
-        return cs, None, None, None
-    roots, total, low, top, w = sums
-    scale = n / total
-    # Multiplying by scale rounds monotonically, so low * scale and
-    # top * scale are the least and the largest entry of mu'.
-    top = float(top * scale)
-    if not low * scale > 0.0 or (family is DesignFamily.PO_WOR and top > 0.5):
-        return _coefficients_from_phi(grads, phi)[0], None, None, None
-    mu = np.multiply(roots, scale, out=roots)
-    mu.flags.writeable = False
-    v = np.multiply(w, total / n, out=w)
-    if family is DesignFamily.PO_WOR:
-        v -= grads.v_theta0
-    # mu is positive and under the cap by the test above, and it sums to n
-    # up to rounding, so validate_scheme's passes over it would find nothing.
-    return None, SamplingScheme(mu=mu, family=family, budget_n=float(n)), v, top
+def _closed_form_step(grads, phi, n, family, at):
+    """Coefficients c of phi (linearized at the scheme ``at``), their closed
+    form mu' and V(mu'), from one pass over psi: c is None where that pass
+    gives mu', the rest where the module docstring's fallback runs."""
+    wor = family is DesignFamily.PO_WOR
+    # Past a without-replacement scheme above 1/2 the next one is most likely
+    # capped too, and the fused sums would be thrown away.
+    cs, sums = _coefficients_from_phi(grads, phi, not wor or at.mu_max <= 0.5)
+    if sums is not None:
+        roots, total, low, top, w = sums
+        scale = n / total
+        # Multiplying by scale rounds monotonically, so low * scale and
+        # top * scale are the least and the largest entry of mu'.
+        if low * scale > 0.0 and not (wor and top * scale > 0.5):
+            mu = np.multiply(roots, scale, out=roots)
+            mu.flags.writeable = False
+            v = np.multiply(w, total / n, out=w)
+            if wor:
+                v -= grads.v_theta0
+            # mu is positive and under the cap by the test above, and it sums
+            # to n up to rounding, so validate_scheme's passes would find nothing.
+            return None, SamplingScheme(mu, family, float(n))._with_max(top * scale), v
+    return _coefficients_from_phi(grads, phi)[0] if cs is None else cs, None, None
 
 
-def _residual_and_next(
-    scheme, cs, n, family, nxt=None, top=None, fused=False
-) -> tuple[float, SamplingScheme | None]:
+def _residual_and_next(scheme, cs, n, family, nxt=None) -> tuple[float, SamplingScheme | None]:
     """Residual of ``scheme``, and ``nxt``: the closed form of ``cs``, solved
-    here when not given, None if that raises. ``top`` is max ``nxt.mu`` when
-    known; ``fused`` says that ``scheme`` came from ``_closed_form_step``, so
-    no entry of it exceeds 1/2. ``cs`` is None only beside a fused ``nxt``,
-    which never reads it; max|mu - mu'| is taken a block at a time."""
+    here when not given, None if that raises. ``cs`` is None only beside a
+    fused ``nxt``, which never reads it; max|mu - mu'| is taken a block at a
+    time."""
     if nxt is None:
         try:
             nxt = l_optimal_scheme(cs, n, family)
         except SubdesignError:  # the next refinement raises it again
             return stationarity_residual(scheme, cs, family), None
-    if top is None:
-        top = float(nxt.mu.max())
     if family is DesignFamily.PO_WOR and (
-        top >= 1.0 or not fused and scheme.mu.max() >= 1.0 - DEFAULT.cap_tol
+        nxt.mu_max >= 1.0 or scheme.mu_max >= 1.0 - DEFAULT.cap_tol
     ):
         return stationarity_residual(scheme, cs, family), nxt
     gap = max(
         float(np.abs(scheme.mu[u] - nxt.mu[u]).max()) for u in unit_blocks(scheme.n_units)
     )
-    return gap / top, nxt
+    return gap / nxt.mu_max, nxt
 
 
 def fixed_point_solve(
@@ -269,16 +266,12 @@ def fixed_point_solve(
         gam = gamma(grads, scheme).gamma if v is None else _sandwich(grads, v)
         return phi_value(spec, gam, grads), gam
 
-    def refine(gam, at, v_at):
-        # Past a without-replacement scheme above 1/2 the next one is most
-        # likely capped too, and the fused sums would be thrown away.
-        fuse = v_at is not None or family is not DesignFamily.PO_WOR or at.mu.max() <= 0.5
-        phi = phi_matrix_derivative(spec, gam, grads)
-        return _closed_form_step(grads, phi, n, family, fuse)
+    def refine(gam, at):
+        return _closed_form_step(grads, phi_matrix_derivative(spec, gam, grads), n, family, at)
 
     def stop(status, t, scheme, gam, stationarity=None, zero_ids=()):
         capped = 0
-        if scheme.family is DesignFamily.PO_WOR:
+        if scheme.family is DesignFamily.PO_WOR and scheme.mu_max >= 1.0 - DEFAULT.cap_tol:
             capped = int(np.sum(scheme.mu >= 1.0 - DEFAULT.cap_tol))
         return SolveTrace(
             status, t, tuple(objs), scheme, capped, stationarity, zero_ids, gam
@@ -289,9 +282,8 @@ def fixed_point_solve(
     objs = [best_obj]
     best = (current, gam_current)
     step = None  # the next step, once a failed stationarity check built it
-    v = None  # V(current) when the fused pass gave it
     for t in range(1, max_iter + 1):
-        cs, scheme, v, top = refine(gam_current, current, v) if step is None else step
+        cs, scheme, v = refine(gam_current, current) if step is None else step
         if scheme is None:
             try:
                 scheme = l_optimal_scheme(cs, n, family)
@@ -302,9 +294,8 @@ def fixed_point_solve(
                 )
         obj, gam = objective(scheme, v)
         objs.append(obj)
-        fused = v is not None  # V(scheme) came with it from the fused step
         if spec.is_linear:  # c does not depend on Gamma: the step is its own next one
-            resid = _residual_and_next(scheme, cs, n, family, scheme, top, fused)[0]
+            resid = _residual_and_next(scheme, cs, n, family, scheme)[0]
             return stop(SolveStatus.CONVERGED, t, scheme, gam, resid)
         if obj > objs[-2] + DEFAULT.divergence_slack:
             return stop(SolveStatus.DIVERGED, t, *best)
@@ -313,9 +304,9 @@ def fixed_point_solve(
         improvement = (objs[-2] - obj) / max(abs(objs[-2]), 1e-300)
         current, gam_current, step = scheme, gam, None
         if improvement < eps:
-            cs, nxt, v, top = refine(gam, current, v)
-            resid, nxt = _residual_and_next(current, cs, n, family, nxt, top, fused)
-            step = (cs, nxt, v, top)
+            cs, nxt, v = refine(gam, current)
+            resid, nxt = _residual_and_next(current, cs, n, family, nxt)
+            step = (cs, nxt, v)
             if resid <= DEFAULT.stationarity_tol:
                 return stop(SolveStatus.CONVERGED, t, current, gam, resid)
     return stop(SolveStatus.MAX_ITER, max_iter, current, gam_current)

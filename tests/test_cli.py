@@ -207,6 +207,22 @@ class TestDesign:
         assert rows[-1][2] == "Converged"
         assert all(row[2] == "running" for row in rows[:-1])
 
+    def test_capped_without_replacement_design(self, tmp_path, lognormal_csv):
+        # At n / N = 134 / 200 the proportional rule pushes units past one,
+        # so the solver pins them at the cap.
+        out = tmp_path / "out"
+        code = main(
+            ["design", "--input", lognormal_csv, "--model", "lognormal", "--criterion", "D",
+             "--family", "po-wor", "--n", "134", "--out", str(out)]
+        )
+        assert code == 0
+        _, rows = read_rows(out / "scheme.csv")
+        mu = np.array([float(row[1]) for row in rows])
+        assert mu.max() == 1.0 and np.sum(mu == 1.0) > 0
+        assert abs(mu.sum() - 134) <= 1e-9 * 134
+        _, trace = read_rows(out / "trace.csv")
+        assert trace[-1][2] == "Converged"
+
     def test_zero_coefficient_unit_is_listed(self, tmp_path, capsys):
         data = tmp_path / "sym.csv"
         lo, hi = math.exp(-1.0), math.exp(1.0)

@@ -234,13 +234,17 @@ class TestCheckBudget:
 
 @pytest.mark.parametrize("bad", ["2", None, 2 + 0j], ids=["str", "None", "complex"])
 def test_budget_that_is_not_a_real_number_is_refused(bad):
-    # Each escaped as a builtin TypeError from np.isfinite or the comparison.
+    # Each escaped as a builtin TypeError from np.isfinite or the comparison;
+    # run_k_stages read "2" as 2.0 and None as NaN.
     message = rf"^budget n must be a real number, got {re.escape(repr(bad))}$"
+    problem = pool_problem("finpop", make_pool("finpop", BUDGET_N_UNITS, seed=3))
     for family in DesignFamily:
         with pytest.raises(InvalidBudget, match=message):
             check_budget(BUDGET_N_UNITS, bad, family)
         with pytest.raises(InvalidBudget, match=message):
             uniform_scheme(BUDGET_N_UNITS, bad, family)
+        with pytest.raises(InvalidBudget, match=message):
+            run_k_stages(problem, [20.0, bad], family, seed=1)
 
 
 @pytest.mark.parametrize("real", [np.int64(4), np.float64(4.0), 4, 4.0])

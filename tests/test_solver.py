@@ -29,7 +29,7 @@ from subdesign.criteria import (
 from subdesign.errors import Infeasible, InvalidBudget, InvalidInput
 from subdesign.linalg import BLOCK_UNITS, psd_factor, unit_blocks
 from subdesign.models import fit_full
-from subdesign.sampling import DesignFamily, uniform_scheme, validate_scheme
+from subdesign.sampling import DesignFamily, SamplingScheme, uniform_scheme, validate_scheme
 from subdesign.solver import (
     SolveStatus,
     SolveTrace,
@@ -628,6 +628,36 @@ class TestFixedPointMatchesReference:
         assert passes == {"v_matrix": 1, "coefficients": 1}
 
 
+class TestSchemeMax:
+    """A scheme knows its largest entry; the builders that hold it store it."""
+
+    @pytest.mark.parametrize("family", list(DesignFamily))
+    def test_stored_max_is_the_max(self, family):
+        c = np.random.default_rng(3).lognormal(0.0, 2.0, 300)
+        mu = np.linspace(1.0, 2.0, 300)
+        grads, _ = pool_grads("lognormal", 300, seed=4)
+        at = uniform_scheme(300, 10, family)
+        phi = phi_matrix_derivative(d_opt(), gamma(grads, at).gamma)
+        built = {
+            "validate_scheme": validate_scheme(mu * (10 / mu.sum()), family, 10),
+            "uniform_scheme": at,
+            "l_optimal_scheme": l_optimal_scheme(c, 10, family),
+            "fused step": solver._closed_form_step(grads, phi, 10, family, at)[1],
+        }
+        if family is DesignFamily.PO_WOR:
+            built["l_optimal_scheme capped"] = l_optimal_scheme(c, 200, family)
+            assert built["l_optimal_scheme"].mu.max() < 1.0
+            assert built["l_optimal_scheme capped"].mu.max() == 1.0
+        for name, scheme in built.items():
+            assert scheme.__dict__["mu_max"] == float(scheme.mu.max()), name
+
+    def test_direct_scheme_finds_its_max(self):
+        mu = np.array([0.25, 1.5, 0.25])
+        scheme = SamplingScheme(mu, DesignFamily.PO_WR, 2.0)
+        assert "mu_max" not in scheme.__dict__
+        assert scheme.mu_max == 1.5 and type(scheme.mu_max) is float
+
+
 class TestFusedClosedForm:
     """The coefficient pass's closed form and V against the plain ones."""
 
@@ -657,17 +687,20 @@ class TestFusedClosedForm:
         ref = l_optimal_scheme(c, n, family)
         top = float(ref.mu.max())
         assume(abs(top - 0.5) > 1e-9)
-        cs, scheme, v, mu_max = solver._closed_form_step(grads, phi, n, family)
+        # Linearized at the uniform scheme, which is above 1/2 only when the
+        # closed form is too (mu' averages n / N).
+        at = uniform_scheme(n_units, n, family)
+        cs, scheme, v = solver._closed_form_step(grads, phi, n, family, at)
         if family is DesignFamily.PO_WOR and top > 0.5:
             # Capped, or so close to a census that the subtraction of
             # sum psi psi^T would lose more than one bit.
-            assert scheme is None and v is None and mu_max is None
+            assert scheme is None and v is None
             assert np.array_equal(cs, c)
             return
         # The pass that gave the closed form kept no coefficients.
         assert cs is None
         assert scheme.family is family and scheme.budget_n == n
-        assert mu_max == scheme.mu.max()
+        assert scheme.__dict__["mu_max"] == scheme.mu.max()  # stored by the step
         assert rel_gap(scheme.mu, ref.mu) <= 1e-13
         assert rel_gap(v, covariance.v_matrix(grads, scheme)) <= 1e-13
 
@@ -707,13 +740,17 @@ class TestFusedClosedForm:
 
 class PassCounter(np.ndarray):
     """Counts the ufunc calls and reductions made over it, and over the
-    arrays computed from it."""
+    arrays computed from it, and records the size of each one reduced to its
+    maximum."""
 
     passes = 0
+    max_sizes = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         PassCounter.passes += 1
         inputs = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if ufunc is np.maximum and method == "reduce":
+            PassCounter.max_sizes.append(inputs[0].size)
         if "out" in kwargs:
             kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
         result = getattr(ufunc, method)(*inputs, **kwargs)
@@ -785,27 +822,58 @@ class TestResidualFromNextScheme:
     @pytest.mark.parametrize("family", list(DesignFamily))
     def test_fused_check_makes_three_passes(self, family, monkeypatch):
         """Between two fused schemes the check reads the schemes three times
-        (difference, absolute value, maximum): max mu' comes with the step,
-        and a fused scheme is known to stay below the cap. The residual is
-        the one the check computes without those hints, bit for bit."""
+        (difference, absolute value, maximum): each max came stored with its
+        step, so neither the cap test nor the division takes a pass. The
+        residual is the one the check computes on fresh schemes, whose
+        maxima it must find, bit for bit."""
         real = solver._residual_and_next
         passes = []
 
-        def counting(scheme, cs, n, fam, nxt=None, top=None, fused=False):
-            assert nxt is not None and top is not None and fused
-            want = real(scheme, cs, n, fam, nxt)
+        def counting(scheme, cs, n, fam, nxt=None):
+            assert nxt is not None
+            tops = [s.__dict__["mu_max"] for s in (scheme, nxt)]  # stored, not found
+            fresh = [dataclasses.replace(s) for s in (scheme, nxt)]
+            want = real(fresh[0], cs, n, fam, fresh[1])
             wrapped = [dataclasses.replace(s, mu=s.mu.view(PassCounter)) for s in (scheme, nxt)]
+            for w, top in zip(wrapped, tops):
+                w._with_max(top)
             PassCounter.passes = 0
-            got = real(wrapped[0], cs, n, fam, wrapped[1], top, fused)
+            got = real(wrapped[0], cs, n, fam, wrapped[1])
             passes.append(PassCounter.passes)
             assert got[0] == want[0]
-            return want
+            return want[0], nxt
 
         monkeypatch.setattr(solver, "_residual_and_next", counting)
         grads, problem = pool_grads("qblogit", 800, seed=5)
         trace = fixed_point_solve(parse_criterion("D", problem), grads, family, 40)
         assert trace.status is SolveStatus.CONVERGED and trace.capped_set_size == 0
         assert passes and set(passes) == {3}
+
+    def test_capped_check_takes_no_max_pass(self):
+        """Between two validated capped po-wor schemes the check reads each
+        maximum off its scheme: no reduction runs over a whole scheme."""
+        rng = np.random.default_rng(8)
+        c = rng.lognormal(0.0, 2.0, 300)
+        n, family = 200, DesignFamily.PO_WOR
+        nxt = l_optimal_scheme(c, n, family)
+        scheme = l_optimal_scheme(c * rng.lognormal(0.0, 0.1, 300), n, family)
+        assert scheme.mu_max == nxt.mu_max == 1.0
+
+        def check(stored):
+            wrapped = [dataclasses.replace(s, mu=s.mu.view(PassCounter)) for s in (scheme, nxt)]
+            if stored:
+                for w, s in zip(wrapped, (scheme, nxt)):
+                    w._with_max(s.mu_max)
+            PassCounter.max_sizes = []
+            resid = solver._residual_and_next(wrapped[0], c, n, family, wrapped[1])[0]
+            return resid, PassCounter.max_sizes
+
+        resid, sizes = check(stored=True)
+        assert 300 not in sizes
+        # Fresh copies must find each maximum, and the count sees those passes.
+        fresh_resid, fresh_sizes = check(stored=False)
+        assert fresh_sizes.count(300) == 2
+        assert resid == fresh_resid == stationarity_residual(scheme, c)
 
     @pytest.mark.parametrize("family", list(DesignFamily))
     def test_uncapped_solve_solves_once_per_refinement(self, family, monkeypatch):
@@ -863,9 +931,10 @@ class TestBadCoefficientsAfterFailedCheck:
             linearized.append(phi)
             if len(linearized) == 1:
                 return real(grads, phi, fuse)
+            if fuse:  # the pass stops its sums at a block with a bad coefficient
+                return None, None
             c = real(grads, phi)[0]
             c[[3, 7]] = bad
-            # The pass stops its sums at a block with a bad coefficient.
             return c, None
 
         monkeypatch.setattr(solver, "_coefficients_from_phi", spoiled)
@@ -876,8 +945,10 @@ class TestBadCoefficientsAfterFailedCheck:
             max_iter=max_iter, eps=np.inf,
         )
         monkeypatch.undo()
-        # The scheme the first, unspoiled, linearization stepped to.
-        first = solver._closed_form_step(grads, linearized[0], 30, DesignFamily.PO_WR)[1]
+        # The scheme the first, unspoiled, linearization (at the uniform
+        # start) stepped to.
+        start = uniform_scheme(grads.n_units, 30, DesignFamily.PO_WR)
+        first = solver._closed_form_step(grads, linearized[0], 30, DesignFamily.PO_WR, start)[1]
         return trace, first
 
     def test_zero_coefficients_stop_as_infeasible(self, monkeypatch):
